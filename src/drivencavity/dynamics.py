@@ -1,10 +1,11 @@
 """Time evolution and steady states of Lindblad generators.
 
 Two steady-state routes are provided: long-time adaptive integration and a
-null-space solve of the vectorized generator (dense eigendecomposition for
-small dimensions, sparse trace-constrained solve above that).  The dense
-route detects degenerate steady-state manifolds and refuses to pick a state;
-callers then integrate from their initial condition instead.
+null-space solve of the vectorized generator, one sparse LU factorization of
+the trace-constrained Liouvillian at every dimension.  The null-space route
+estimates the condition number of that factor and refuses to pick a state
+when the fixed-point manifold is degenerate; callers then integrate from
+their initial condition instead.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from scipy.integrate import solve_ivp
 from .hilbert import DensityMatrix, HermiticityError, LayoutError, Operator, TOL_POS
 from .model import Generator, apply_generator
 
-DENSE_NULLSPACE_MAX_DIM = 40        # dense eig of the dim^2 x dim^2 superoperator
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
 SPECTRAL_MAX_DIM = 64               # dense eig of the full Liouvillian for evolve_spectral
-_KERNEL_REL_TOL = 1e-10
+_KERNEL_REL_TOL = 1e-10             # condition estimates above 1 / this mean a degenerate kernel
 
 
 class EvolutionError(RuntimeError):
@@ -243,10 +243,6 @@ def liouvillian_matrix_raw(H, dissipators, sparse: bool = True):
     return L.tocsr() if sparse else L
 
 
-def liouvillian_matrix(gen: Generator, sparse: bool = True):
-    return liouvillian_matrix_raw(*_gen_matrices(gen), sparse=sparse)
-
-
 def _normalize_kernel_vector(v: np.ndarray, dim: int) -> np.ndarray:
     m = v.reshape(dim, dim)
     m = 0.5 * (m + m.conj().T)
@@ -261,10 +257,12 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
                      chunk0: float = 10.0):
     """Steady state on raw matrices.  Returns (rho_matrix, residual, elapsed, method).
 
-    method 'nullspace' requires a unique fixed point (checked for the dense
-    route, asserted by the caller for the sparse route); 'long-time-integration'
-    requires rho0.  'auto' tries the null space first and falls back to
-    integration from rho0 on degeneracy.
+    method 'nullspace' solves the trace-constrained Liouvillian by one sparse
+    LU factorization for every dim up to SPARSE_NULLSPACE_MAX_DIM, and raises
+    DegenerateSteadyStateError when the fixed point is not unique (an exactly
+    singular factor, or a condition estimate above 1 / _KERNEL_REL_TOL).
+    'long-time-integration' requires rho0.  'auto' tries the null space first
+    and falls back to integration from rho0 on degeneracy.
     """
     H = np.asarray(H, dtype=complex)
     dim = H.shape[0]
@@ -274,32 +272,36 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
         return float(np.max(np.abs(rhs(0.0, m.ravel()))))
 
     def _nullspace():
-        if dim <= DENSE_NULLSPACE_MAX_DIM:
-            L = liouvillian_matrix_raw(H, dissipators, sparse=False)
-            vals, vecs = np.linalg.eig(L)
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            kernel = np.where(np.abs(vals) < _KERNEL_REL_TOL * scale)[0]
-            if kernel.size == 0:
-                raise ConvergenceError("no null vector found; kernel tolerance too tight?")
-            if kernel.size > 1:
-                raise DegenerateSteadyStateError(
-                    f"{kernel.size}-dimensional fixed-point manifold; integrate from rho0"
-                )
-            m = _normalize_kernel_vector(vecs[:, kernel[0]], dim)
-        elif dim <= SPARSE_NULLSPACE_MAX_DIM:
-            L = liouvillian_matrix_raw(H, dissipators, sparse=True).tolil()
-            trace_row = np.zeros(dim * dim, dtype=complex)
-            trace_row[:: dim + 1] = 1.0
-            L[0, :] = trace_row
-            b = np.zeros(dim * dim, dtype=complex)
-            b[0] = 1.0
-            try:
-                v = spla.splu(L.tocsc()).solve(b)
-            except RuntimeError as exc:  # exactly singular: degenerate kernel
-                raise DegenerateSteadyStateError(str(exc)) from exc
-            m = _normalize_kernel_vector(v, dim)
-        else:
+        if dim > SPARSE_NULLSPACE_MAX_DIM:
             raise ConvergenceError(f"dimension {dim} too large for the null-space route")
+        # Trace preservation makes the trace row a left null vector of L, so L
+        # with row 0 replaced by it is nonsingular iff the kernel is 1-D.
+        n = dim * dim
+        trace_row = sp.csr_matrix(
+            (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(0, n, dim + 1))), shape=(n, n))
+        M = (sp.diags(np.r_[0.0, np.ones(n - 1)])
+             @ liouvillian_matrix_raw(H, dissipators, sparse=True) + trace_row).tocsc()
+        try:
+            lu = spla.splu(M)
+        except RuntimeError as exc:  # exactly singular: degenerate kernel
+            raise DegenerateSteadyStateError(str(exc)) from exc
+
+        def solve(x, trans="N"):
+            y = lu.solve(x, trans=trans)
+            y[np.abs(y) < np.finfo(float).tiny] = 0.0  # onenormest's sign step overflows on subnormals
+            return y
+
+        inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=lambda x: solve(x, "H"),
+                                      dtype=complex)
+        cond = spla.norm(M, 1) * spla.onenormest(inverse)
+        if not cond <= 1.0 / _KERNEL_REL_TOL:
+            raise DegenerateSteadyStateError(
+                f"trace-constrained Liouvillian has condition estimate {cond:.1e}: "
+                "fixed-point manifold is degenerate; integrate from rho0"
+            )
+        b = np.zeros(n, dtype=complex)
+        b[0] = 1.0
+        m = _normalize_kernel_vector(lu.solve(b), dim)
         res = _residual(m)
         if res > residual_tol:
             raise ConvergenceError(

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .hilbert import DensityMatrix, partial_trace
+from .hilbert import DensityMatrix, StateError, partial_trace
 from .model import (
     SystemConfig,
     atomic_vector,
@@ -30,6 +30,7 @@ from .model import (
 from .dynamics import (
     SPECTRAL_MAX_DIM,
     ConvergenceError,
+    EvolutionError,
     evolve,
     evolve_spectral,
     residual_norm,
@@ -336,6 +337,28 @@ def _map_points(func, points, workers: int):
         return list(pool.map(func, points))
 
 
+# Numerical failures of one sweep point; they cost that point, not the table.
+_POINT_ERRORS = (TruncationError, ConvergenceError, EvolutionError, StateError, SectorError)
+
+
+def _sweep(solve, points, workers: int):
+    """Rows of the points that succeed and (point, message) of those that fail,
+    both in point order."""
+    def attempt(point):
+        try:
+            return solve(point), None
+        except _POINT_ERRORS as exc:
+            return None, str(exc)
+
+    rows, failures = [], []
+    for point, (row, msg) in zip(points, _map_points(attempt, points, workers)):
+        if msg is None:
+            rows.append(row)
+        else:
+            failures.append((point, msg))
+    return rows, failures
+
+
 def run_fig1(scfg: ScenarioConfig, which: str = "all") -> OutputTable:
     """Time evolution from all-excited atoms: purity for N = 1..3, QD/EoF for N = 2."""
     grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
@@ -392,23 +415,17 @@ def run_fig2(scfg: ScenarioConfig) -> OutputTable:
 
     points = [(g, init, eps) for g in g_values for init in initials for eps in eps_values]
     meta = _config_metadata(scfg)
-    failures = []
 
     def solve(point):
         g, init, eps = point
         sys_cfg = scfg.system(g=g, epsilon=eps, frame="displaced", n_th=0.0)
         pattern = atoms_pattern(init, scfg.n_atoms)
         n_max = _resolve_n_max(scfg, sys_cfg, pattern)
-        sys_cfg = replace(sys_cfg, n_max=n_max)
-        try:
-            _, rep, res = _steady_point(scfg, sys_cfg, pattern)
-        except ConvergenceError as exc:
-            failures.append((point, str(exc)))
-            return None
+        _, rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern)
         code = _INIT_CODE.get(init, math.nan)
         return [g, code, eps, rep.qd, rep.eof, res, float(n_max)]
 
-    rows = [r for r in _map_points(solve, points, scfg.workers) if r is not None]
+    rows, failures = _sweep(solve, points, scfg.workers)
     meta.append("initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited")
     for point, msg in failures:
         meta.append(f"FAILED point {point}: {msg}")
@@ -428,22 +445,16 @@ def run_fig3(scfg: ScenarioConfig) -> OutputTable:
     initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
     points = [(init, nth) for init in initials for nth in nth_values]
     meta = _config_metadata(scfg)
-    failures = []
 
     def solve(point):
         init, nth = point
         sys_cfg = scfg.system(epsilon=0.0, delta=0.0, n_th=nth, frame="thermal")
         pattern = atoms_pattern(init, scfg.n_atoms)
         n_max = _resolve_n_max(scfg, sys_cfg, pattern)
-        sys_cfg = replace(sys_cfg, n_max=n_max)
-        try:
-            _, rep, res = _steady_point(scfg, sys_cfg, pattern)
-        except ConvergenceError as exc:
-            failures.append((point, str(exc)))
-            return None
+        _, rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern)
         return [nth, _INIT_CODE.get(init, math.nan), rep.qd, rep.eof, res, float(n_max)]
 
-    rows = [r for r in _map_points(solve, points, scfg.workers) if r is not None]
+    rows, failures = _sweep(solve, points, scfg.workers)
     meta.append("initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited")
     for point, msg in failures:
         meta.append(f"FAILED point {point}: {msg}")

@@ -23,11 +23,13 @@ from drivencavity.model import (
     initial_state,
     thermal_field_matrix,
 )
+from drivencavity.sectors import _isometries, _restrict
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
+    _gen_matrices,
     evolve,
-    liouvillian_matrix,
+    liouvillian_matrix_raw,
     record,
     residual_norm,
     steady_state,
@@ -144,7 +146,7 @@ class TestLiouvillianMatrix:
         m /= np.trace(m)
         direct = apply_generator(gen, m).matrix.ravel()
         for sparse in (False, True):
-            L = liouvillian_matrix(gen, sparse=sparse)
+            L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=sparse)
             assert np.max(np.abs(L @ m.ravel() - direct)) < 1e-12
 
 
@@ -210,6 +212,41 @@ class TestSteadyState:
         assert res.method == "long-time-integration"
         # the dark singlet (with empty cavity) never decays
         assert trace_distance(res.rho_ss, rho0) < 1e-7
+
+    def test_rotated_degenerate_manifold_detected(self):
+        # a random unitary frame hides the exact zeros that make the LU factor of
+        # the undriven two-atom generator exactly singular: only the condition
+        # estimate can tell the two-dimensional kernel apart
+        cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=0.0, n_max=10)
+        h, diss = _gen_matrices(build_generator(cfg))
+        d = h.shape[0]
+        assert d == 44
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        h = q @ h @ q.conj().T
+        diss = [(q @ a @ q.conj().T, r) for a, r in diss]
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state_raw(h, diss, method="nullspace")
+
+    @pytest.mark.parametrize("sector", ["single-atom", "triplet", "singlet"])
+    def test_nullspace_matches_dense_kernel(self, sector):
+        cfg = SystemConfig(n_atoms=1 if sector == "single-atom" else 2,
+                           g=0.3, epsilon=0.8, delta=0.2, n_max=5)
+        gen = build_generator(cfg)
+        if sector == "single-atom":
+            h, diss = _gen_matrices(gen)
+        else:
+            vt, vs = _isometries(cfg.n_max + 1)
+            h, diss = _restrict(gen, vt if sector == "triplet" else vs)
+        d = h.shape[0]
+        vals, vecs = np.linalg.eig(liouvillian_matrix_raw(h, diss, sparse=False))
+        order = np.argsort(np.abs(vals))
+        assert np.abs(vals[order[1]]) > 1e-3  # unique fixed point
+        dense = vecs[:, order[0]].reshape(d, d)
+        dense = 0.5 * (dense + dense.conj().T)
+        dense /= np.trace(dense).real
+        m, res, _, used = steady_state_raw(h, diss, method="nullspace", residual_tol=1e-10)
+        assert used == "nullspace"
+        assert np.max(np.abs(m - dense)) < 1e-12
 
     def test_time_budget_enforced(self):
         cfg = SystemConfig(n_atoms=1, g=0.01, epsilon=1.0, n_max=3)

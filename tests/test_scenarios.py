@@ -17,7 +17,7 @@ from drivencavity.scenarios import (
     run_scenario,
     window_report,
 )
-from drivencavity import cli
+from drivencavity import cli, dynamics
 
 
 class TestLoadConfig:
@@ -240,6 +240,26 @@ class TestCli:
         assert text.splitlines()[0].startswith("# drivencavity")
         assert "qd_ss" in text
         assert "# generated:" not in text
+
+    def test_failed_points_keep_finished_rows(self, tmp_path, capsys, monkeypatch):
+        # the null-space cap makes the truncation probes of the hotter points
+        # fail; the cooler point's row survives and failures keep point order
+        monkeypatch.setattr(dynamics, "SPARSE_NULLSPACE_MAX_DIM", 40)
+        out = tmp_path / "fig3.csv"
+        code = cli.main([
+            "fig3-thermal", "--set", "g=0.1", "--set", "sweep_param=n_th",
+            "--set", "sweep_values=3,0.1,2", "--set", "initial_list=g-g",
+            "--set", "truncation_tol=1e-3", "--workers", "2",
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert code == 1
+        lines = out.read_text().splitlines()
+        failed = [line for line in lines if line.startswith("# FAILED point")]
+        assert [line.split(":")[0] for line in failed] == [
+            "# FAILED point ('g-g', 3.0)", "# FAILED point ('g-g', 2.0)"]
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.1
+        assert "2 sweep point(s) failed" in capsys.readouterr().err
 
     def test_cli_flag_equivalent_to_set(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

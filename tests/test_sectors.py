@@ -8,6 +8,7 @@ from drivencavity.model import SystemConfig, build_generator, initial_state
 from drivencavity.dynamics import steady_state
 from drivencavity.sectors import (
     SectorError,
+    _isometries,
     coherence_block_gap,
     singlet_weight,
     two_atom_steady_state,
@@ -29,6 +30,22 @@ class TestSingletWeight:
         assert np.isclose(singlet_weight(SINGLET), 1.0)
 
 
+def dense_gap(gen):
+    """Smallest |eigenvalue| of the dense singlet-triplet block (reference)."""
+    nf = gen.layout.fock_dim if gen.layout.has_field else 0
+    vt, vs = _isometries(nf)
+    h = gen.hamiltonian.matrix
+    ht, hs = vt.conj().T @ h @ vt, vs.conj().T @ h @ vs
+    et, es = np.eye(ht.shape[0]), np.eye(hs.shape[0])
+    block = -1j * (np.kron(ht, es) - np.kron(et, hs.T))
+    for jump, rate in gen.dissipators:
+        at = vt.conj().T @ jump.matrix @ vt
+        a_s = vs.conj().T @ jump.matrix @ vs
+        block = block + rate * (2.0 * np.kron(at, a_s.conj()) - np.kron(at.conj().T @ at, es)
+                                - np.kron(et, (a_s.conj().T @ a_s).T))
+    return float(np.min(np.abs(np.linalg.eigvals(block))))
+
+
 class TestCoherenceBlockGap:
     def test_driven_generator_has_positive_gap(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=3)
@@ -39,6 +56,20 @@ class TestCoherenceBlockGap:
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, n_max=4, frame="thermal")
         gap = coherence_block_gap(build_generator(cfg))
         assert gap is not None and gap > 1e-3
+
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=6),
+        SystemConfig(n_atoms=2, g=0.1, epsilon=10.0, n_max=4),
+        SystemConfig(n_atoms=2, g=0.1, n_th=1.0, n_max=6, frame="thermal"),
+        SystemConfig(n_atoms=2, g=0.05, epsilon=2.0, frame="effective-atomic"),
+    ], ids=["driven", "strong-drive", "thermal", "effective-atomic"])
+    def test_matches_dense_spectrum(self, cfg):
+        gen = build_generator(cfg)
+        assert abs(coherence_block_gap(gen) - dense_gap(gen)) < 1e-6 * dense_gap(gen)
+
+    def test_undriven_zero_temperature_block_has_zero_mode(self):
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=0.0, n_max=4, frame="thermal")
+        assert coherence_block_gap(build_generator(cfg)) == 0.0
 
     def test_auto_skips_oversized_blocks(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=40)
