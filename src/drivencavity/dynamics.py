@@ -21,8 +21,9 @@ from .hilbert import DensityMatrix, HermiticityError, LayoutError, Operator, TOL
 from .model import Generator, apply_generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
-SPECTRAL_MAX_DIM = 64               # dense eig of the full Liouvillian for evolve_spectral
+SPECTRAL_MAX_DIM = 64               # largest layout dim for evolve_spectral (eig runs on a subspace)
 _KERNEL_REL_TOL = 1e-10             # condition estimates above 1 / this mean a degenerate kernel
+_SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
 
 
 class EvolutionError(RuntimeError):
@@ -163,14 +164,43 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
     return traj
 
 
+def _invariant_support(H, dissipators, rho0) -> np.ndarray:
+    """Orthonormal basis V of the smallest subspace S that holds range(rho0)
+    and that H, every jump A and every A^dag map into themselves.
+
+    Every term of the Lindblad equation keeps an operator supported on S
+    supported on S, so rho(t) = V X(t) V^dag exactly, where X evolves under
+    the restricted generator (V^dag H V, [(V^dag A V, rate)]).  Built by
+    Krylov closure from the eigenvectors of rho0 with non-zero weight.
+    """
+    ops = [H] + [op for A, _ in dissipators for op in (A, A.conj().T)]
+    w, u = np.linalg.eigh(rho0)
+    basis = np.zeros((w.size, 0), dtype=complex)
+    new = u[:, w > _SUPPORT_REL_TOL * np.max(w)]
+    while new.shape[1]:
+        scale = float(np.max(np.linalg.norm(new, axis=0)))
+        for _ in range(2):  # project twice: one pass loses orthogonality on heavy cancellation
+            new = new - basis @ (basis.conj().T @ new)
+        u, s, _ = np.linalg.svd(new, full_matrices=False)
+        u = u[:, s > _SUPPORT_REL_TOL * scale]
+        basis = np.hstack([basis, u])
+        new = np.hstack([op @ u for op in ops])
+    return basis
+
+
 def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
                     pos_tol: float = 1e-7) -> Trajectory:
-    """Propagate by eigendecomposition of the Liouvillian.
+    """Propagate by eigendecomposition of the Liouvillian on rho0's invariant subspace.
 
-    One dense eig of the dim^2 x dim^2 superoperator buys the state at any
-    later time for the cost of a matrix-vector product, so time grids spanning
-    many decades (far beyond what step-by-step integration can afford) come
-    essentially for free.  Limited to small Hilbert dimensions.
+    The state never leaves the smallest subspace S that holds range(rho0) and
+    is mapped into itself by H and every jump A and A^dag
+    (`_invariant_support`); for all-excited atoms S is the symmetric
+    multiplet times the field.  One dense eig of the dim(S)^2 x dim(S)^2
+    restricted superoperator buys the state at any later time for the cost
+    of a matrix-vector product, so time grids spanning many decades (far
+    beyond what step-by-step integration can afford) come essentially for
+    free.  Each state is embedded back as V X V^dag and checked on the full
+    space.  Limited to layout dimensions up to SPECTRAL_MAX_DIM.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
@@ -183,17 +213,22 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing 1-D sequence")
 
-    L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=False)
+    H, dissipators = _gen_matrices(gen)
+    V = _invariant_support(H, dissipators, rho0.matrix)
+    Vd = V.conj().T
+    k = V.shape[1]
+    L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators],
+                               sparse=False)
     vals, vecs = np.linalg.eig(L)
     # clip tiny positive real parts (numerical noise) so nothing grows
     vals = np.where(vals.real > 0, 1j * vals.imag, vals)
-    coeff = np.linalg.solve(vecs, rho0.matrix.ravel())
+    coeff = np.linalg.solve(vecs, (Vd @ rho0.matrix @ V).ravel())
 
     stats = IntegratorStats(rtol=0.0, error_estimate=0.0)
     states = []
     min_eig = np.inf
     for t in t_grid:
-        m = (vecs @ (np.exp(vals * t) * coeff)).reshape(dim, dim)
+        m = V @ (vecs @ (np.exp(vals * t) * coeff)).reshape(k, k) @ Vd
         asym = float(np.max(np.abs(m - m.conj().T)))
         stats.max_herm_asym = max(stats.max_herm_asym, asym)
         m = 0.5 * (m + m.conj().T)

@@ -173,10 +173,6 @@ def sigma_x() -> Operator:
     return qubit_operator([[0, 1], [1, 0]])
 
 
-def sigma_y() -> Operator:
-    return qubit_operator([[0, -1j], [1j, 0]])
-
-
 def sigma_z() -> Operator:
     return qubit_operator([[1, 0], [0, -1]])
 
@@ -200,11 +196,6 @@ def annihilation(n_max: int) -> Operator:
     n = np.arange(1, dim)
     m[n - 1, n] = np.sqrt(n)
     return Operator(HilbertLayout(atom_count=0, fock_dim=dim), m)
-
-
-def number_operator(n_max: int) -> Operator:
-    a = annihilation(n_max)
-    return a.dag() @ a
 
 
 def displacement(alpha: complex, n_max: int) -> Operator:
@@ -274,11 +265,6 @@ class DensityMatrix:
             raise LayoutError(f"vector length {v.size} does not match layout dimension {layout.dim}")
         v = v / np.linalg.norm(v)
         return cls(Operator(layout, np.outer(v, v.conj())))
-
-    def expect(self, observable: Operator) -> complex:
-        if observable.layout != self.layout:
-            raise LayoutError("observable layout does not match state layout")
-        return complex(np.trace(observable.matrix @ self.matrix))
 
 
 def _kept_layout(layout: HilbertLayout, keep: tuple[int, ...]) -> HilbertLayout:

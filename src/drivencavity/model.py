@@ -73,8 +73,7 @@ class SystemConfig:
 @dataclass(frozen=True)
 class DerivedParams:
     alpha: complex        # displaced-frame offset, -i eps / (kappa + i delta)
-    omega_drive: complex  # Omega = g sqrt(N) alpha
-    omega_eff: complex    # effective drive after adiabatic elimination (same value)
+    omega_drive: complex  # Omega = g sqrt(N) alpha; also the effective-atomic drive
     gamma_eff: float      # collective decay g^2 N / kappa
     n_bar_max: float      # |eps/kappa|^2
     window_lo: float      # semiclassical window, units 1/kappa
@@ -89,7 +88,6 @@ def derived_params(cfg: SystemConfig) -> DerivedParams:
     return DerivedParams(
         alpha=alpha,
         omega_drive=omega,
-        omega_eff=omega,
         gamma_eff=gamma_eff,
         n_bar_max=abs(cfg.epsilon) ** 2,
         window_lo=1.0,
@@ -191,7 +189,7 @@ def build_effective_atomic(cfg: SystemConfig) -> Generator:
     layout = cfg.layout()
     sp = collective_raising(layout)
     params = derived_params(cfg)
-    half = params.omega_eff * sp
+    half = params.omega_drive * sp
     h = half + half.dag()
     return Generator(h, ((sp.dag(), params.gamma_eff),))
 

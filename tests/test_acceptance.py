@@ -213,7 +213,7 @@ def test_criterion_7_analytic_dynamics():
     # undamped Rabi flopping
     cfg_r = SystemConfig(n_atoms=1, g=0.01, epsilon=10.0, frame="effective-atomic")
     gen_r = Generator(build_effective_atomic(cfg_r).hamiltonian, ())
-    omega = abs(derived_params(cfg_r).omega_eff)
+    omega = abs(derived_params(cfg_r).omega_drive)
     t_r = np.linspace(0.0, 3.0 * np.pi / omega, 40)
     traj_r = evolve(gen_r, initial_state(cfg_r, "g"), t_r, tol=1e-11)
     p_e = np.array([s.matrix[0, 0].real for s in traj_r.states])

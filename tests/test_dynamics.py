@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from drivencavity.hilbert import (
     DensityMatrix,
@@ -24,11 +25,14 @@ from drivencavity.model import (
     thermal_field_matrix,
 )
 from drivencavity.sectors import _isometries, _restrict
+from drivencavity.scenarios import empty_cavity_field
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
     _gen_matrices,
+    _invariant_support,
     evolve,
+    evolve_spectral,
     liouvillian_matrix_raw,
     record,
     residual_norm,
@@ -64,7 +68,7 @@ class TestEvolve:
         rho0 = initial_state(cfg, "g")
         t = np.linspace(0.0, 40.0, 60)
         traj = evolve(gen, rho0, t, tol=1e-10)
-        omega = abs(derived_params(cfg).omega_eff)
+        omega = abs(derived_params(cfg).omega_drive)
         p_e = np.array([s.matrix[0, 0].real for s in traj.states])
         assert np.max(np.abs(p_e - np.sin(omega * t) ** 2)) < 1e-6
 
@@ -116,6 +120,49 @@ class TestEvolve:
             evolve(gen, rho0, [0.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             evolve(gen, rho0, [0.0, 1.0], tol=0.0)
+
+
+class TestEvolveSpectral:
+    @pytest.mark.parametrize("cfg, atoms, support_dim", [
+        # all-excited atoms stay in the symmetric multiplet: (N + 1)(n_max + 1)
+        (SystemConfig(n_atoms=3, g=0.1, epsilon=1.0, n_max=2), "eee", 4 * 3),
+        # e g g is the J = 3/2 part plus one J = 1/2 copy
+        (SystemConfig(n_atoms=3, g=0.1, epsilon=1.0, n_max=2), "egg", (4 + 2) * 3),
+        # two atoms e g reach both triplet and singlet: the full space
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=3), "eg", 16),
+        (SystemConfig(n_atoms=2, g=0.3, n_th=0.7, delta_atom=0.4, n_max=3, frame="thermal"),
+         "gg", 3 * 4),
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, frame="effective-atomic"), "ee", 3),
+        # a random full-rank start spans the full space
+        (SystemConfig(n_atoms=2, g=0.2, epsilon=0.5, delta=0.3, n_max=2), None, 12),
+    ], ids=["eee", "egg", "eg", "thermal-gg", "effective-ee", "full-rank"])
+    def test_invariant_subspace_matches_full_expm(self, cfg, atoms, support_dim):
+        gen = build_generator(cfg)
+        if atoms is None:
+            d = gen.layout.dim
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = a @ a.conj().T
+            rho0 = DensityMatrix.from_matrix(cfg.layout(), m / np.trace(m).real)
+        else:
+            rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
+        V = _invariant_support(*_gen_matrices(gen), rho0.matrix)
+        assert V.shape[1] == support_dim
+        assert np.max(np.abs(V.conj().T @ V - np.eye(support_dim))) < 1e-12
+        L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=False)
+        t_grid = [0.0, 1.0, 5.0, 50.0]
+        traj = evolve_spectral(gen, rho0, t_grid)
+        for t, state in zip(t_grid, traj.states):
+            exact = (expm(L * t) @ rho0.matrix.ravel()).reshape(state.matrix.shape)
+            assert np.max(np.abs(state.matrix - exact)) < 1e-12
+
+    def test_agrees_with_runge_kutta_on_overlapping_window(self):
+        cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=6)
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "ee", field=empty_cavity_field(cfg))
+        t = [0.0, 1.0, 5.0, 20.0]
+        spectral = evolve_spectral(gen, rho0, t)
+        rk = evolve(gen, rho0, t, tol=1e-10)
+        assert max(trace_distance(a, b) for a, b in zip(spectral.states, rk.states)) <= 1e-7
 
 
 class TestRecord:

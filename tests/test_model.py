@@ -201,7 +201,7 @@ class TestEffectiveAtomicBuilder:
     def test_rabi_matrix_element(self):
         cfg = SystemConfig(n_atoms=1, g=0.01, epsilon=10.0, frame="effective-atomic")
         h = build_effective_atomic(cfg).hamiltonian.matrix
-        omega = derived_params(cfg).omega_eff
+        omega = derived_params(cfg).omega_drive
         assert abs(h[0, 1] - omega) < 1e-14
 
 
