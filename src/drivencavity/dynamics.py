@@ -1,5 +1,10 @@
 """Time evolution and steady states of Lindblad generators.
 
+The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
+Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
+the long-time integration each apply one sparse superoperator built once per
+call (`model.apply_generator` stays as the independent dense reference).
+
 Two steady-state routes are provided: long-time adaptive integration and a
 null-space solve of the vectorized generator, one sparse LU factorization of
 the trace-constrained Liouvillian at every dimension.  The null-space route
@@ -10,6 +15,7 @@ their initial condition instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,32 +70,6 @@ class SteadyStateResult:
     method: str
 
 
-def _rhs_terms(H: np.ndarray, dissipators):
-    """Effective non-Hermitian drift K = -iH - sum r A^dag A plus jump terms."""
-    K = -1j * np.asarray(H, dtype=complex)
-    jumps = []
-    for A, rate in dissipators:
-        A = np.asarray(A, dtype=complex)
-        K = K - rate * (A.conj().T @ A)
-        jumps.append((np.sqrt(2.0 * rate) * A, np.sqrt(2.0 * rate) * A.conj().T))
-    return K, jumps
-
-
-def _make_rhs(H, dissipators):
-    K, jumps = _rhs_terms(H, dissipators)
-    Kd = K.conj().T
-    dim = K.shape[0]
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        out = K @ rho + rho @ Kd
-        for A, Ad in jumps:
-            out += A @ rho @ Ad
-        return out.ravel()
-
-    return rhs
-
-
 def _gen_matrices(gen: Generator):
     return gen.hamiltonian.matrix, [(j.matrix, r) for j, r in gen.dissipators]
 
@@ -104,6 +84,11 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
            observables=None) -> Trajectory:
     """Integrate rho through the requested times with local error control at tol.
 
+    DOP853 by default, rtol = tol and atol = tol * 1e-3; the right-hand side
+    is one product L @ vec(rho) with the sparse superoperator L, built once
+    per call.  Each state is checked for Hermiticity, unit trace and
+    positivity (floor max(TOL_POS, 10 tol)).
+
     Stores either the density matrices or, if `observables` (a dict of name ->
     Operator) is given, their real expectation values per time.
     """
@@ -115,7 +100,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    rhs = _make_rhs(*_gen_matrices(gen))
+    L = liouvillian_matrix_raw(*_gen_matrices(gen))
     dim = gen.layout.dim
     stats = IntegratorStats(rtol=tol, error_estimate=1e3 * tol)
     pos_floor = max(TOL_POS, 10.0 * tol)
@@ -124,7 +109,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
         sol_states = [rho0.matrix.copy()]
         t_times = t_grid
     else:
-        sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), rho0.matrix.ravel(),
+        sol = solve_ivp(lambda _, y: L @ y, (t_grid[0], t_grid[-1]), rho0.matrix.ravel(),
                         method=method, t_eval=t_grid, rtol=tol, atol=tol * 1e-3)
         if not sol.success:
             raise EvolutionError(f"integrator failed: {sol.message}")
@@ -297,14 +282,17 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
     DegenerateSteadyStateError when the fixed point is not unique (an exactly
     singular factor, or a condition estimate above 1 / _KERNEL_REL_TOL).
     'long-time-integration' requires rho0.  'auto' tries the null space first
-    and falls back to integration from rho0 on degeneracy.
+    and falls back to integration from rho0 on degeneracy.  The LU, the
+    candidate's residual and the integration share one sparse Liouvillian,
+    built on first use, after the dimension check: a system above the cap
+    fails before its superoperator is allocated.
     """
     H = np.asarray(H, dtype=complex)
     dim = H.shape[0]
-    rhs = _make_rhs(H, dissipators)
+    liouvillian = functools.cache(lambda: liouvillian_matrix_raw(H, dissipators))
 
     def _residual(m):
-        return float(np.max(np.abs(rhs(0.0, m.ravel()))))
+        return float(np.max(np.abs(liouvillian() @ m.ravel())))
 
     def _nullspace():
         if dim > SPARSE_NULLSPACE_MAX_DIM:
@@ -314,8 +302,7 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
         n = dim * dim
         trace_row = sp.csr_matrix(
             (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(0, n, dim + 1))), shape=(n, n))
-        M = (sp.diags(np.r_[0.0, np.ones(n - 1)])
-             @ liouvillian_matrix_raw(H, dissipators, sparse=True) + trace_row).tocsc()
+        M = (sp.diags(np.r_[0.0, np.ones(n - 1)]) @ liouvillian() + trace_row).tocsc()
         try:
             lu = spla.splu(M)
         except RuntimeError as exc:  # exactly singular: degenerate kernel
@@ -354,6 +341,7 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
 
     if rho0 is None:
         raise ValueError("long-time integration needs an initial state")
+    L = liouvillian()
     m = np.asarray(rho0, dtype=complex)
     t, chunk = 0.0, chunk0
     res = _residual(m)
@@ -363,7 +351,7 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
                 f"residual {res:.3e} > {residual_tol:.1e} after t = {t:.3g}/kappa; raise t_max"
             )
         chunk = min(chunk, t_max - t)
-        sol = solve_ivp(rhs, (0.0, chunk), m.ravel(), method="DOP853",
+        sol = solve_ivp(lambda _, y: L @ y, (0.0, chunk), m.ravel(), method="DOP853",
                         rtol=tol, atol=tol * 1e-3)
         if not sol.success:
             raise EvolutionError(f"integrator failed during steady-state search: {sol.message}")

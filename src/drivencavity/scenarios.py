@@ -279,9 +279,8 @@ def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:
     return partial_trace(rho, keep=keep)
 
 
-def _steady_probe(cfg: SystemConfig, atoms_init, residual_tol: float) -> np.ndarray:
+def _probe_observables(cfg: SystemConfig, rho: DensityMatrix) -> np.ndarray:
     """Probe observables for the truncation harness: QD, EoF, n_bar."""
-    rho = scenario_steady_state(cfg, atoms_init, residual_tol=residual_tol)
     pair = atomic_reduction(rho) if cfg.n_atoms == 2 else None
     if cfg.n_atoms == 2:
         rep = correlation_report(pair)
@@ -306,7 +305,7 @@ def choose_truncation(cfg: SystemConfig, probe_observables=None, tol: float = 1e
     """Smallest n_max whose doubling moves every probe observable by < tol."""
     if probe_observables is None:
         def probe_observables(c):
-            return _steady_probe(c, "g" * c.n_atoms, residual_tol=1e-9)
+            return _probe_observables(c, scenario_steady_state(c, "g" * c.n_atoms))
     if start is None:
         start = _thermal_tail_start(cfg.n_th, tail=10.0 * tol) if cfg.frame == "thermal" else 4
     n = max(2, start)
@@ -319,14 +318,23 @@ def choose_truncation(cfg: SystemConfig, probe_observables=None, tol: float = 1e
     raise TruncationError(f"observables not converged in n_max up to {n_limit}")
 
 
-def _resolve_n_max(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init) -> int:
+def _resolve_n_max(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
+    """(n_max, steady state there) when the harness chooses n_max, (n_max, None) when set.
+
+    The probes solve exactly as `_steady_point` would, so the state the
+    harness already solved at the chosen truncation is the point's state.
+    """
     if scfg.n_max > 0:
-        return scfg.n_max
-    return choose_truncation(
-        sys_cfg,
-        probe_observables=lambda c: _steady_probe(c, atoms_init, scfg.residual_tol),
-        tol=scfg.truncation_tol,
-    )
+        return scfg.n_max, None
+    solved = {}
+
+    def probe(c):
+        solved[c.n_max] = scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol,
+                                                t_max=scfg.t_max)
+        return _probe_observables(c, solved[c.n_max])
+
+    n_max = choose_truncation(sys_cfg, probe_observables=probe, tol=scfg.truncation_tol)
+    return n_max, solved[n_max]
 
 
 def _map_points(func, points, workers: int):
@@ -391,12 +399,14 @@ def run_fig1(scfg: ScenarioConfig, which: str = "all") -> OutputTable:
     return OutputTable(columns=columns, rows=rows, metadata=meta)
 
 
-def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
-    rho = scenario_steady_state(sys_cfg, atoms_init,
-                                residual_tol=scfg.residual_tol, t_max=scfg.t_max)
+def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init, rho=None):
+    """Correlation report and residual of the steady state (solved unless given)."""
+    if rho is None:
+        rho = scenario_steady_state(sys_cfg, atoms_init,
+                                    residual_tol=scfg.residual_tol, t_max=scfg.t_max)
     rep = correlation_report(atomic_reduction(rho))
     res = residual_norm(build_generator(sys_cfg), rho)
-    return rho, rep, res
+    return rep, res
 
 
 _INIT_CODE = {"e-g": 1.0, "g-g": 0.0, "all-g": 0.0, "all-e": 2.0}
@@ -420,8 +430,8 @@ def run_fig2(scfg: ScenarioConfig) -> OutputTable:
         g, init, eps = point
         sys_cfg = scfg.system(g=g, epsilon=eps, frame="displaced", n_th=0.0)
         pattern = atoms_pattern(init, scfg.n_atoms)
-        n_max = _resolve_n_max(scfg, sys_cfg, pattern)
-        _, rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern)
+        n_max, rho = _resolve_n_max(scfg, sys_cfg, pattern)
+        rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern, rho)
         code = _INIT_CODE.get(init, math.nan)
         return [g, code, eps, rep.qd, rep.eof, res, float(n_max)]
 
@@ -450,8 +460,8 @@ def run_fig3(scfg: ScenarioConfig) -> OutputTable:
         init, nth = point
         sys_cfg = scfg.system(epsilon=0.0, delta=0.0, n_th=nth, frame="thermal")
         pattern = atoms_pattern(init, scfg.n_atoms)
-        n_max = _resolve_n_max(scfg, sys_cfg, pattern)
-        _, rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern)
+        n_max, rho = _resolve_n_max(scfg, sys_cfg, pattern)
+        rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern, rho)
         return [nth, _INIT_CODE.get(init, math.nan), rep.qd, rep.eof, res, float(n_max)]
 
     rows, failures = _sweep(solve, points, scfg.workers)
@@ -470,8 +480,9 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
     """Generic pipeline: generator -> truncation -> evolve or steady state -> report."""
     pattern = atoms_pattern(scfg.initial_atoms, scfg.n_atoms)
     sys_cfg = scfg.system()
+    rho_probe = None
     if scfg.frame != "effective-atomic":
-        n_max = _resolve_n_max(scfg, sys_cfg, pattern)
+        n_max, rho_probe = _resolve_n_max(scfg, sys_cfg, pattern)
         sys_cfg = replace(sys_cfg, n_max=n_max)
     meta = _config_metadata(scfg) + [f"n_max_used = {sys_cfg.n_max}"]
     layout = sys_cfg.layout()
@@ -499,8 +510,10 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
     base_cols += ["residual"]
 
     if scfg.custom_mode == "steady":
-        rho = scenario_steady_state(sys_cfg, pattern,
-                                    residual_tol=scfg.residual_tol, t_max=scfg.t_max)
+        rho = rho_probe
+        if rho is None:
+            rho = scenario_steady_state(sys_cfg, pattern,
+                                        residual_tol=scfg.residual_tol, t_max=scfg.t_max)
         res = residual_norm(build_generator(sys_cfg), rho)
         return OutputTable(columns=base_cols, rows=[observables_row(rho, res)], metadata=meta)
     if scfg.custom_mode == "evolve":

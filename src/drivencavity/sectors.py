@@ -42,27 +42,32 @@ class SectorError(RuntimeError):
 
 
 def _isometries(nf: int):
-    """Full-space isometries onto field (x) triplet and field (x) singlet."""
-    eye = np.eye(max(nf, 1))
-    if nf == 0:
-        return TRIPLET_ISOMETRY.copy(), SINGLET_VECTOR.reshape(4, 1).copy()
-    return np.kron(eye, TRIPLET_ISOMETRY), np.kron(eye, SINGLET_VECTOR.reshape(4, 1))
+    """Full-space isometries onto field (x) triplet and field (x) singlet, sparse."""
+    eye = sp.identity(max(nf, 1), dtype=complex, format="csr")
+    return (sp.kron(eye, TRIPLET_ISOMETRY, format="csr"),
+            sp.kron(eye, SINGLET_VECTOR.reshape(4, 1), format="csr"))
 
 
-def _restrict(gen: Generator, V: np.ndarray, tol: float = 1e-12):
-    """Compress the generator onto an invariant subspace spanned by V."""
-    Hm = gen.hamiltonian.matrix
+def _restrict(gen: Generator, V, tol: float = 1e-12):
+    """Compress the generator onto the invariant subspace spanned by the sparse isometry V.
+
+    Each operator M must commute with the projector P = V V^dag: the
+    entrywise max of the sparse M P - P M stays within tol * max(1, max|M|),
+    else the generator breaks the split and SectorError is raised.  All
+    products are sparse, so the cost follows the operators' nonzeros rather
+    than dim^3.  Returns dense (V^dag H V, [(V^dag A V, rate)]).
+    """
     P = V @ V.conj().T
-    if np.max(np.abs(Hm @ P - P @ Hm)) > tol * max(1.0, np.max(np.abs(Hm))):
-        raise SectorError("Hamiltonian does not preserve the sector split")
-    H_sub = V.conj().T @ Hm @ V
-    diss = []
-    for jump, rate in gen.dissipators:
-        A = jump.matrix
-        if np.max(np.abs(A @ P - P @ A)) > tol * max(1.0, np.max(np.abs(A))):
-            raise SectorError("jump operator does not preserve the sector split")
-        diss.append((V.conj().T @ A @ V, rate))
-    return H_sub, diss
+
+    def compress(M, what):
+        Ms = sp.csr_matrix(M)
+        if abs(Ms @ P - P @ Ms).max() > tol * max(1.0, np.max(np.abs(M))):
+            raise SectorError(f"{what} does not preserve the sector split")
+        return (V.conj().T @ Ms @ V).toarray()
+
+    H_sub = compress(gen.hamiltonian.matrix, "Hamiltonian")
+    return H_sub, [(compress(jump.matrix, "jump operator"), rate)
+                   for jump, rate in gen.dissipators]
 
 
 def coherence_block_gap(gen: Generator, check: str = "auto") -> float | None:

@@ -184,9 +184,18 @@ class TestRecord:
 
 
 class TestLiouvillianMatrix:
-    def test_matches_direct_application(self):
-        cfg = SystemConfig(n_atoms=1, g=0.3, epsilon=0.6, delta=0.2, n_max=3)
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3,
+                     frame="lab-rotating"),
+        SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3),
+        SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta_atom=0.1, frame="effective-atomic"),
+        SystemConfig(n_atoms=2, g=0.3, n_th=0.7, delta_atom=0.1, n_max=3, frame="thermal"),
+    ], ids=lambda cfg: cfg.frame)
+    def test_matches_direct_application(self, cfg):
         gen = build_generator(cfg)
+        # thermal has two jumps (a, a^dag); effective-atomic has no field
+        assert len(gen.dissipators) == (2 if cfg.frame == "thermal" else 1)
+        assert gen.layout.has_field == (cfg.frame != "effective-atomic")
         d = gen.layout.dim
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = a @ a.conj().T

@@ -17,7 +17,7 @@ from drivencavity.scenarios import (
     run_scenario,
     window_report,
 )
-from drivencavity import cli, dynamics
+from drivencavity import cli, dynamics, scenarios
 
 
 class TestLoadConfig:
@@ -205,6 +205,34 @@ class TestScenarioRuns:
                                  "residual", "n_max"]
         assert table.column("eof_ss")[0] < 1e-6
         assert 0.1 < table.column("qd_ss")[0] < 0.33
+
+    @pytest.mark.parametrize("args", [
+        ["scenario=fig2-sweep", "g_list=0.1", "sweep_param=epsilon", "sweep_values=1.0",
+         "initial_list=e-g"],
+        ["scenario=fig3-thermal", "g=0.1", "sweep_param=n_th", "sweep_values=0.5",
+         "initial_list=g-g", "truncation_tol=1e-4"],
+    ], ids=["fig2", "fig3"])
+    def test_chosen_truncation_solved_once(self, args, monkeypatch):
+        # the row reuses the state the truncation probe solved at the chosen
+        # n_max: one solve per doubled probe truncation, none repeated
+        solved = []
+        solve = scenarios.scenario_steady_state
+
+        def counting(cfg, *a, **kw):
+            solved.append(cfg.n_max)
+            return solve(cfg, *a, **kw)
+
+        monkeypatch.setattr(scenarios, "scenario_steady_state", counting)
+        table = run_scenario(load_config(None, args))
+        n_max = int(table.column("n_max")[0])
+        assert len(solved) == len(set(solved))
+        assert solved[-2:] == [n_max, 2 * n_max]
+        assert all(b == 2 * a for a, b in zip(solved, solved[1:]))
+        # the reused state is the one a fresh solve at that n_max gives
+        solved.clear()
+        fixed = run_scenario(load_config(None, args + [f"n_max={n_max}"]))
+        assert solved == [n_max]
+        assert fixed.rows == table.rows
 
     def test_custom_steady(self):
         cfg = load_config(None, ["scenario=custom", "custom_mode=steady",

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from drivencavity.hilbert import trace_distance
-from drivencavity.model import SystemConfig, build_generator, initial_state
+from drivencavity.hilbert import embed, sigma_minus, sigma_z, trace_distance
+from drivencavity.model import Generator, SystemConfig, build_generator, initial_state
 from drivencavity.dynamics import steady_state
 from drivencavity.sectors import (
+    SINGLET_VECTOR,
+    TRIPLET_ISOMETRY,
     SectorError,
     _isometries,
+    _restrict,
     coherence_block_gap,
     singlet_weight,
     two_atom_steady_state,
@@ -44,6 +47,40 @@ def dense_gap(gen):
         block = block + rate * (2.0 * np.kron(at, a_s.conj()) - np.kron(at.conj().T @ at, es)
                                 - np.kron(et, (a_s.conj().T @ a_s).T))
     return float(np.min(np.abs(np.linalg.eigvals(block))))
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(n_atoms=2, g=0.3, epsilon=0.8, delta=0.2, delta_atom=0.1, n_max=4),
+        SystemConfig(n_atoms=2, g=0.2, n_th=0.6, delta_atom=0.1, n_max=4, frame="thermal"),
+    ], ids=["driven", "thermal"])
+    def test_matches_dense_compression(self, cfg):
+        gen = build_generator(cfg)
+        eye = np.eye(cfg.n_max + 1)
+        dense = (np.kron(eye, TRIPLET_ISOMETRY), np.kron(eye, SINGLET_VECTOR.reshape(4, 1)))
+        for v, v_sparse in zip(dense, _isometries(cfg.n_max + 1)):
+            h, diss = _restrict(gen, v_sparse)
+            vd = v.conj().T
+            assert np.max(np.abs(h - vd @ gen.hamiltonian.matrix @ v)) < 1e-14
+            assert [rate for _, rate in diss] == [rate for _, rate in gen.dissipators]
+            for (a, _), (jump, _) in zip(diss, gen.dissipators):
+                assert np.max(np.abs(a - vd @ jump.matrix @ v)) < 1e-14
+
+    def test_single_atom_jump_breaks_split(self):
+        gen = build_generator(SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=3))
+        lay = gen.layout
+        local = embed(sigma_minus(), lay.atom_factor(1), lay)
+        broken = Generator(gen.hamiltonian, gen.dissipators + ((local, 0.5),))
+        with pytest.raises(SectorError, match="jump operator"):
+            _restrict(broken, _isometries(lay.fock_dim)[0])
+
+    def test_single_atom_hamiltonian_term_breaks_split(self):
+        gen = build_generator(SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=3))
+        lay = gen.layout
+        local = embed(sigma_z(), lay.atom_factor(1), lay)
+        broken = Generator(gen.hamiltonian + 0.3 * local, gen.dissipators)
+        with pytest.raises(SectorError, match="Hamiltonian"):
+            _restrict(broken, _isometries(lay.fock_dim)[0])
 
 
 class TestCoherenceBlockGap:
