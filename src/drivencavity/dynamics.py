@@ -4,6 +4,8 @@ The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
 Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
 the long-time integration each apply one sparse superoperator built once per
 call (`model.apply_generator` stays as the independent dense reference).
+Spectral propagation restricts it to the initial state's invariant subspace
+and writes it in orthonormal Hermitian coordinates, where it is real.
 
 Two steady-state routes are provided: long-time adaptive integration and a
 null-space solve of the vectorized generator, one sparse LU factorization of
@@ -19,6 +21,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
@@ -48,11 +51,13 @@ class DegenerateSteadyStateError(ConvergenceError):
 class IntegratorStats:
     n_rhs_evals: int = 0
     max_trace_drift: float = 0.0
-    max_herm_asym: float = 0.0
+    max_herm_asym: float = 0.0   # evolve_spectral: max |Im x| / max |x| in Hermitian coordinates
     min_eigenvalue: float = 0.0
     n_renormalizations: int = 0
     rtol: float = 0.0
     error_estimate: float = 0.0  # heuristic global-error bound, ~1e3 * tol
+    support_dim: int = 0         # evolve_spectral: dim of rho0's invariant subspace
+    eigvec_cond: float = 0.0     # evolve_spectral: 1-norm condition estimate of the eigenvectors
 
 
 @dataclass
@@ -156,21 +161,48 @@ def _invariant_support(H, dissipators, rho0) -> np.ndarray:
     Every term of the Lindblad equation keeps an operator supported on S
     supported on S, so rho(t) = V X(t) V^dag exactly, where X evolves under
     the restricted generator (V^dag H V, [(V^dag A V, rate)]).  Built by
-    Krylov closure from the eigenvectors of rho0 with non-zero weight.
+    Krylov closure from the eigenvectors of rho0 with non-zero weight.  Each
+    batch of new directions is orthogonalised against the basis once more
+    after normalisation, so the basis stays orthonormal to round-off and the
+    closure stops after at most dim(rho0) directions.
     """
     ops = [H] + [op for A, _ in dissipators for op in (A, A.conj().T)]
     w, u = np.linalg.eigh(rho0)
     basis = np.zeros((w.size, 0), dtype=complex)
-    new = u[:, w > _SUPPORT_REL_TOL * np.max(w)]
-    while new.shape[1]:
-        scale = float(np.max(np.linalg.norm(new, axis=0)))
-        for _ in range(2):  # project twice: one pass loses orthogonality on heavy cancellation
-            new = new - basis @ (basis.conj().T @ new)
+
+    def directions(new, cut):
+        new = new - basis @ (basis.conj().T @ new)
         u, s, _ = np.linalg.svd(new, full_matrices=False)
-        u = u[:, s > _SUPPORT_REL_TOL * scale]
+        return u[:, s > cut]
+
+    new = u[:, w > _SUPPORT_REL_TOL * np.max(w)]
+    while new.shape[1] and basis.shape[1] < w.size:
+        scale = float(np.max(np.linalg.norm(new, axis=0)))
+        # a direction kept with a small residual carries the first projection's
+        # round-off into the basis, amplified by 1 / residual: project it again
+        u = directions(directions(new, _SUPPORT_REL_TOL * scale), _SUPPORT_REL_TOL)
         basis = np.hstack([basis, u])
         new = np.hstack([op @ u for op in ops])
     return basis
+
+
+def _hermitian_coordinates(k: int) -> sp.csr_matrix:
+    """Unitary T with vec(X) = T x for Hermitian k x k X and real x (row-major vec).
+
+    Columns: E_ii, then (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for
+    i < j.  A Lindblad generator maps Hermitian matrices to Hermitian
+    matrices, so T^dag L T is real.
+    """
+    iu, ju = np.triu_indices(k, 1)
+    diag = np.arange(k) * (k + 1)
+    upper, lower = iu * k + ju, ju * k + iu
+    m = iu.size
+    h = 1.0 / np.sqrt(2.0)
+    sym, antisym = k + np.arange(m), k + m + np.arange(m)
+    rows = np.concatenate([diag, upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(k), sym, sym, antisym, antisym])
+    vals = np.concatenate([np.ones(k), np.full(2 * m, h), np.full(m, 1j * h), np.full(m, -1j * h)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
 
 
 def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
@@ -180,12 +212,17 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     The state never leaves the smallest subspace S that holds range(rho0) and
     is mapped into itself by H and every jump A and A^dag
     (`_invariant_support`); for all-excited atoms S is the symmetric
-    multiplet times the field.  One dense eig of the dim(S)^2 x dim(S)^2
-    restricted superoperator buys the state at any later time for the cost
-    of a matrix-vector product, so time grids spanning many decades (far
-    beyond what step-by-step integration can afford) come essentially for
-    free.  Each state is embedded back as V X V^dag and checked on the full
-    space.  Limited to layout dimensions up to SPECTRAL_MAX_DIM.
+    multiplet times the field.  On S the superoperator is written in
+    orthonormal Hermitian coordinates (`_hermitian_coordinates`), where it is
+    a real dim(S)^2 x dim(S)^2 matrix; one real eig of it buys the state at
+    any later time for the cost of a matrix-vector product, so time grids
+    spanning many decades (far beyond what step-by-step integration can
+    afford) come essentially for free.  The coordinates x(t) are real up to
+    round-off; an imaginary part above 1e-6 of max |x(t)| means the
+    eigenbasis is too ill-conditioned and raises EvolutionError.  The
+    1-norm condition estimate of the eigenvector matrix and dim(S) are kept
+    in the stats.  Each state is embedded back as V X V^dag and checked on
+    the full space.  Limited to layout dimensions up to SPECTRAL_MAX_DIM.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
@@ -202,27 +239,35 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     V = _invariant_support(H, dissipators, rho0.matrix)
     Vd = V.conj().T
     k = V.shape[1]
+    T = _hermitian_coordinates(k)
+    Td = T.conj().T
     L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators],
                                sparse=False)
+    L = np.ascontiguousarray((Td @ (T.T @ L.T).T).real)  # Re(T^dag L T); frees the complex L
     vals, vecs = np.linalg.eig(L)
     # clip tiny positive real parts (numerical noise) so nothing grows
     vals = np.where(vals.real > 0, 1j * vals.imag, vals)
-    coeff = np.linalg.solve(vecs, (Vd @ rho0.matrix @ V).ravel())
+    lu = la.lu_factor(vecs)
+    gecon, = la.get_lapack_funcs(("gecon",), (lu[0],))
+    rcond, _ = gecon(lu[0], np.linalg.norm(vecs, 1))
+    coeff = la.lu_solve(lu, (Td @ (Vd @ rho0.matrix @ V).ravel()).real)
 
-    stats = IntegratorStats(rtol=0.0, error_estimate=0.0)
+    stats = IntegratorStats(rtol=0.0, error_estimate=0.0, support_dim=k,
+                            eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
     states = []
     min_eig = np.inf
     for t in t_grid:
-        m = V @ (vecs @ (np.exp(vals * t) * coeff)).reshape(k, k) @ Vd
-        asym = float(np.max(np.abs(m - m.conj().T)))
+        x = vecs @ (np.exp(vals * t) * coeff)
+        asym = float(np.max(np.abs(x.imag)) / np.max(np.abs(x)))
         stats.max_herm_asym = max(stats.max_herm_asym, asym)
+        m = V @ (T @ x.real).reshape(k, k) @ Vd
         m = 0.5 * (m + m.conj().T)
         drift = abs(np.trace(m).real - 1.0)
         stats.max_trace_drift = max(stats.max_trace_drift, drift)
         if asym > 1e-6 or drift > 1e-6:
             raise EvolutionError(
-                f"spectral propagation lost state invariants: asym {asym:.2e}, drift {drift:.2e} "
-                "(ill-conditioned eigenbasis)"
+                f"spectral propagation lost state invariants: imaginary part {asym:.2e}, "
+                f"drift {drift:.2e} (ill-conditioned eigenbasis)"
             )
         m = m / np.trace(m).real
         states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_tol))

@@ -30,6 +30,7 @@ from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
     _gen_matrices,
+    _hermitian_coordinates,
     _invariant_support,
     evolve,
     evolve_spectral,
@@ -151,9 +152,26 @@ class TestEvolveSpectral:
         L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=False)
         t_grid = [0.0, 1.0, 5.0, 50.0]
         traj = evolve_spectral(gen, rho0, t_grid)
+        assert traj.stats.support_dim == support_dim
+        assert 1.0 <= traj.stats.eigvec_cond < np.inf
         for t, state in zip(t_grid, traj.states):
             exact = (expm(L * t) @ rho0.matrix.ravel()).reshape(state.matrix.shape)
             assert np.max(np.abs(state.matrix - exact)) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [12, 16])
+    def test_support_closure_terminates_for_coherent_start(self, n_max):
+        # the displaced-frame empty cavity |-alpha> has weight on every Fock
+        # level: directions found late in the closure have small residuals
+        cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=n_max)
+        h, diss = _gen_matrices(build_generator(cfg))
+        rho0 = initial_state(cfg, "gg", field=empty_cavity_field(cfg))
+        V = _invariant_support(h, diss, rho0.matrix)
+        d, k = V.shape
+        assert k <= d
+        assert np.max(np.abs(V.conj().T @ V - np.eye(k))) < 1e-12
+        leak = np.eye(d) - V @ V.conj().T
+        for op in [h] + [m for a, _ in diss for m in (a, a.conj().T)]:
+            assert np.linalg.norm(leak @ op @ V) <= 1e-10
 
     def test_agrees_with_runge_kutta_on_overlapping_window(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=6)
@@ -183,14 +201,17 @@ class TestRecord:
         assert np.max(np.abs(ones - 1.0)) < 1e-10
 
 
+FRAME_CONFIGS = [
+    SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3,
+                 frame="lab-rotating"),
+    SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3),
+    SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta_atom=0.1, frame="effective-atomic"),
+    SystemConfig(n_atoms=2, g=0.3, n_th=0.7, delta_atom=0.1, n_max=3, frame="thermal"),
+]
+
+
 class TestLiouvillianMatrix:
-    @pytest.mark.parametrize("cfg", [
-        SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3,
-                     frame="lab-rotating"),
-        SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3),
-        SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta_atom=0.1, frame="effective-atomic"),
-        SystemConfig(n_atoms=2, g=0.3, n_th=0.7, delta_atom=0.1, n_max=3, frame="thermal"),
-    ], ids=lambda cfg: cfg.frame)
+    @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
     def test_matches_direct_application(self, cfg):
         gen = build_generator(cfg)
         # thermal has two jumps (a, a^dag); effective-atomic has no field
@@ -204,6 +225,22 @@ class TestLiouvillianMatrix:
         for sparse in (False, True):
             L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=sparse)
             assert np.max(np.abs(L @ m.ravel() - direct)) < 1e-12
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_unitary_onto_hermitian_matrices(self, k):
+        T = _hermitian_coordinates(k).toarray()
+        assert T.shape == (k * k, k * k)
+        assert np.max(np.abs(T.conj().T @ T - np.eye(k * k))) < 1e-15
+        x = (T @ rng.normal(size=k * k)).reshape(k, k)
+        assert np.max(np.abs(x - x.conj().T)) < 1e-15
+
+    @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
+    def test_liouvillian_is_real(self, cfg):
+        L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg)), sparse=False)
+        T = _hermitian_coordinates(cfg.layout().dim).toarray()
+        assert np.max(np.abs((T.conj().T @ L @ T).imag)) <= 1e-14 * np.max(np.abs(L))
 
 
 class TestSteadyState:
