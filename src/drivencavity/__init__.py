@@ -32,7 +32,6 @@ from .dynamics import (  # noqa: F401
     Trajectory,
     evolve,
     evolve_spectral,
-    record,
     steady_state,
 )
 from .correlations import (  # noqa: F401

@@ -5,10 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .model import SystemConfig
+from .model import ConfigError
 from .scenarios import (
     SCENARIOS,
-    ScenarioConfigError,
     config_schema,
     load_config,
     run_scenario,
@@ -56,24 +55,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, overrides)
-    except (ScenarioConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.scenario == "window":
-        sys_cfg = SystemConfig(n_atoms=cfg.n_atoms, g=cfg.g, epsilon=cfg.epsilon,
-                               delta=cfg.delta, delta_atom=cfg.delta_atom,
-                               n_th=cfg.n_th, n_max=max(cfg.n_max, 1), frame=cfg.frame)
-        lo, hi = window_report(sys_cfg)
-        print(f"window_lo = {lo:.6g}  window_hi = {hi:.6g}  (units 1/kappa)")
-        if hi <= lo:
-            print("window is degenerate: no semiclassical regime at these parameters")
-        print("window_hi scales as 1/N at fixed coupling")
-        return 0
-
-    try:
+        if args.scenario == "window":
+            lo, hi = window_report(cfg.system())
+            print(f"window_lo = {lo:.6g}  window_hi = {hi:.6g}  (units 1/kappa)")
+            if hi <= lo:
+                print("window is degenerate: no semiclassical regime at these parameters")
+            print("window_hi scales as 1/N at fixed coupling")
+            return 0
         table = run_scenario(cfg)
-    except ScenarioConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -83,10 +73,9 @@ def main(argv=None) -> int:
     else:
         table.to_csv(sys.stdout, timestamp=cfg.timestamp)
 
-    failures = getattr(table, "failures", [])
-    if failures:
-        print(f"{len(failures)} sweep point(s) failed:", file=sys.stderr)
-        for point, msg in failures:
+    if table.failures:
+        print(f"{len(table.failures)} sweep point(s) failed:", file=sys.stderr)
+        for point, msg in table.failures:
             print(f"  {point}: {msg}", file=sys.stderr)
         return 1
     return 0

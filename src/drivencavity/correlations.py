@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    TOL_POS,
     DensityMatrix,
     HilbertLayout,
     LayoutError,
@@ -63,15 +64,24 @@ class XStateElements:
     c23: complex
 
     def __post_init__(self):
-        pops = np.array([self.p11, self.p22, self.p33, self.p44])
-        if np.any(pops < -1e-9):
-            raise XStateError(f"negative population {pops.min():.3e}")
-        if abs(pops.sum() - 1.0) > 1e-9:
-            raise XStateError(f"populations sum to {pops.sum()}, not 1")
-        if abs(self.c14) > math.sqrt(max(self.p11, 0) * max(self.p44, 0)) + 1e-9:
-            raise XStateError("|c14| exceeds sqrt(p11 p44); state not positive")
-        if abs(self.c23) > math.sqrt(max(self.p22, 0) * max(self.p33, 0)) + 1e-9:
-            raise XStateError("|c23| exceeds sqrt(p22 p33); state not positive")
+        total = self.p11 + self.p22 + self.p33 + self.p44
+        if abs(total - 1.0) > 1e-9:
+            raise XStateError(f"populations sum to {total}, not 1")
+        low = min(_block_eigenvalues(self)[1::2])
+        if low < -TOL_POS:
+            raise XStateError(f"X block has eigenvalue {low:.3e} below -{TOL_POS:.1e}; "
+                              "state not positive")
+
+
+def _block_eigenvalues(x: XStateElements) -> list:
+    """Eigenvalues of the two 2x2 blocks of the X matrix: [hi, lo] of (p11, p44, c14),
+    then of (p22, p33, c23)."""
+    eigs = []
+    for pa, pb, c in ((x.p11, x.p44, x.c14), (x.p22, x.p33, x.c23)):
+        mid = 0.5 * (pa + pb)
+        off = math.sqrt(0.25 * (pa - pb) ** 2 + abs(c) ** 2)
+        eigs.extend([mid + off, mid - off])
+    return eigs
 
 
 def x_structure(rho_ab: DensityMatrix, tol: float = 1e-6):
@@ -95,12 +105,7 @@ def x_structure(rho_ab: DensityMatrix, tol: float = 1e-6):
 
 def _x_entropy_ab(x: XStateElements) -> float:
     """S(rho_AB) from the two 2x2 blocks of the X matrix."""
-    eigs = []
-    for pa, pb, c in ((x.p11, x.p44, x.c14), (x.p22, x.p33, x.c23)):
-        mid = 0.5 * (pa + pb)
-        off = math.sqrt(0.25 * (pa - pb) ** 2 + abs(c) ** 2)
-        eigs.extend([mid + off, mid - off])
-    return _entropy_from_probs(np.array(eigs))
+    return _entropy_from_probs(np.array(_block_eigenvalues(x)))
 
 
 def _plogp_ratio(p: float, q: float) -> float:

@@ -3,7 +3,8 @@
 The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
 Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
 the long-time integration each apply one sparse superoperator built once per
-call (`model.apply_generator` stays as the independent dense reference).
+call, and `sectors.coherence_block_gap` builds its singlet-triplet block with
+it (`model.apply_generator` stays as the independent dense reference).
 Spectral propagation restricts it to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real.
 
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .hilbert import DensityMatrix, HermiticityError, LayoutError, Operator, TOL_POS
+from .hilbert import DensityMatrix, HermiticityError, LayoutError, TOL_POS
 from .model import Generator, apply_generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
@@ -55,7 +56,6 @@ class IntegratorStats:
     min_eigenvalue: float = 0.0
     n_renormalizations: int = 0
     rtol: float = 0.0
-    error_estimate: float = 0.0  # heuristic global-error bound, ~1e3 * tol
     support_dim: int = 0         # evolve_spectral: dim of rho0's invariant subspace
     eigvec_cond: float = 0.0     # evolve_spectral: 1-norm condition estimate of the eigenvectors
 
@@ -85,20 +85,22 @@ def residual_norm(gen: Generator, rho) -> float:
 
 
 def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
-           method: str = "DOP853", store_states: bool = True,
-           observables=None) -> Trajectory:
+           store_states: bool = True, observables=None) -> Trajectory:
     """Integrate rho through the requested times with local error control at tol.
 
-    DOP853 by default, rtol = tol and atol = tol * 1e-3; the right-hand side
+    DOP853 with rtol = tol and atol = tol * 1e-3; the right-hand side
     is one product L @ vec(rho) with the sparse superoperator L, built once
     per call.  Each state is checked for Hermiticity, unit trace and
     positivity (floor max(TOL_POS, 10 tol)).
 
-    Stores either the density matrices or, if `observables` (a dict of name ->
-    Operator) is given, their real expectation values per time.
+    Stores the density matrices unless store_states is False, and, if
+    `observables` (a dict of name -> Hermitian Operator) is given, their
+    expectation values per time in `traj.observables`.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
+    if any(not op.is_hermitian() for op in (observables or {}).values()):
+        raise HermiticityError("observable is not Hermitian")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing 1-D sequence")
@@ -107,7 +109,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
 
     L = liouvillian_matrix_raw(*_gen_matrices(gen))
     dim = gen.layout.dim
-    stats = IntegratorStats(rtol=tol, error_estimate=1e3 * tol)
+    stats = IntegratorStats(rtol=tol)
     pos_floor = max(TOL_POS, 10.0 * tol)
 
     if t_grid.size == 1:
@@ -115,7 +117,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
         t_times = t_grid
     else:
         sol = solve_ivp(lambda _, y: L @ y, (t_grid[0], t_grid[-1]), rho0.matrix.ravel(),
-                        method=method, t_eval=t_grid, rtol=tol, atol=tol * 1e-3)
+                        method="DOP853", t_eval=t_grid, rtol=tol, atol=tol * 1e-3)
         if not sol.success:
             raise EvolutionError(f"integrator failed: {sol.message}")
         stats.n_rhs_evals = int(sol.nfev)
@@ -252,8 +254,7 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     rcond, _ = gecon(lu[0], np.linalg.norm(vecs, 1))
     coeff = la.lu_solve(lu, (Td @ (Vd @ rho0.matrix @ V).ravel()).real)
 
-    stats = IntegratorStats(rtol=0.0, error_estimate=0.0, support_dim=k,
-                            eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
+    stats = IntegratorStats(support_dim=k, eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
     states = []
     min_eig = np.inf
     for t in t_grid:
@@ -276,35 +277,39 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     return Trajectory(times=t_grid, states=states, stats=stats)
 
 
-def record(traj: Trajectory, observable: Operator) -> np.ndarray:
-    """Tr(rho(t) O) per stored state; O must be Hermitian."""
-    if not observable.is_hermitian():
-        raise HermiticityError("observable is not Hermitian")
-    if not traj.states:
-        raise ValueError("trajectory stores no states; evolve with store_states=True")
-    scale = max(1.0, float(np.max(np.abs(observable.matrix))))
-    values = []
-    for state in traj.states:
-        v = np.trace(observable.matrix @ state.matrix)
-        if abs(v.imag) > 1e-10 * scale:
-            raise ValueError(f"expectation has imaginary residue {v.imag:.3e}")
-        values.append(v.real)
-    return np.asarray(values)
+def liouvillian_matrix_raw(H, dissipators, sparse: bool = True, right=None):
+    """Superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
 
-
-def liouvillian_matrix_raw(H, dissipators, sparse: bool = True):
-    """Superoperator acting on row-major vec(rho): vec(A X B) = kron(A, B^T) vec(X)."""
-    H = np.asarray(H, dtype=complex)
-    dim = H.shape[0]
+    dX/dt = -i(H X - X H_r) + sum_k rate_k (2 A_k X B_k^dag - A_k^dag A_k X - X B_k^dag B_k),
+    where right = (H_r, [B_k]) gives each jump (A_k, rate_k) its right-hand
+    operator B_k.  Without it H_r = H and B_k = A_k: the Lindblad generator.
+    With other right-hand operators X is a rectangular block, such as the
+    coherences between two invariant subspaces.
+    """
     kron = sp.kron if sparse else np.kron
-    eye = sp.identity(dim, format="csr", dtype=complex) if sparse else np.eye(dim)
-    Hs = sp.csr_matrix(H) if sparse else H
-    L = -1j * (kron(Hs, eye) - kron(eye, Hs.T))
-    for A, rate in dissipators:
-        A = np.asarray(A, dtype=complex)
-        As = sp.csr_matrix(A) if sparse else A
-        AdA = As.conj().T @ As
-        L = L + rate * (2.0 * kron(As, As.conj()) - kron(AdA, eye) - kron(eye, AdA.T))
+
+    def mat(M):
+        M = np.asarray(M, dtype=complex)
+        return sp.csr_matrix(M) if sparse else M
+
+    def jump(M):
+        M = mat(M)
+        return M, M.conj().T @ M
+
+    def eye(M):
+        return sp.identity(M.shape[0], format="csr", dtype=complex) if sparse else np.eye(len(M))
+
+    Hl = mat(H)
+    eye_l = eye(Hl)
+    left = [(jump(A), rate) for A, rate in dissipators]
+    if right is None:
+        Hr, eye_r, rights = Hl, eye_l, [A for A, _ in left]
+    else:
+        Hr = mat(right[0])
+        eye_r, rights = eye(Hr), [jump(B) for B in right[1]]
+    L = -1j * (kron(Hl, eye_r) - kron(eye_l, Hr.T))
+    for ((A, AdA), rate), (B, BdB) in zip(left, rights):
+        L = L + rate * (2.0 * kron(A, B.conj()) - kron(AdA, eye_r) - kron(eye_l, BdB.T))
     return L.tocsr() if sparse else L
 
 
@@ -318,8 +323,7 @@ def _normalize_kernel_vector(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
-                     t_max: float = 1e6, method: str = "auto", tol: float = 1e-10,
-                     chunk0: float = 10.0):
+                     t_max: float = 1e6, method: str = "auto", tol: float = 1e-10):
     """Steady state on raw matrices.  Returns (rho_matrix, residual, elapsed, method).
 
     method 'nullspace' solves the trace-constrained Liouvillian by one sparse
@@ -388,7 +392,7 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
         raise ValueError("long-time integration needs an initial state")
     L = liouvillian()
     m = np.asarray(rho0, dtype=complex)
-    t, chunk = 0.0, chunk0
+    t, chunk = 0.0, 10.0
     res = _residual(m)
     while res > residual_tol:
         if t >= t_max:

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .hilbert import DensityMatrix, StateError, partial_trace
 from .model import (
+    ConfigError,
     SystemConfig,
-    atomic_vector,
     build_generator,
     derived_params,
     initial_state,
@@ -36,15 +36,15 @@ from .dynamics import (
     residual_norm,
     steady_state,
 )
-from .correlations import correlation_report, field_statistics
+from .correlations import XStateError, correlation_report, field_statistics
 from .sectors import SectorError, two_atom_steady_state
 
 SCENARIOS = ("fig1-purity", "fig1-correlations", "fig2-sweep", "fig3-thermal", "custom")
-SWEEPABLE = ("epsilon", "g", "n_th")
+SWEEPABLE = {"fig2-sweep": ("epsilon", "g"), "fig3-thermal": ("n_th",)}
 
 
-class ScenarioConfigError(ValueError):
-    pass
+class ScenarioConfigError(ConfigError):
+    """Invalid scenario configuration: unknown key, unparsable value, bad token."""
 
 
 class TruncationError(RuntimeError):
@@ -150,8 +150,12 @@ def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
     cfg = ScenarioConfig(**values)
     if cfg.scenario not in SCENARIOS:
         raise ScenarioConfigError(f"unknown scenario {cfg.scenario!r}, expected one of {SCENARIOS}")
-    if cfg.sweep_param and cfg.sweep_param not in SWEEPABLE:
-        raise ScenarioConfigError(f"sweep parameter must be one of {SWEEPABLE}")
+    swept = SWEEPABLE.get(cfg.scenario, ())
+    if cfg.sweep_param and cfg.sweep_param not in swept:
+        raise ScenarioConfigError(
+            f"scenario {cfg.scenario} sweeps {swept or 'no parameter'}, not {cfg.sweep_param!r}")
+    if cfg.sweep_values and not cfg.sweep_param:
+        raise ScenarioConfigError("sweep_values given without sweep_param")
     return cfg
 
 
@@ -184,6 +188,7 @@ class OutputTable:
     columns: list
     rows: list
     metadata: list = field(default_factory=list)
+    failures: list = field(default_factory=list)   # (point, message) per failed sweep point
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -318,23 +323,29 @@ def choose_truncation(cfg: SystemConfig, probe_observables=None, tol: float = 1e
     raise TruncationError(f"observables not converged in n_max up to {n_limit}")
 
 
-def _resolve_n_max(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
-    """(n_max, steady state there) when the harness chooses n_max, (n_max, None) when set.
+def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
+    """(config at the resolved n_max, steady state there, its residual).
 
-    The probes solve exactly as `_steady_point` would, so the state the
-    harness already solved at the chosen truncation is the point's state.
+    n_max is scfg.n_max when set; otherwise the truncation harness chooses it,
+    and the state its probe solved at the chosen n_max is the point's state.
+    A layout with no field has nothing to truncate.
     """
-    if scfg.n_max > 0:
-        return scfg.n_max, None
-    solved = {}
+    def solve(c):
+        return scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol,
+                                     t_max=scfg.t_max)
 
-    def probe(c):
-        solved[c.n_max] = scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol,
-                                                t_max=scfg.t_max)
-        return _probe_observables(c, solved[c.n_max])
+    if scfg.n_max > 0 or not sys_cfg.layout().has_field:
+        cfg, rho = sys_cfg, solve(sys_cfg)
+    else:
+        solved = {}
 
-    n_max = choose_truncation(sys_cfg, probe_observables=probe, tol=scfg.truncation_tol)
-    return n_max, solved[n_max]
+        def probe(c):
+            solved[c.n_max] = solve(c)
+            return _probe_observables(c, solved[c.n_max])
+
+        n_max = choose_truncation(sys_cfg, probe_observables=probe, tol=scfg.truncation_tol)
+        cfg, rho = replace(sys_cfg, n_max=n_max), solved[n_max]
+    return cfg, rho, residual_norm(build_generator(cfg), rho)
 
 
 def _map_points(func, points, workers: int):
@@ -346,25 +357,34 @@ def _map_points(func, points, workers: int):
 
 
 # Numerical failures of one sweep point; they cost that point, not the table.
-_POINT_ERRORS = (TruncationError, ConvergenceError, EvolutionError, StateError, SectorError)
+_POINT_ERRORS = (TruncationError, ConvergenceError, EvolutionError, StateError, SectorError,
+                 XStateError)
 
 
-def _sweep(solve, points, workers: int):
-    """Rows of the points that succeed and (point, message) of those that fail,
-    both in point order."""
+def _sweep(scfg: ScenarioConfig, columns: list, points: list, solve, notes=()) -> OutputTable:
+    """The table of a sweep: `solve(point)` returns (rows, metadata lines) of one point.
+
+    Metadata: the configuration, the `notes`, then per point in point order
+    its own lines or, when it raises one of _POINT_ERRORS, a FAILED line.
+    Rows keep point order too, also when points run concurrently.
+    """
     def attempt(point):
         try:
             return solve(point), None
         except _POINT_ERRORS as exc:
             return None, str(exc)
 
-    rows, failures = [], []
-    for point, (row, msg) in zip(points, _map_points(attempt, points, workers)):
+    table = OutputTable(columns=columns, rows=[],
+                        metadata=_config_metadata(scfg) + list(notes))
+    for point, (done, msg) in zip(points, _map_points(attempt, points, scfg.workers)):
         if msg is None:
-            rows.append(row)
+            rows, lines = done
+            table.rows += rows
+            table.metadata += lines
         else:
-            failures.append((point, msg))
-    return rows, failures
+            table.metadata.append(f"FAILED point {point}: {msg}")
+            table.failures.append((point, msg))
+    return table
 
 
 def run_fig1(scfg: ScenarioConfig, which: str = "all") -> OutputTable:
@@ -399,17 +419,14 @@ def run_fig1(scfg: ScenarioConfig, which: str = "all") -> OutputTable:
     return OutputTable(columns=columns, rows=rows, metadata=meta)
 
 
-def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init, rho=None):
-    """Correlation report and residual of the steady state (solved unless given)."""
-    if rho is None:
-        rho = scenario_steady_state(sys_cfg, atoms_init,
-                                    residual_tol=scfg.residual_tol, t_max=scfg.t_max)
-    rep = correlation_report(atomic_reduction(rho))
-    res = residual_norm(build_generator(sys_cfg), rho)
-    return rep, res
-
-
 _INIT_CODE = {"e-g": 1.0, "g-g": 0.0, "all-g": 0.0, "all-e": 2.0}
+
+
+def _pair_row(scfg: ScenarioConfig, sys_cfg: SystemConfig, init: str) -> list:
+    """[QD, EoF, residual, n_max] of one two-atom steady-state point."""
+    cfg, rho, res = _steady_point(scfg, sys_cfg, atoms_pattern(init, scfg.n_atoms))
+    rep = correlation_report(atomic_reduction(rho))
+    return [rep.qd, rep.eof, res, float(cfg.n_max)]
 
 
 def run_fig2(scfg: ScenarioConfig) -> OutputTable:
@@ -422,29 +439,16 @@ def run_fig2(scfg: ScenarioConfig) -> OutputTable:
         eps_values = list(log_grid(scfg.eps_lo, scfg.eps_hi, scfg.points_per_decade))
     if scfg.sweep_param == "g" and scfg.sweep_values:
         g_values = parse_float_list(scfg.sweep_values)
-
     points = [(g, init, eps) for g in g_values for init in initials for eps in eps_values]
-    meta = _config_metadata(scfg)
 
     def solve(point):
         g, init, eps = point
         sys_cfg = scfg.system(g=g, epsilon=eps, frame="displaced", n_th=0.0)
-        pattern = atoms_pattern(init, scfg.n_atoms)
-        n_max, rho = _resolve_n_max(scfg, sys_cfg, pattern)
-        rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern, rho)
-        code = _INIT_CODE.get(init, math.nan)
-        return [g, code, eps, rep.qd, rep.eof, res, float(n_max)]
+        return [[g, _INIT_CODE.get(init, math.nan), eps] + _pair_row(scfg, sys_cfg, init)], []
 
-    rows, failures = _sweep(solve, points, scfg.workers)
-    meta.append("initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited")
-    for point, msg in failures:
-        meta.append(f"FAILED point {point}: {msg}")
-    table = OutputTable(
-        columns=["g", "initial_code", "epsilon", "qd_ss", "eof_ss", "residual", "n_max"],
-        rows=rows, metadata=meta,
-    )
-    table.failures = failures
-    return table
+    columns = ["g", "initial_code", "epsilon", "qd_ss", "eof_ss", "residual", "n_max"]
+    return _sweep(scfg, columns, points, solve, notes=[
+        "initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited"])
 
 
 def run_fig3(scfg: ScenarioConfig) -> OutputTable:
@@ -454,80 +458,63 @@ def run_fig3(scfg: ScenarioConfig) -> OutputTable:
                   else parse_float_list(scfg.nth_list))
     initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
     points = [(init, nth) for init in initials for nth in nth_values]
-    meta = _config_metadata(scfg)
 
     def solve(point):
         init, nth = point
         sys_cfg = scfg.system(epsilon=0.0, delta=0.0, n_th=nth, frame="thermal")
-        pattern = atoms_pattern(init, scfg.n_atoms)
-        n_max, rho = _resolve_n_max(scfg, sys_cfg, pattern)
-        rep, res = _steady_point(scfg, replace(sys_cfg, n_max=n_max), pattern, rho)
-        return [nth, _INIT_CODE.get(init, math.nan), rep.qd, rep.eof, res, float(n_max)]
+        return [[nth, _INIT_CODE.get(init, math.nan)] + _pair_row(scfg, sys_cfg, init)], []
 
-    rows, failures = _sweep(solve, points, scfg.workers)
-    meta.append("initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited")
-    for point, msg in failures:
-        meta.append(f"FAILED point {point}: {msg}")
-    table = OutputTable(
-        columns=["n_th", "initial_code", "qd_ss", "eof_ss", "residual", "n_max"],
-        rows=rows, metadata=meta,
-    )
-    table.failures = failures
-    return table
+    columns = ["n_th", "initial_code", "qd_ss", "eof_ss", "residual", "n_max"]
+    return _sweep(scfg, columns, points, solve, notes=[
+        "initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited"])
 
 
 def run_custom(scfg: ScenarioConfig) -> OutputTable:
-    """Generic pipeline: generator -> truncation -> evolve or steady state -> report."""
+    """Generic pipeline, one point: truncation -> steady state or evolution -> report."""
+    if scfg.custom_mode not in ("steady", "evolve"):
+        raise ScenarioConfigError(f"unknown custom_mode {scfg.custom_mode!r}")
     pattern = atoms_pattern(scfg.initial_atoms, scfg.n_atoms)
     sys_cfg = scfg.system()
-    rho_probe = None
-    if scfg.frame != "effective-atomic":
-        n_max, rho_probe = _resolve_n_max(scfg, sys_cfg, pattern)
-        sys_cfg = replace(sys_cfg, n_max=n_max)
-    meta = _config_metadata(scfg) + [f"n_max_used = {sys_cfg.n_max}"]
-    layout = sys_cfg.layout()
+    has_field = sys_cfg.layout().has_field
 
     def observables_row(rho, res):
-        row = []
-        if sys_cfg.n_atoms == 2:
-            rep = correlation_report(atomic_reduction(rho))
-            row += [rep.purity, rep.qd, rep.eof, rep.concurrence]
+        red = atomic_reduction(rho)
+        if scfg.n_atoms == 2:
+            rep = correlation_report(red)
+            row = [rep.purity, rep.qd, rep.eof, rep.concurrence]
         else:
-            red = atomic_reduction(rho)
-            row += [float(np.real(np.trace(red.matrix @ red.matrix)))]
-        if layout.has_field:
+            row = [float(np.real(np.trace(red.matrix @ red.matrix)))]
+        if has_field:
             stats = field_statistics(partial_trace(rho, keep=(0,)))
             row += [stats.n_bar,
                     math.nan if stats.g2 is None else stats.g2,
                     math.nan if stats.mandel_q is None else stats.mandel_q]
-        row.append(res)
-        return row
+        return row + [res]
 
-    base_cols = (["purity", "qd", "eof", "concurrence"] if sys_cfg.n_atoms == 2
-                 else ["purity"])
-    if layout.has_field:
-        base_cols += ["n_bar", "g2", "mandel_q"]
-    base_cols += ["residual"]
+    def steady(_):
+        cfg, rho, res = _steady_point(scfg, sys_cfg, pattern)
+        return [observables_row(rho, res)], [f"n_max_used = {cfg.n_max}"]
 
-    if scfg.custom_mode == "steady":
-        rho = rho_probe
-        if rho is None:
-            rho = scenario_steady_state(sys_cfg, pattern,
-                                        residual_tol=scfg.residual_tol, t_max=scfg.t_max)
-        res = residual_norm(build_generator(sys_cfg), rho)
-        return OutputTable(columns=base_cols, rows=[observables_row(rho, res)], metadata=meta)
-    if scfg.custom_mode == "evolve":
-        gen = build_generator(sys_cfg)
-        rho0 = (initial_state(sys_cfg, pattern, field=empty_cavity_field(sys_cfg))
-                if layout.has_field else initial_state(sys_cfg, pattern))
+    def evolution(_):
+        # an automatic truncation is the one the steady state converges at
+        cfg = sys_cfg
+        if scfg.n_max == 0 and has_field:
+            cfg = _steady_point(scfg, sys_cfg, pattern)[0]
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, pattern, field=empty_cavity_field(cfg))
         grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
-        traj = _evolve_dispatch(gen, rho0, np.concatenate(([0.0], grid)),
-                                scfg.integrator_tol)
-        rows = []
-        for t, state in zip(traj.times[1:], traj.states[1:]):
-            rows.append([t] + observables_row(state, residual_norm(gen, state)))
-        return OutputTable(columns=["kt"] + base_cols, rows=rows, metadata=meta)
-    raise ScenarioConfigError(f"unknown custom_mode {scfg.custom_mode!r}")
+        traj = _evolve_dispatch(gen, rho0, np.concatenate(([0.0], grid)), scfg.integrator_tol)
+        rows = [[t] + observables_row(state, residual_norm(gen, state))
+                for t, state in zip(traj.times[1:], traj.states[1:])]
+        return rows, [f"n_max_used = {cfg.n_max}"]
+
+    columns = ["purity", "qd", "eof", "concurrence"] if scfg.n_atoms == 2 else ["purity"]
+    if has_field:
+        columns += ["n_bar", "g2", "mandel_q"]
+    columns += ["residual"]
+    if scfg.custom_mode == "evolve":
+        return _sweep(scfg, ["kt"] + columns, [("evolve", scfg.initial_atoms)], evolution)
+    return _sweep(scfg, columns, [("steady", scfg.initial_atoms)], steady)
 
 
 def run_scenario(scfg: ScenarioConfig) -> OutputTable:

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .hilbert import DensityMatrix
 from .model import Generator, SystemConfig, atomic_vector, build_generator
-from .dynamics import steady_state_raw
+from .dynamics import liouvillian_matrix_raw, steady_state_raw
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 # atomic basis |ee>, |eg>, |ge>, |gg>
@@ -70,40 +70,27 @@ def _restrict(gen: Generator, V, tol: float = 1e-12):
                    for jump, rate in gen.dissipators]
 
 
-def coherence_block_gap(gen: Generator, check: str = "auto") -> float | None:
+def coherence_block_gap(gen: Generator) -> float | None:
     """Smallest |eigenvalue| of the singlet-triplet coherence block.
 
-    The block is factored by sparse LU, and the gap is 1/|mu| for the
-    largest-magnitude eigenvalue mu of its inverse (ARPACK); an exactly
-    singular factor gives 0.0.  Returns None when the block dimension exceeds
-    COHERENCE_CHECK_MAX_DIM and check is 'auto' (other values raise
-    SectorError there).  A strictly positive gap certifies that all
-    singlet-triplet coherences decay, so they vanish in the steady state.
+    The block is the generator acting on X = V_T^dag rho V_S, assembled by
+    `liouvillian_matrix_raw` with the triplet operators on the left and the
+    singlet ones on the right.  It is factored by sparse LU, and the gap is
+    1/|mu| for the largest-magnitude eigenvalue mu of its inverse (ARPACK);
+    an exactly singular factor gives 0.0.  Returns None, unchecked, when the
+    block dimension exceeds COHERENCE_CHECK_MAX_DIM.  A strictly positive gap
+    certifies that all singlet-triplet coherences decay, so they vanish in
+    the steady state.
     """
     layout = gen.layout
-    nf = layout.fock_dim if layout.has_field else 0
-    VT, VS = _isometries(nf)
+    VT, VS = _isometries(layout.fock_dim if layout.has_field else 0)
     dim_c = VT.shape[1] * VS.shape[1]
     if dim_c > COHERENCE_CHECK_MAX_DIM:
-        if check == "auto":
-            return None
-        raise SectorError(f"coherence block dimension {dim_c} too large to check")
-    Hm = gen.hamiltonian.matrix
-    HT = VT.conj().T @ Hm @ VT
-    HS = VS.conj().T @ Hm @ VS
-    eyeT = sp.identity(HT.shape[0], dtype=complex, format="csr")
-    eyeS = sp.identity(HS.shape[0], dtype=complex, format="csr")
-    # dX/dt = -i(HT X - X HS) + sum r (2 AT X AS^dag - AT^dag AT X - X AS^dag AS)
-    L = -1j * (sp.kron(HT, eyeS) - sp.kron(eyeT, HS.T))
-    for jump, rate in gen.dissipators:
-        A = jump.matrix
-        AT = VT.conj().T @ A @ VT
-        AS = VS.conj().T @ A @ VS
-        L = L + rate * (
-            2.0 * sp.kron(AT, AS.conj())
-            - sp.kron(AT.conj().T @ AT, eyeS)
-            - sp.kron(eyeT, (AS.conj().T @ AS).T)
-        )
+        return None
+    H, dissipators = gen.hamiltonian.matrix, gen.dissipators
+    L = liouvillian_matrix_raw(
+        VT.conj().T @ H @ VT, [(VT.conj().T @ A.matrix @ VT, r) for A, r in dissipators],
+        right=(VS.conj().T @ H @ VS, [VS.conj().T @ A.matrix @ VS for A, _ in dissipators]))
     try:
         lu = spla.splu(L.tocsc())
     except RuntimeError:  # exactly singular: a zero mode
@@ -120,9 +107,14 @@ def singlet_weight(atoms) -> float:
     return float(abs(SINGLET_VECTOR.conj() @ av) ** 2)
 
 
-def two_atom_steady_state(cfg: SystemConfig, atoms_init, residual_tol: float = 1e-9,
-                          check_coherence: str = "auto") -> DensityMatrix:
-    """Steady state reached from atoms (x) any field state, by sector solve."""
+def two_atom_steady_state(cfg: SystemConfig, atoms_init,
+                          residual_tol: float = 1e-9) -> DensityMatrix:
+    """Steady state reached from atoms (x) any field state, by sector solve.
+
+    Raises SectorError when the generator breaks the split or the coherence
+    block has a near-zero mode; above COHERENCE_CHECK_MAX_DIM the block is
+    not checked.
+    """
     if cfg.n_atoms != 2:
         raise SectorError("sector decomposition is specific to two atoms")
     gen = build_generator(cfg)
@@ -130,13 +122,12 @@ def two_atom_steady_state(cfg: SystemConfig, atoms_init, residual_tol: float = 1
     nf = layout.fock_dim if layout.has_field else 0
     VT, VS = _isometries(nf)
 
-    if check_coherence != "skip":
-        gap = coherence_block_gap(gen, check=check_coherence)
-        if gap is not None and gap < _COHERENCE_GAP_MIN:
-            raise SectorError(
-                f"singlet-triplet coherence block has a near-zero mode (gap {gap:.2e}); "
-                "steady state must be obtained by integration"
-            )
+    gap = coherence_block_gap(gen)
+    if gap is not None and gap < _COHERENCE_GAP_MIN:
+        raise SectorError(
+            f"singlet-triplet coherence block has a near-zero mode (gap {gap:.2e}); "
+            "steady state must be obtained by integration"
+        )
 
     w_s = singlet_weight(atoms_init)
     HT, dT = _restrict(gen, VT)

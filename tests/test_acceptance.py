@@ -25,7 +25,7 @@ from drivencavity.model import (
     derived_params,
     initial_state,
 )
-from drivencavity.dynamics import evolve, evolve_spectral, record
+from drivencavity.dynamics import evolve, evolve_spectral
 from drivencavity.correlations import (
     concurrence,
     eof_from_concurrence,
@@ -204,11 +204,11 @@ def test_criterion_7_analytic_dynamics():
     cfg = SystemConfig(n_atoms=1, g=0.0, epsilon=0.0, n_max=7)
     gen = build_generator(cfg)
     t = np.linspace(0.0, 3.0, 25)
-    traj = evolve(gen, initial_state(cfg, "g", field=5), t, tol=1e-11)
     lay = cfg.layout()
     a = annihilation(cfg.n_max)
     nop = embed(a.dag() @ a, lay.field_factor(), lay)
-    err_decay = float(np.max(np.abs(record(traj, nop) - 5.0 * np.exp(-2.0 * t))))
+    traj = evolve(gen, initial_state(cfg, "g", field=5), t, tol=1e-11, observables={"n": nop})
+    err_decay = float(np.max(np.abs(traj.observables["n"] - 5.0 * np.exp(-2.0 * t))))
 
     # undamped Rabi flopping
     cfg_r = SystemConfig(n_atoms=1, g=0.01, epsilon=10.0, frame="effective-atomic")

@@ -103,6 +103,24 @@ class TestXStructure:
         with pytest.raises(XStateError):
             XStateElements(p11=0.25, p22=0.25, p33=0.25, p44=0.25, c14=0.5, c23=0)
 
+    def test_population_at_round_off_is_positive(self):
+        # |c14| exceeds sqrt(p11 p44) by 7.3e-8, but the (p11, p44) block's
+        # smaller eigenvalue is -3.9e-14: round-off, not a negative state
+        p11, p44 = 2.6e-14, 0.6
+        c14 = math.sqrt(p11 * p44) + 7.3e-8
+        low = 0.5 * (p11 + p44) - math.sqrt(0.25 * (p11 - p44) ** 2 + c14**2)
+        assert -1e-13 < low < 0.0
+        XStateElements(p11=p11, p22=0.2, p33=0.2, p44=p44, c14=c14, c23=0)
+
+    @pytest.mark.parametrize("pops, coherences", [
+        ((0.3, 0.2, 0.2, 0.3), dict(c14=0.3 + 1e-6, c23=0)),
+        ((0.2, 0.3, 0.3, 0.2), dict(c14=0, c23=0.3 + 1e-6)),
+    ], ids=["c14", "c23"])
+    def test_negative_block_eigenvalue_rejected(self, pops, coherences):
+        # populations 0.3 and 0.3 with coherence 0.3 + 1e-6: eigenvalue -1e-6
+        with pytest.raises(XStateError):
+            XStateElements(*pops, **coherences)
+
 
 class TestAnalyticDiscord:
     def test_bell_state_is_one_bit(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from drivencavity.correlations import XStateError
 from drivencavity.model import SystemConfig
 from drivencavity.scenarios import (
     OutputTable,
@@ -61,6 +62,23 @@ class TestLoadConfig:
             load_config(None, ["scenario=fig9"])
         with pytest.raises(ScenarioConfigError):
             load_config(None, ["sweep_param=delta"])
+
+    @pytest.mark.parametrize("args", [
+        ["scenario=custom", "sweep_param=g", "sweep_values=0.1"],
+        ["scenario=fig3-thermal", "sweep_param=epsilon"],
+        ["scenario=fig1-purity", "sweep_param=n_th"],
+        ["scenario=fig2-sweep", "sweep_values=1,2"],
+    ], ids=["custom-g", "fig3-epsilon", "fig1-n_th", "values-without-param"])
+    def test_sweep_the_scenario_ignores_rejected(self, args):
+        with pytest.raises(ScenarioConfigError):
+            load_config(None, args)
+
+    def test_each_scenario_sweeps_its_parameters(self):
+        for scenario, params in [("fig2-sweep", ("epsilon", "g")), ("fig3-thermal", ("n_th",))]:
+            for param in params:
+                cfg = load_config(None, [f"scenario={scenario}", f"sweep_param={param}",
+                                         "sweep_values=0.5"])
+                assert cfg.sweep_param == param
 
 
 class TestHelpers:
@@ -211,7 +229,8 @@ class TestScenarioRuns:
          "initial_list=e-g"],
         ["scenario=fig3-thermal", "g=0.1", "sweep_param=n_th", "sweep_values=0.5",
          "initial_list=g-g", "truncation_tol=1e-4"],
-    ], ids=["fig2", "fig3"])
+        ["scenario=custom", "custom_mode=steady", "g=0.1", "epsilon=1.0"],
+    ], ids=["fig2", "fig3", "custom"])
     def test_chosen_truncation_solved_once(self, args, monkeypatch):
         # the row reuses the state the truncation probe solved at the chosen
         # n_max: one solve per doubled probe truncation, none repeated
@@ -224,7 +243,10 @@ class TestScenarioRuns:
 
         monkeypatch.setattr(scenarios, "scenario_steady_state", counting)
         table = run_scenario(load_config(None, args))
-        n_max = int(table.column("n_max")[0])
+        if "n_max" in table.columns:
+            n_max = int(table.column("n_max")[0])
+        else:  # custom records the truncation as metadata
+            n_max = int(table.metadata[-1].removeprefix("n_max_used = "))
         assert len(solved) == len(set(solved))
         assert solved[-2:] == [n_max, 2 * n_max]
         assert all(b == 2 * a for a, b in zip(solved, solved[1:]))
@@ -288,6 +310,53 @@ class TestCli:
         rows = [line for line in lines if not line.startswith("#")][1:]
         assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.1
         assert "2 sweep point(s) failed" in capsys.readouterr().err
+
+    def test_failed_report_costs_one_point(self, tmp_path, capsys, monkeypatch):
+        # the second point's correlation report raises: its row is lost, the
+        # first point's row stays, and sim exits 1
+        report, calls = scenarios.correlation_report, []
+
+        def second_fails(rho):
+            calls.append(rho)
+            if len(calls) == 2:
+                raise XStateError("X block has eigenvalue -1.000e-06")
+            return report(rho)
+
+        monkeypatch.setattr(scenarios, "correlation_report", second_fails)
+        out = tmp_path / "fig2.csv"
+        code = cli.main([
+            "fig2-sweep", "--set", "g_list=0.1", "--set", "sweep_param=epsilon",
+            "--set", "sweep_values=0.5,1.0", "--set", "initial_list=e-g", "--set", "n_max=4",
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert "# FAILED point (0.1, 'e-g', 1.0): X block has eigenvalue -1.000e-06" in lines
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 1 and float(rows[0].split(",")[2]) == 0.5
+        assert "1 sweep point(s) failed" in capsys.readouterr().err
+
+    def test_failed_custom_run_is_a_failed_point(self, tmp_path, monkeypatch):
+        def failing(rho):
+            raise XStateError("X block has eigenvalue -1.000e-06")
+
+        monkeypatch.setattr(scenarios, "correlation_report", failing)
+        out = tmp_path / "custom.csv"
+        code = cli.main(["custom", "--set", "custom_mode=steady", "--set", "n_max=4",
+                         "--set", "g=0.1", "--out", str(out), "--no-timestamp"])
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert lines[-2] == "# FAILED point ('steady', 'all-g'): X block has eigenvalue -1.000e-06"
+        assert lines[-1].startswith("purity,qd,eof,concurrence")
+
+    @pytest.mark.parametrize("argv", [
+        ["custom", "--set", "frame=thermal", "--set", "epsilon=1"],
+        ["fig2-sweep", "--set", "g_list=-0.1"],
+        ["window", "--set", "g=-1"],
+    ], ids=["thermal-drive", "negative-g-list", "window-negative-g"])
+    def test_physical_config_error_exits_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cli_flag_equivalent_to_set(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

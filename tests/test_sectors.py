@@ -110,9 +110,7 @@ class TestCoherenceBlockGap:
 
     def test_auto_skips_oversized_blocks(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=40)
-        assert coherence_block_gap(build_generator(cfg), check="auto") is None
-        with pytest.raises(SectorError):
-            coherence_block_gap(build_generator(cfg), check="force")
+        assert coherence_block_gap(build_generator(cfg)) is None
 
 
 class TestTwoAtomSteadyState:
