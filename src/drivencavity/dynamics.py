@@ -2,23 +2,21 @@
 
 The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
 Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
-the long-time integration each apply one sparse superoperator built once per
+the kernel projection each apply one sparse superoperator built once per
 call, and `sectors.coherence_block_gap` builds its singlet-triplet block with
 it (`model.apply_generator` stays as the independent dense reference).
 Spectral propagation restricts it to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real.
 
-Two steady-state routes are provided: long-time adaptive integration and a
-null-space solve of the vectorized generator, one sparse LU factorization of
-the trace-constrained Liouvillian at every dimension.  The null-space route
-estimates the condition number of that factor and refuses to pick a state
-when the fixed-point manifold is degenerate; callers then integrate from
-their initial condition instead.
+One steady-state solver, no time integration: one sparse LU factorization of
+the trace-constrained Liouvillian at every dimension, whose condition estimate
+tells a unique fixed point from a degenerate manifold.  On a degenerate one
+the caller's initial state is projected onto the kernel along the range of the
+generator, which is the state it relaxes to; without one no state is picked.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +30,9 @@ from .model import Generator, apply_generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
 SPECTRAL_MAX_DIM = 64               # largest layout dim for evolve_spectral (eig runs on a subspace)
-_KERNEL_REL_TOL = 1e-10             # condition estimates above 1 / this mean a degenerate kernel
+_KERNEL_REL_TOL = 1e-10             # relative size of a kernel eigenvalue; 1 / max condition
 _SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
+_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel comes from dense eig
 
 
 class EvolutionError(RuntimeError):
@@ -41,7 +40,7 @@ class EvolutionError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Steady-state search did not converge within the time budget."""
+    """No steady state within the residual tolerance, or the system is too large to solve."""
 
 
 class DegenerateSteadyStateError(ConvergenceError):
@@ -71,7 +70,7 @@ class Trajectory:
 class SteadyStateResult:
     rho_ss: DensityMatrix
     residual: float
-    elapsed_model_time: float
+    kernel_dim: int   # kernel dimension on the entries rho0 reaches; 1 for a unique fixed point
     method: str
 
 
@@ -322,36 +321,87 @@ def _normalize_kernel_vector(v: np.ndarray, dim: int) -> np.ndarray:
     return m / tr
 
 
-def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
-                     t_max: float = 1e6, method: str = "auto", tol: float = 1e-10):
-    """Steady state on raw matrices.  Returns (rho_matrix, residual, elapsed, method).
+def inverse_modes(lu, k: int, trans: str = "N"):
+    """The k largest-|mu| eigenpairs of the inverse of the matrix lu factors (ARPACK, fixed start).
 
-    method 'nullspace' solves the trace-constrained Liouvillian by one sparse
-    LU factorization for every dim up to SPARSE_NULLSPACE_MAX_DIM, and raises
-    DegenerateSteadyStateError when the fixed point is not unique (an exactly
-    singular factor, or a condition estimate above 1 / _KERNEL_REL_TOL).
-    'long-time-integration' requires rho0.  'auto' tries the null space first
-    and falls back to integration from rho0 on degeneracy.  The LU, the
-    candidate's residual and the integration share one sparse Liouvillian,
-    built on first use, after the dimension check: a system above the cap
-    fails before its superoperator is allocated.
+    For lu = LU(L - s I), L has the eigenvalue s + 1/mu with trans "N" (right
+    vectors) and s + 1/conj(mu) with trans "H" (left vectors).
+    """
+    inverse = spla.LinearOperator(lu.shape, matvec=lambda x: lu.solve(x, trans=trans),
+                                  dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(lu.shape[0]).astype(complex)
+    return spla.eigs(inverse, k=k, which="LM", v0=v0)
+
+
+def _kernel_bases(L):
+    """Right and left kernel bases (R, Lam) of L: eigenvalues within s = _KERNEL_REL_TOL ||L||_1.
+
+    Dense eig up to _DENSE_KERNEL_MAX rows, else shift-invert ARPACK on one
+    sparse LU of L - s I, k growing until an eigenvalue lies outside the kernel.
+    """
+    n = L.shape[0]
+    s = _KERNEL_REL_TOL * spla.norm(L, 1)
+    if n <= _DENSE_KERNEL_MAX:
+        lam, left, right = la.eig(L.toarray(), left=True, right=True)
+        return right[:, np.abs(lam) <= s], left[:, np.abs(lam) <= s]
+    try:
+        lu = spla.splu((L - s * sp.identity(n, dtype=complex, format="csr")).tocsc())
+        k = 2
+        while k <= n - 2:  # ARPACK computes at most n - 2 modes
+            mu, right = inverse_modes(lu, k)
+            kernel = np.abs(s + 1.0 / mu) <= s
+            if not kernel.all():
+                mu_left, left = inverse_modes(lu, k, trans="H")
+                return right[:, kernel], left[:, np.abs(s + 1.0 / mu_left.conj()) <= s]
+            k *= 2
+    except RuntimeError as exc:  # L - s I exactly singular, or ARPACK did not converge
+        raise ConvergenceError(f"kernel mode search failed: {exc}") from exc
+    raise ConvergenceError(f"kernel of dimension >= {k // 2} in {n} entries: too large to search")
+
+
+def _kernel_projection(L, x0: np.ndarray, dim: int):
+    """(state x0 = vec(rho0) relaxes to, kernel dimension) for a degenerate kernel of L.
+
+    R (Lam^H R)^-1 Lam^H x0 projects onto ker L along range L (Albert & Jiang, PRA 89,
+    022118, 2014), with L restricted to the entries x0 reaches through its nonzeros: L
+    maps them into themselves, and the rest stay exactly zero, not dense round-off.
+    """
+    A, reached = abs(L), x0 != 0
+    while not np.array_equal(grown := reached | (A @ reached > 0), reached):
+        reached = grown
+    idx = np.flatnonzero(reached)
+    R, Lam = _kernel_bases(L[idx][:, idx])
+    if R.shape[1] != Lam.shape[1]:
+        raise ConvergenceError(f"left and right kernels differ: {Lam.shape[1]} vs {R.shape[1]}")
+    x = np.zeros_like(x0)
+    x[idx] = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ x0[idx])
+    return _normalize_kernel_vector(x, dim), R.shape[1]
+
+
+def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9):
+    """Steady state on raw matrices.  Returns (rho_matrix, residual, kernel_dim, route).
+
+    Route 'nullspace' (kernel_dim 1): one sparse LU of the trace-constrained
+    Liouvillian, for every dim up to SPARSE_NULLSPACE_MAX_DIM; a larger system
+    fails before its superoperator is built.  A degenerate fixed-point manifold
+    (an exactly singular factor, or a condition estimate above
+    1 / _KERNEL_REL_TOL) takes route 'kernel-projection' from rho0, or raises
+    DegenerateSteadyStateError without it.  Either candidate must have a
+    residual within residual_tol.
     """
     H = np.asarray(H, dtype=complex)
     dim = H.shape[0]
-    liouvillian = functools.cache(lambda: liouvillian_matrix_raw(H, dissipators))
-
-    def _residual(m):
-        return float(np.max(np.abs(liouvillian() @ m.ravel())))
+    if dim > SPARSE_NULLSPACE_MAX_DIM:
+        raise ConvergenceError(f"dimension {dim} too large for the null-space route")
+    L = liouvillian_matrix_raw(H, dissipators)
 
     def _nullspace():
-        if dim > SPARSE_NULLSPACE_MAX_DIM:
-            raise ConvergenceError(f"dimension {dim} too large for the null-space route")
         # Trace preservation makes the trace row a left null vector of L, so L
         # with row 0 replaced by it is nonsingular iff the kernel is 1-D.
         n = dim * dim
         trace_row = sp.csr_matrix(
             (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(0, n, dim + 1))), shape=(n, n))
-        M = (sp.diags(np.r_[0.0, np.ones(n - 1)]) @ liouvillian() + trace_row).tocsc()
+        M = (sp.diags(np.r_[0.0, np.ones(n - 1)]) @ L + trace_row).tocsc()
         try:
             lu = spla.splu(M)
         except RuntimeError as exc:  # exactly singular: degenerate kernel
@@ -368,60 +418,31 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9,
         if not cond <= 1.0 / _KERNEL_REL_TOL:
             raise DegenerateSteadyStateError(
                 f"trace-constrained Liouvillian has condition estimate {cond:.1e}: "
-                "fixed-point manifold is degenerate; integrate from rho0"
+                "fixed-point manifold is degenerate"
             )
         b = np.zeros(n, dtype=complex)
         b[0] = 1.0
-        m = _normalize_kernel_vector(lu.solve(b), dim)
-        res = _residual(m)
-        if res > residual_tol:
-            raise ConvergenceError(
-                f"null-space candidate has residual {res:.3e} > {residual_tol:.1e}"
-            )
-        return m, res
+        return _normalize_kernel_vector(lu.solve(b), dim)
 
-    if method in ("auto", "nullspace"):
-        try:
-            m, res = _nullspace()
-            return m, res, 0.0, "nullspace"
-        except (DegenerateSteadyStateError, ConvergenceError):
-            if method == "nullspace":
-                raise
-
-    if rho0 is None:
-        raise ValueError("long-time integration needs an initial state")
-    L = liouvillian()
-    m = np.asarray(rho0, dtype=complex)
-    t, chunk = 0.0, 10.0
-    res = _residual(m)
-    while res > residual_tol:
-        if t >= t_max:
-            raise ConvergenceError(
-                f"residual {res:.3e} > {residual_tol:.1e} after t = {t:.3g}/kappa; raise t_max"
-            )
-        chunk = min(chunk, t_max - t)
-        sol = solve_ivp(lambda _, y: L @ y, (0.0, chunk), m.ravel(), method="DOP853",
-                        rtol=tol, atol=tol * 1e-3)
-        if not sol.success:
-            raise EvolutionError(f"integrator failed during steady-state search: {sol.message}")
-        m = sol.y[:, -1].reshape(dim, dim)
-        m = 0.5 * (m + m.conj().T)
-        m = m / np.trace(m).real
-        t += chunk
-        chunk *= 2.0
-        res = _residual(m)
-    return m, res, t, "long-time-integration"
+    try:
+        m, kernel_dim, route = _nullspace(), 1, "nullspace"
+    except DegenerateSteadyStateError:
+        if rho0 is None:
+            raise
+        m, kernel_dim = _kernel_projection(L, np.asarray(rho0, dtype=complex).ravel(), dim)
+        route = "kernel-projection"
+    res = float(np.max(np.abs(L @ m.ravel())))
+    if res > residual_tol:
+        raise ConvergenceError(f"{route} candidate has residual {res:.3e} > {residual_tol:.1e}")
+    return m, res, kernel_dim, route
 
 
 def steady_state(gen: Generator, rho0: DensityMatrix | None = None,
-                 residual_tol: float = 1e-9, t_max: float = 1e6,
-                 method: str = "auto", tol: float = 1e-10) -> SteadyStateResult:
+                 residual_tol: float = 1e-9) -> SteadyStateResult:
     if rho0 is not None and rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
-    m, res, elapsed, used = steady_state_raw(
-        *_gen_matrices(gen),
-        rho0=None if rho0 is None else rho0.matrix,
-        residual_tol=residual_tol, t_max=t_max, method=method, tol=tol,
-    )
+    m, res, kernel_dim, route = steady_state_raw(
+        *_gen_matrices(gen), rho0=None if rho0 is None else rho0.matrix,
+        residual_tol=residual_tol)
     rho = DensityMatrix.from_matrix(gen.layout, m, pos_tol=max(TOL_POS, 100.0 * residual_tol))
-    return SteadyStateResult(rho_ss=rho, residual=res, elapsed_model_time=elapsed, method=used)
+    return SteadyStateResult(rho_ss=rho, residual=res, kernel_dim=kernel_dim, method=route)

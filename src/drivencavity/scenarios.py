@@ -70,7 +70,6 @@ class ScenarioConfig:
     output_path: str = ""
     integrator_tol: float = 1e-9
     residual_tol: float = 1e-9
-    t_max: float = 0.0                 # 0 = pick from the slowest relaxation rate
     truncation_tol: float = 1e-6
     workers: int = 1
     timestamp: bool = True
@@ -226,15 +225,6 @@ def window_report(cfg: SystemConfig):
     return p.window_lo, p.window_hi
 
 
-def default_t_max(cfg: SystemConfig) -> float:
-    """Time budget from the slowest relevant relaxation rate."""
-    gamma = derived_params(cfg).gamma_eff
-    budget = 50.0 / gamma if gamma > 0 else 50.0
-    if cfg.frame == "thermal":
-        budget += 50.0 * (1.0 + 2.0 * cfg.n_th)
-    return budget
-
-
 def empty_cavity_field(cfg: SystemConfig):
     """Initial field state representing an empty lab-frame cavity.
 
@@ -256,24 +246,20 @@ def _evolve_dispatch(gen, rho0, t_eval, tol):
     return evolve(gen, rho0, t_eval, tol=tol)
 
 
-def scenario_steady_state(cfg: SystemConfig, atoms_init, residual_tol: float = 1e-9,
-                          t_max: float = 0.0) -> DensityMatrix:
-    """Steady state from atoms (x) frame-appropriate field initial state.
+def scenario_steady_state(cfg: SystemConfig, atoms_init,
+                          residual_tol: float = 1e-9) -> DensityMatrix:
+    """Steady state reached from atoms (x) frame-appropriate field initial state.
 
     Two-atom systems go through the singlet/triplet sector solve; everything
-    else through the generic null-space/integration route.
+    else through `dynamics.steady_state`.
     """
-    if t_max <= 0:
-        t_max = default_t_max(cfg)
-    if cfg.n_atoms == 2:
-        try:
-            return two_atom_steady_state(cfg, atoms_init, residual_tol=residual_tol)
-        except SectorError:
-            pass
+    try:
+        return two_atom_steady_state(cfg, atoms_init, residual_tol=residual_tol)
+    except SectorError:  # not two atoms, or a generator the sectors do not split
+        pass
     gen = build_generator(cfg)
     rho0 = initial_state(cfg, atoms_init, field=empty_cavity_field(cfg))
-    result = steady_state(gen, rho0, residual_tol=residual_tol, t_max=t_max)
-    return result.rho_ss
+    return steady_state(gen, rho0, residual_tol=residual_tol).rho_ss
 
 
 def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:
@@ -331,8 +317,7 @@ def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
     A layout with no field has nothing to truncate.
     """
     def solve(c):
-        return scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol,
-                                     t_max=scfg.t_max)
+        return scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol)
 
     if scfg.n_max > 0 or not sys_cfg.layout().has_field:
         cfg, rho = sys_cfg, solve(sys_cfg)
@@ -440,11 +425,12 @@ def run_fig2(scfg: ScenarioConfig) -> OutputTable:
     if scfg.sweep_param == "g" and scfg.sweep_values:
         g_values = parse_float_list(scfg.sweep_values)
     points = [(g, init, eps) for g in g_values for init in initials for eps in eps_values]
+    # built up front, so a bad point's ConfigError comes before any point is solved
+    cfgs = {p: scfg.system(g=p[0], epsilon=p[2], frame="displaced", n_th=0.0) for p in points}
 
     def solve(point):
         g, init, eps = point
-        sys_cfg = scfg.system(g=g, epsilon=eps, frame="displaced", n_th=0.0)
-        return [[g, _INIT_CODE.get(init, math.nan), eps] + _pair_row(scfg, sys_cfg, init)], []
+        return [[g, _INIT_CODE.get(init, math.nan), eps] + _pair_row(scfg, cfgs[point], init)], []
 
     columns = ["g", "initial_code", "epsilon", "qd_ss", "eof_ss", "residual", "n_max"]
     return _sweep(scfg, columns, points, solve, notes=[
@@ -458,11 +444,11 @@ def run_fig3(scfg: ScenarioConfig) -> OutputTable:
                   else parse_float_list(scfg.nth_list))
     initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
     points = [(init, nth) for init in initials for nth in nth_values]
+    cfgs = {p: scfg.system(epsilon=0.0, delta=0.0, n_th=p[1], frame="thermal") for p in points}
 
     def solve(point):
         init, nth = point
-        sys_cfg = scfg.system(epsilon=0.0, delta=0.0, n_th=nth, frame="thermal")
-        return [[nth, _INIT_CODE.get(init, math.nan)] + _pair_row(scfg, sys_cfg, init)], []
+        return [[nth, _INIT_CODE.get(init, math.nan)] + _pair_row(scfg, cfgs[point], init)], []
 
     columns = ["n_th", "initial_code", "qd_ss", "eof_ss", "residual", "n_max"]
     return _sweep(scfg, columns, points, solve, notes=[

@@ -9,11 +9,10 @@ initial state decomposes as
     rho_ss = w_S |S><S| (x) rho_field^(S)  +  (1 - w_S) rho_triplet_ss
 
 with vanishing singlet-triplet coherences.  Each sector has a unique fixed
-point that a plain null-space solve finds in seconds, where brute-force
-integration of the full model would take minutes to hours (the relaxation
-rate is g^2 N / kappa).  The decay of the coherence block is not assumed
-blindly: its smallest eigenvalue is checked for a zero mode whenever that is
-affordable.
+point that one sparse LU finds, where the full generator's degenerate kernel
+needs the costlier kernel projection.  The decay of the coherence block is not
+assumed blindly: its smallest eigenvalue is checked for a zero mode whenever
+that is affordable.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .hilbert import DensityMatrix
 from .model import Generator, SystemConfig, atomic_vector, build_generator
-from .dynamics import liouvillian_matrix_raw, steady_state_raw
+from .dynamics import inverse_modes, liouvillian_matrix_raw, steady_state_raw
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 # atomic basis |ee>, |eg>, |ge>, |gg>
@@ -95,9 +94,7 @@ def coherence_block_gap(gen: Generator) -> float | None:
         lu = spla.splu(L.tocsc())
     except RuntimeError:  # exactly singular: a zero mode
         return 0.0
-    inverse = spla.LinearOperator((dim_c, dim_c), matvec=lu.solve, dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(dim_c).astype(complex)  # reproducible start
-    mu = spla.eigs(inverse, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    mu, _ = inverse_modes(lu, 1)
     return float(1.0 / np.abs(mu[0]))
 
 
@@ -126,18 +123,13 @@ def two_atom_steady_state(cfg: SystemConfig, atoms_init,
     if gap is not None and gap < _COHERENCE_GAP_MIN:
         raise SectorError(
             f"singlet-triplet coherence block has a near-zero mode (gap {gap:.2e}); "
-            "steady state must be obtained by integration"
+            "steady state must be projected from the initial state in the full space"
         )
 
     w_s = singlet_weight(atoms_init)
-    HT, dT = _restrict(gen, VT)
-    mT, *_ = steady_state_raw(HT, dT, residual_tol=residual_tol, method="nullspace")
+    mT, *_ = steady_state_raw(*_restrict(gen, VT), residual_tol=residual_tol)
     full = (1.0 - w_s) * (VT @ mT @ VT.conj().T)
-    if w_s > 1e-14:
-        HS, dS = _restrict(gen, VS)
-        if HS.shape[0] == 1:  # atoms-only layout: singlet sector is a fixed scalar
-            mS = np.array([[1.0 + 0j]])
-        else:
-            mS, *_ = steady_state_raw(HS, dS, residual_tol=residual_tol, method="nullspace")
+    if w_s > 1e-14:  # an atoms-only singlet sector is one state: its solve returns [[1]]
+        mS, *_ = steady_state_raw(*_restrict(gen, VS), residual_tol=residual_tol)
         full = full + w_s * (VS @ mS @ VS.conj().T)
     return DensityMatrix.from_matrix(layout, full, pos_tol=1e-7)

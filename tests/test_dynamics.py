@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from scipy.linalg import expm
 
 from drivencavity.hilbert import (
@@ -25,6 +27,7 @@ from drivencavity.model import (
     thermal_field_matrix,
 )
 from drivencavity.sectors import _isometries, _restrict
+from drivencavity import dynamics
 from drivencavity.scenarios import empty_cavity_field
 from drivencavity.dynamics import (
     ConvergenceError,
@@ -259,9 +262,9 @@ class TestSteadyState:
         n_th, n_max = 0.8, 40
         a = annihilation(n_max).matrix
         h = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        m, res, elapsed, used = steady_state_raw(
+        m, res, kernel_dim, used = steady_state_raw(
             h, [(a, n_th + 1.0), (a.conj().T, n_th)], residual_tol=1e-9)
-        assert used == "nullspace"
+        assert used == "nullspace" and kernel_dim == 1
         n_ss = np.sum(np.arange(n_max + 1) * np.diag(m).real)
         assert abs(n_ss - n_th) < 1e-8
         assert np.max(np.abs(m - thermal_field_matrix(n_th, n_max))) < 1e-9
@@ -270,10 +273,10 @@ class TestSteadyState:
         cfg = SystemConfig(n_atoms=1, g=0.3, n_th=0.5, n_max=10, frame="thermal")
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, "e", field="vacuum")
-        direct = steady_state(gen, method="nullspace", residual_tol=1e-9)
-        integrated = steady_state(gen, rho0=rho0, method="long-time-integration",
-                                  residual_tol=1e-8)
-        assert trace_distance(direct.rho_ss, integrated.rho_ss) < 1e-6
+        direct = steady_state(gen, residual_tol=1e-9)
+        integrated = evolve(gen, rho0, [0.0, 300.0], tol=1e-10).states[-1]
+        assert residual_norm(gen, integrated) < 1e-8
+        assert trace_distance(direct.rho_ss, integrated) < 1e-6
 
     def test_initial_state_invariance(self):
         cfg = SystemConfig(n_atoms=1, g=0.4, n_th=0.3, n_max=8, frame="thermal")
@@ -281,9 +284,10 @@ class TestSteadyState:
         tol = 1e-8
         outs = []
         for atoms, fld in (("e", "vacuum"), ("g", 2)):
-            r = steady_state(gen, rho0=initial_state(cfg, atoms, field=fld),
-                             method="long-time-integration", residual_tol=tol)
-            outs.append(r.rho_ss)
+            rho = evolve(gen, initial_state(cfg, atoms, field=fld), [0.0, 300.0],
+                         tol=1e-2 * tol).states[-1]
+            assert residual_norm(gen, rho) < tol
+            outs.append(rho)
         assert trace_distance(outs[0], outs[1]) < 10 * tol
 
     def test_degenerate_manifold_detected(self):
@@ -291,7 +295,7 @@ class TestSteadyState:
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=0.0, n_max=2)
         gen = build_generator(cfg)
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state(gen, method="nullspace")
+            steady_state(gen)
 
     def test_degenerate_fallback_preserves_singlet_weight(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=0.0, n_max=2)
@@ -299,7 +303,7 @@ class TestSteadyState:
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
         rho0 = initial_state(cfg, singlet)
         res = steady_state(gen, rho0=rho0, residual_tol=1e-9)
-        assert res.method == "long-time-integration"
+        assert res.method == "kernel-projection"
         # the dark singlet (with empty cavity) never decays
         assert trace_distance(res.rho_ss, rho0) < 1e-7
 
@@ -315,7 +319,7 @@ class TestSteadyState:
         h = q @ h @ q.conj().T
         diss = [(q @ a @ q.conj().T, r) for a, r in diss]
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state_raw(h, diss, method="nullspace")
+            steady_state_raw(h, diss)
 
     @pytest.mark.parametrize("sector", ["single-atom", "triplet", "singlet"])
     def test_nullspace_matches_dense_kernel(self, sector):
@@ -334,20 +338,63 @@ class TestSteadyState:
         dense = vecs[:, order[0]].reshape(d, d)
         dense = 0.5 * (dense + dense.conj().T)
         dense /= np.trace(dense).real
-        m, res, _, used = steady_state_raw(h, diss, method="nullspace", residual_tol=1e-10)
+        m, res, _, used = steady_state_raw(h, diss, residual_tol=1e-10)
         assert used == "nullspace"
         assert np.max(np.abs(m - dense)) < 1e-12
-
-    def test_time_budget_enforced(self):
-        cfg = SystemConfig(n_atoms=1, g=0.01, epsilon=1.0, n_max=3)
-        gen = build_generator(cfg)
-        with pytest.raises(ConvergenceError):
-            steady_state(gen, rho0=initial_state(cfg, "e"),
-                         method="long-time-integration",
-                         residual_tol=1e-12, t_max=0.5)
 
     def test_residual_norm_zero_on_fixed_point(self):
         cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.4, n_max=6)
         gen = build_generator(cfg)
         res = steady_state(gen, residual_tol=1e-10)
         assert residual_norm(gen, res.rho_ss) < 1e-10
+
+    def test_above_cap_fails_even_with_initial_state(self, monkeypatch):
+        # no route is unbounded: a system above the cap fails instead of integrating
+        monkeypatch.setattr(dynamics, "SPARSE_NULLSPACE_MAX_DIM", 8)
+        cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.4, n_max=6)
+        with pytest.raises(ConvergenceError, match="too large"):
+            steady_state(build_generator(cfg), rho0=initial_state(cfg, "e"))
+
+
+@functools.cache
+def _dense_kernel(cfg):
+    """Right and left kernel bases of the generator's dense superoperator (scipy eig)."""
+    L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg)), sparse=False)
+    vals, left, right = la.eig(L, left=True, right=True)
+    kernel = np.abs(vals) < 1e-8
+    assert np.min(np.abs(vals[~kernel])) > 1e-3  # a clear gap: the kernel is unambiguous
+    return right[:, kernel], left[:, kernel]
+
+
+_N3 = SystemConfig(n_atoms=3, g=0.1, epsilon=1.0, n_max=3)
+_DETUNED_DARK = SystemConfig(n_atoms=2, g=0.1, n_th=0.0, delta_atom=0.8, n_max=4,
+                             frame="thermal")
+
+
+class TestKernelProjection:
+    """Degenerate kernels: the steady state is rho0 projected onto ker L along range L."""
+
+    @pytest.mark.parametrize("cfg, atoms, kernel_dim", [
+        (_N3, "egg", 5), (_N3, "ggg", 5), (_N3, "eee", 5),
+        # the dark |gg, 0> - |S, 0> coherences rotate at +-0.8i: not in the kernel
+        (_DETUNED_DARK, "eg", 2),
+    ], ids=["N3-egg", "N3-ggg", "N3-eee", "thermal-detuned"])
+    def test_matches_dense_biorthogonal_projection(self, cfg, atoms, kernel_dim):
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
+        res = steady_state(gen, rho0=rho0, residual_tol=1e-12)
+        assert res.method == "kernel-projection"
+        R, Lam = _dense_kernel(cfg)
+        assert res.kernel_dim == R.shape[1] == kernel_dim
+        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+        d = cfg.layout().dim
+        assert np.max(np.abs(res.rho_ss.matrix - x.reshape(d, d))) < 1e-10
+
+    @pytest.mark.parametrize("cfg, atoms", [(_N3, "egg"), (_DETUNED_DARK, "eg")],
+                             ids=["N3-egg", "thermal-detuned"])
+    def test_matches_late_time_evolution(self, cfg, atoms):
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
+        late = evolve(gen, rho0, [0.0, 3000.0], tol=1e-11).states[-1]
+        res = steady_state(gen, rho0=rho0)
+        assert np.max(np.abs(res.rho_ss.matrix - late.matrix)) < 1e-10

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from drivencavity.correlations import XStateError
+from drivencavity.correlations import XStateError, correlation_report
+from drivencavity.hilbert import DensityMatrix, HilbertLayout
 from drivencavity.model import SystemConfig
 from drivencavity.scenarios import (
     OutputTable,
     ScenarioConfigError,
     atoms_pattern,
     choose_truncation,
-    default_t_max,
     load_config,
     log_grid,
     parse_float_list,
@@ -109,11 +109,6 @@ class TestHelpers:
         assert lo == 1.0 and np.isclose(hi, 1e4)
         lo, hi = window_report(SystemConfig(n_atoms=2, g=1.0))
         assert hi <= lo  # no semiclassical regime at strong coupling
-
-    def test_default_t_max_scales_with_relaxation(self):
-        slow = default_t_max(SystemConfig(n_atoms=2, g=0.01))
-        fast = default_t_max(SystemConfig(n_atoms=2, g=0.1))
-        assert np.isclose(slow / fast, 100.0)
 
 
 class TestOutputTable:
@@ -263,6 +258,16 @@ class TestScenarioRuns:
         assert "qd" in table.columns and "n_bar" in table.columns
         assert len(table.rows) == 1
 
+    @pytest.mark.parametrize("atoms", ["egg", "ggg", "eee"])
+    def test_custom_steady_three_atoms(self, atoms):
+        # N = 3 has a five-dimensional kernel: the kernel projection finishes the point
+        cfg = load_config(None, ["scenario=custom", "custom_mode=steady", "n_atoms=3",
+                                 "g=0.1", "n_max=3", f"initial_atoms={atoms}"])
+        table = run_scenario(cfg)
+        assert table.failures == []
+        assert len(table.rows) == 1
+        assert table.column("residual")[0] < 1e-12
+
     def test_custom_evolve(self):
         cfg = load_config(None, ["scenario=custom", "custom_mode=evolve",
                                  "g=0.1", "epsilon=1.0", "t_hi=10",
@@ -358,6 +363,22 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bad_point_rejected_before_any_solve(self, capsys, monkeypatch):
+        # every point's system is checked before the first point is solved
+        solved = []
+        solve = scenarios.scenario_steady_state
+
+        def counting(cfg, *a, **kw):
+            solved.append(cfg)
+            return solve(cfg, *a, **kw)
+
+        monkeypatch.setattr(scenarios, "scenario_steady_state", counting)
+        code = cli.main(["fig2-sweep", "--set", "g_list=0.1,-0.1", "--set", "initial_list=e-g",
+                         "--set", "sweep_param=epsilon", "--set", "sweep_values=0.5,1,2,5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert solved == []
+
     def test_cli_flag_equivalent_to_set(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["custom", "--set", "custom_mode=steady", "--set", "n_max=4",
@@ -392,3 +413,37 @@ class TestCli:
     def test_window_degenerate_warning(self, capsys):
         assert cli.main(["window", "--set", "g=2.0"]) == 0
         assert "degenerate" in capsys.readouterr().out
+
+
+def _gibbs_pair(n_th: float, singlet_weight: float) -> DensityMatrix:
+    """Atomic state of the thermal-frame steady state, in closed form.
+
+    H conserves the excitation number N = a^dag a + S_z + 1, and the
+    reservoir's rates n_th + 1 and n_th balance exp(-beta N) with
+    exp(-beta) = n_th / (n_th + 1), so the triplet sector relaxes to that Gibbs
+    state at any g, delta_atom and truncation: its atomic marginal weighs |gg>,
+    |T0> and |ee> as 1 : x : x^2.  The singlet keeps its weight.
+    """
+    x = n_th / (n_th + 1.0)
+    s2 = 1.0 / math.sqrt(2.0)
+    kets = np.array([[0, 0, 0, 1], [0, s2, s2, 0], [1, 0, 0, 0]], dtype=complex)  # gg, T0, ee
+    singlet = np.array([0, s2, -s2, 0], dtype=complex)
+    p = np.array([1.0, x, x * x]) / (1.0 + x + x * x)
+    m = (1.0 - singlet_weight) * np.einsum("k,ki,kj->ij", p, kets, kets.conj())
+    m += singlet_weight * np.outer(singlet, singlet.conj())
+    return DensityMatrix.from_matrix(HilbertLayout(atom_count=2), m)
+
+
+@pytest.mark.parametrize("g, delta_atom", [(0.1, 0.0), (0.3, 0.8)])
+def test_fig3_rows_match_gibbs_closed_form(g, delta_atom):
+    table = run_scenario(load_config(None, [
+        "scenario=fig3-thermal", f"g={g}", f"delta_atom={delta_atom}", "sweep_param=n_th",
+        "sweep_values=0,0.5,2", "initial_list=e-g,g-g"]))
+    assert table.failures == []
+    assert len(table.rows) == 6
+    weights = {1.0: 0.5, 0.0: 0.0}   # singlet weight of e-g and g-g, by initial_code
+    for row in table.rows:
+        n_th, code, qd, eof = row[:4]
+        rep = correlation_report(_gibbs_pair(n_th, weights[code]))
+        assert abs(qd - rep.qd) < 1e-10
+        assert abs(eof - rep.eof) < 1e-10
