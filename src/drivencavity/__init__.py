@@ -32,6 +32,7 @@ from .dynamics import (  # noqa: F401
     Trajectory,
     evolve,
     evolve_spectral,
+    propagate,
     steady_state,
 )
 from .correlations import (  # noqa: F401

@@ -256,13 +256,12 @@ class CorrelationReport:
     x_structure_violation: float
 
 
-def correlation_report(rho_ab: DensityMatrix, x_tol: float = 1e-6,
-                       oracle_grid: int = 64) -> CorrelationReport:
+def correlation_report(rho_ab: DensityMatrix) -> CorrelationReport:
     """All two-atom functionals for one state.
 
-    Uses the analytic X-state formulas when the state has X form with balanced
-    cross populations, the brute-force minimization and the general Wootters
-    concurrence otherwise.
+    Uses the analytic X-state formulas when the state has X form and balanced
+    cross populations (both within 1e-6), the brute-force minimization and the
+    general Wootters concurrence otherwise.
     """
     if rho_ab.layout != HilbertLayout(atom_count=2):
         raise LayoutError("correlation_report expects a two-atom state")
@@ -270,11 +269,11 @@ def correlation_report(rho_ab: DensityMatrix, x_tol: float = 1e-6,
     rho_a = partial_trace(rho_ab, keep=(0,))
     s_a = von_neumann_entropy(rho_a)
     s_ab = von_neumann_entropy(rho_ab)
-    if violation < x_tol and abs(elems.p22 - elems.p33) <= 1e-6:
+    if violation < 1e-6 and abs(elems.p22 - elems.p33) <= 1e-6:
         qd = quantum_discord_x(elems)
         c = concurrence(elems)
     else:
-        qd = quantum_discord_bruteforce(rho_ab, grid_density=oracle_grid)
+        qd = quantum_discord_bruteforce(rho_ab)
         c = concurrence_general(rho_ab)
     return CorrelationReport(
         purity=purity(rho_ab), s_a=s_a, s_ab=s_ab, qd=qd,

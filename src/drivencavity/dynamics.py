@@ -6,7 +6,8 @@ the kernel projection each apply one sparse superoperator built once per
 call, and `sectors.coherence_block_gap` builds its singlet-triplet block with
 it (`model.apply_generator` stays as the independent dense reference).
 Spectral propagation restricts it to the initial state's invariant subspace
-and writes it in orthonormal Hermitian coordinates, where it is real.
+and writes it in orthonormal Hermitian coordinates, where it is real;
+`propagate` takes that route while the subspace is small, and RK otherwise.
 
 One steady-state solver, no time integration: one sparse LU factorization of
 the trace-constrained Liouvillian at every dimension, whose condition estimate
@@ -29,7 +30,7 @@ from .hilbert import DensityMatrix, HermiticityError, LayoutError, TOL_POS
 from .model import Generator, apply_generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
-SPECTRAL_MAX_DIM = 64               # largest layout dim for evolve_spectral (eig runs on a subspace)
+SPECTRAL_MAX_SUPPORT = 64           # largest invariant-support dim k for evolve_spectral (k^2 x k^2 eig)
 _KERNEL_REL_TOL = 1e-10             # relative size of a kernel eigenvalue; 1 / max condition
 _SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
 _DENSE_KERNEL_MAX = 64              # up to this many rows a kernel comes from dense eig
@@ -206,8 +207,7 @@ def _hermitian_coordinates(k: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
 
 
-def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
-                    pos_tol: float = 1e-7) -> Trajectory:
+def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     """Propagate by eigendecomposition of the Liouvillian on rho0's invariant subspace.
 
     The state never leaves the smallest subspace S that holds range(rho0) and
@@ -223,15 +223,11 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     eigenbasis is too ill-conditioned and raises EvolutionError.  The
     1-norm condition estimate of the eigenvector matrix and dim(S) are kept
     in the stats.  Each state is embedded back as V X V^dag and checked on
-    the full space.  Limited to layout dimensions up to SPECTRAL_MAX_DIM.
+    the full space.  Limited to supports of dimension up to
+    SPECTRAL_MAX_SUPPORT, checked before anything dense is assembled.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
-    dim = gen.layout.dim
-    if dim > SPECTRAL_MAX_DIM:
-        raise ValueError(
-            f"dimension {dim} exceeds SPECTRAL_MAX_DIM = {SPECTRAL_MAX_DIM}; use evolve()"
-        )
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing 1-D sequence")
@@ -240,6 +236,9 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
     V = _invariant_support(H, dissipators, rho0.matrix)
     Vd = V.conj().T
     k = V.shape[1]
+    if k > SPECTRAL_MAX_SUPPORT:
+        raise ValueError(f"invariant support of dimension {k} exceeds "
+                         f"SPECTRAL_MAX_SUPPORT = {SPECTRAL_MAX_SUPPORT}; use evolve()")
     T = _hermitian_coordinates(k)
     Td = T.conj().T
     L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators],
@@ -270,10 +269,23 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid,
                 f"drift {drift:.2e} (ill-conditioned eigenbasis)"
             )
         m = m / np.trace(m).real
-        states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_tol))
+        states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=1e-7))
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(m))))
     stats.min_eigenvalue = float(min_eig)
     return Trajectory(times=t_grid, states=states, stats=stats)
+
+
+def propagate(gen: Generator, rho0: DensityMatrix, t_grid, tol: float) -> Trajectory:
+    """rho(t) on t_grid by the route the invariant support of rho0 affords.
+
+    The cost of `evolve_spectral` is set by the dimension k of that support,
+    not by the layout: up to SPECTRAL_MAX_SUPPORT it propagates spectrally
+    (any grid, long ones for free), above it `evolve` integrates at tol.
+    """
+    k = _invariant_support(*_gen_matrices(gen), rho0.matrix).shape[1]
+    if k <= SPECTRAL_MAX_SUPPORT:
+        return evolve_spectral(gen, rho0, t_grid)
+    return evolve(gen, rho0, t_grid, tol=tol)
 
 
 def liouvillian_matrix_raw(H, dissipators, sparse: bool = True, right=None):

@@ -28,11 +28,9 @@ from .model import (
     initial_state,
 )
 from .dynamics import (
-    SPECTRAL_MAX_DIM,
     ConvergenceError,
     EvolutionError,
-    evolve,
-    evolve_spectral,
+    propagate,
     residual_norm,
     steady_state,
 )
@@ -239,13 +237,6 @@ def empty_cavity_field(cfg: SystemConfig):
     return "vacuum"
 
 
-def _evolve_dispatch(gen, rho0, t_eval, tol):
-    """Spectral propagation when affordable (long grids for free), RK otherwise."""
-    if gen.layout.dim <= SPECTRAL_MAX_DIM:
-        return evolve_spectral(gen, rho0, t_eval)
-    return evolve(gen, rho0, t_eval, tol=tol)
-
-
 def scenario_steady_state(cfg: SystemConfig, atoms_init,
                           residual_tol: float = 1e-9) -> DensityMatrix:
     """Steady state reached from atoms (x) frame-appropriate field initial state.
@@ -272,64 +263,55 @@ def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:
 
 def _probe_observables(cfg: SystemConfig, rho: DensityMatrix) -> np.ndarray:
     """Probe observables for the truncation harness: QD, EoF, n_bar."""
-    pair = atomic_reduction(rho) if cfg.n_atoms == 2 else None
+    qd = ent = 0.0
     if cfg.n_atoms == 2:
-        rep = correlation_report(pair)
+        rep = correlation_report(atomic_reduction(rho))
         qd, ent = rep.qd, rep.eof
-    else:
-        qd = ent = 0.0
-    layout = rho.layout
-    stats = field_statistics(partial_trace(rho, keep=(0,))) if layout.has_field else None
-    n_bar = stats.n_bar if stats else 0.0
+    n_bar = field_statistics(partial_trace(rho, keep=(0,))).n_bar if rho.layout.has_field else 0.0
     return np.array([qd, ent, n_bar])
 
 
-def _thermal_tail_start(n_th: float, tail: float = 1e-6) -> int:
-    """Smallest truncation whose thermal occupancy tail mass is below `tail`."""
-    if n_th <= 0:
-        return 2
-    return max(2, int(math.ceil(math.log(tail) / math.log(n_th / (n_th + 1.0)))))
+def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
+    """(config at the smallest n_max whose doubling moves every probe observable
+    by < tol, the state `solve(config)` gave there).
+
+    Probing doubles n_max up to 256 from 4, or in the thermal frame from
+    where the thermal occupancy tail drops below 10 tol.
+    """
+    n = 4
+    if cfg.frame == "thermal":
+        n = 2 if cfg.n_th <= 0 else max(
+            2, math.ceil(math.log(10.0 * tol) / math.log(cfg.n_th / (cfg.n_th + 1.0))))
+
+    def probe(n_max):
+        c = replace(cfg, n_max=n_max)
+        rho = solve(c)
+        return (c, rho), _probe_observables(c, rho)
+
+    chosen, current = probe(n)
+    while n <= 256:
+        doubled, observed = probe(2 * n)
+        if np.max(np.abs(observed - current)) < tol:
+            return chosen
+        n, chosen, current = 2 * n, doubled, observed
+    raise TruncationError("observables not converged in n_max up to 256")
 
 
-def choose_truncation(cfg: SystemConfig, probe_observables=None, tol: float = 1e-6,
-                      start: int | None = None, n_limit: int = 256) -> int:
-    """Smallest n_max whose doubling moves every probe observable by < tol."""
-    if probe_observables is None:
-        def probe_observables(c):
-            return _probe_observables(c, scenario_steady_state(c, "g" * c.n_atoms))
-    if start is None:
-        start = _thermal_tail_start(cfg.n_th, tail=10.0 * tol) if cfg.frame == "thermal" else 4
-    n = max(2, start)
-    current = probe_observables(replace(cfg, n_max=n))
-    while n <= n_limit:
-        doubled = probe_observables(replace(cfg, n_max=2 * n))
-        if np.max(np.abs(doubled - current)) < tol:
-            return n
-        n, current = 2 * n, doubled
-    raise TruncationError(f"observables not converged in n_max up to {n_limit}")
+def _steady_solver(scfg: ScenarioConfig, atoms_init):
+    return lambda c: scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol)
 
 
 def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
     """(config at the resolved n_max, steady state there, its residual).
 
-    n_max is scfg.n_max when set; otherwise the truncation harness chooses it,
-    and the state its probe solved at the chosen n_max is the point's state.
+    n_max is scfg.n_max when set; otherwise `choose_truncation` chooses it.
     A layout with no field has nothing to truncate.
     """
-    def solve(c):
-        return scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol)
-
+    solve = _steady_solver(scfg, atoms_init)
     if scfg.n_max > 0 or not sys_cfg.layout().has_field:
         cfg, rho = sys_cfg, solve(sys_cfg)
     else:
-        solved = {}
-
-        def probe(c):
-            solved[c.n_max] = solve(c)
-            return _probe_observables(c, solved[c.n_max])
-
-        n_max = choose_truncation(sys_cfg, probe_observables=probe, tol=scfg.truncation_tol)
-        cfg, rho = replace(sys_cfg, n_max=n_max), solved[n_max]
+        cfg, rho = choose_truncation(sys_cfg, solve, scfg.truncation_tol)
     return cfg, rho, residual_norm(build_generator(cfg), rho)
 
 
@@ -372,36 +354,37 @@ def _sweep(scfg: ScenarioConfig, columns: list, points: list, solve, notes=()) -
     return table
 
 
-def run_fig1(scfg: ScenarioConfig, which: str = "all") -> OutputTable:
-    """Time evolution from all-excited atoms: purity for N = 1..3, QD/EoF for N = 2."""
+def run_fig1(scfg: ScenarioConfig, which: str) -> OutputTable:
+    """Time evolution from all-excited atoms: purity for N = 1..3, or QD/EoF for N = 2.
+
+    One sweep point per N, whose columns are written under `kt` once all
+    points are done; a failed N costs its own columns only.
+    """
     grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
     t_eval = np.concatenate(([0.0], grid))
-    n_list = (1, 2, 3) if which in ("all", "purity") else (2,)
-    want_corr = which in ("all", "correlations")
-    meta = _config_metadata(scfg)
-    columns = ["kt"]
-    data = {"kt": grid}
+    cfgs = {n: scfg.system(n_atoms=n, frame="displaced",
+                           n_max=scfg.n_max if scfg.n_max > 0 else 6)
+            for n in ((1, 2, 3) if which == "purity" else (2,))}
 
-    for n in n_list:
-        sys_cfg = scfg.system(n_atoms=n, frame="displaced",
-                              n_max=scfg.n_max if scfg.n_max > 0 else 6)
-        gen = build_generator(sys_cfg)
-        rho0 = initial_state(sys_cfg, "e" * n, field=empty_cavity_field(sys_cfg))
-        traj = _evolve_dispatch(gen, rho0, t_eval, scfg.integrator_tol)
+    def solve(n):
+        cfg = cfgs[n]
+        rho0 = initial_state(cfg, "e" * n, field=empty_cavity_field(cfg))
+        traj = propagate(build_generator(cfg), rho0, t_eval, scfg.integrator_tol)
         reduced = [atomic_reduction(s) for s in traj.states[1:]]
-        if which in ("all", "purity"):
-            columns.append(f"purity_N{n}")
-            data[f"purity_N{n}"] = [float(np.real(np.trace(r.matrix @ r.matrix)))
-                                    for r in reduced]
-        if n == 2 and want_corr:
+        if which == "purity":
+            cols = [(f"purity_N{n}", [float(np.real(np.trace(r.matrix @ r.matrix)))
+                                      for r in reduced])]
+        else:
             reports = [correlation_report(r) for r in reduced]
-            columns += ["qd_N2", "eof_N2"]
-            data["qd_N2"] = [rep.qd for rep in reports]
-            data["eof_N2"] = [rep.eof for rep in reports]
-        meta.append(f"n_max_used_N{n} = {sys_cfg.n_max}")
+            cols = [("qd_N2", [rep.qd for rep in reports]),
+                    ("eof_N2", [rep.eof for rep in reports])]
+        return cols, [f"n_max_used_N{n} = {cfg.n_max}"]
 
-    rows = [[data[c][k] for c in columns] for k in range(grid.size)]
-    return OutputTable(columns=columns, rows=rows, metadata=meta)
+    table = _sweep(scfg, [], list(cfgs), solve)
+    columns = dict(table.rows)
+    table.columns = ["kt", *columns]
+    table.rows = [list(row) for row in zip(grid, *columns.values())]
+    return table
 
 
 _INIT_CODE = {"e-g": 1.0, "g-g": 0.0, "all-g": 0.0, "all-e": 2.0}
@@ -485,11 +468,12 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
         # an automatic truncation is the one the steady state converges at
         cfg = sys_cfg
         if scfg.n_max == 0 and has_field:
-            cfg = _steady_point(scfg, sys_cfg, pattern)[0]
+            cfg = choose_truncation(sys_cfg, _steady_solver(scfg, pattern),
+                                    scfg.truncation_tol)[0]
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, pattern, field=empty_cavity_field(cfg))
         grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
-        traj = _evolve_dispatch(gen, rho0, np.concatenate(([0.0], grid)), scfg.integrator_tol)
+        traj = propagate(gen, rho0, np.concatenate(([0.0], grid)), scfg.integrator_tol)
         rows = [[t] + observables_row(state, residual_norm(gen, state))
                 for t, state in zip(traj.times[1:], traj.states[1:])]
         return rows, [f"n_max_used = {cfg.n_max}"]

@@ -38,6 +38,7 @@ from drivencavity.dynamics import (
     evolve,
     evolve_spectral,
     liouvillian_matrix_raw,
+    propagate,
     residual_norm,
     steady_state,
     steady_state_raw,
@@ -181,6 +182,30 @@ class TestEvolveSpectral:
         spectral = evolve_spectral(gen, rho0, t)
         rk = evolve(gen, rho0, t, tol=1e-10)
         assert max(trace_distance(a, b) for a, b in zip(spectral.states, rk.states)) <= 1e-7
+
+
+class TestPropagate:
+    # the route follows the dimension k of rho0's invariant support, not the layout
+    def test_small_support_of_large_layout_is_spectral(self):
+        # all-excited atoms stay in the symmetric multiplet: 4 x 9 of the 8 x 9 layout
+        cfg = SystemConfig(n_atoms=3, g=0.01, epsilon=1.0, n_max=8)
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eee", field=empty_cavity_field(cfg))
+        assert gen.layout.dim == 72
+        traj = propagate(gen, rho0, [0.0, 1.0, 10.0], tol=1e-9)
+        assert traj.stats.support_dim == 36
+        assert traj.stats.n_rhs_evals == 0
+
+    def test_large_support_is_integrated(self):
+        cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=16)
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field=empty_cavity_field(cfg))
+        assert _invariant_support(*_gen_matrices(gen), rho0.matrix).shape[1] == 68
+        traj = propagate(gen, rho0, [0.0, 0.5], tol=1e-9)
+        assert traj.stats.n_rhs_evals > 0
+        # evolve_spectral itself refuses the support before assembling anything dense
+        with pytest.raises(ValueError, match="SPECTRAL_MAX_SUPPORT"):
+            evolve_spectral(gen, rho0, [0.0, 0.5])
 
 
 class TestRecord:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drivencavity.correlations import XStateError, correlation_report
+from drivencavity.dynamics import EvolutionError
 from drivencavity.hilbert import DensityMatrix, HilbertLayout
 from drivencavity.model import SystemConfig
 from drivencavity.scenarios import (
@@ -16,6 +17,7 @@ from drivencavity.scenarios import (
     log_grid,
     parse_float_list,
     run_scenario,
+    scenario_steady_state,
     window_report,
 )
 from drivencavity import cli, dynamics, scenarios
@@ -151,21 +153,27 @@ class TestOutputTable:
 
 
 class TestChooseTruncation:
+    @staticmethod
+    def chosen_n_max(cfg, tol):
+        chosen, rho = choose_truncation(cfg, lambda c: scenario_steady_state(c, "gg"), tol)
+        assert rho.layout == chosen.layout()  # the state solved at the chosen n_max
+        return chosen.n_max
+
     def test_driven_weak_coupling_needs_few_photons(self):
         # displaced frame keeps the field near vacuum even at strong drive
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, frame="displaced")
-        n = choose_truncation(cfg, tol=1e-6)
+        n = self.chosen_n_max(cfg, tol=1e-6)
         assert n <= 8
 
     def test_thermal_occupancy_forces_large_truncation(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=5.0, frame="thermal")
-        n = choose_truncation(cfg, tol=1e-4)
+        n = self.chosen_n_max(cfg, tol=1e-4)
         assert n >= 30
 
     def test_monotone_in_tolerance(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, frame="thermal")
-        loose = choose_truncation(cfg, tol=1e-3)
-        tight = choose_truncation(cfg, tol=1e-5)
+        loose = self.chosen_n_max(cfg, tol=1e-3)
+        tight = self.chosen_n_max(cfg, tol=1e-5)
         assert tight >= loose
 
 
@@ -353,6 +361,39 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[-2] == "# FAILED point ('steady', 'all-g'): X block has eigenvalue -1.000e-06"
         assert lines[-1].startswith("purity,qd,eof,concurrence")
+
+    def test_failed_fig1_n_costs_its_column(self, tmp_path, capsys, monkeypatch):
+        # propagation at N = 2 raises: N = 1 and 3 keep their columns, sim exits 1
+        propagate = scenarios.propagate
+
+        def n2_fails(gen, rho0, t_grid, tol):
+            if gen.layout.atom_count == 2:
+                raise EvolutionError("integrator failed: step size too small")
+            return propagate(gen, rho0, t_grid, tol)
+
+        monkeypatch.setattr(scenarios, "propagate", n2_fails)
+        out = tmp_path / "fig1.csv"
+        code = cli.main(["fig1-purity", "--set", "t_hi=10", "--set", "points_per_decade=3",
+                         "--out", str(out), "--no-timestamp"])
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert "# FAILED point 2: integrator failed: step size too small" in lines
+        assert "# n_max_used_N1 = 6" in lines and "# n_max_used_N3 = 6" in lines
+        rows = [line for line in lines if not line.startswith("#")]
+        assert rows[0] == "kt,purity_N1,purity_N3"
+        assert len(rows) == 1 + log_grid(0.1, 10, 3).size
+        assert "1 sweep point(s) failed" in capsys.readouterr().err
+
+    def test_fig1_workers_deterministic(self, tmp_path):
+        tables = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"fig1-{workers}.csv"
+            assert cli.main(["fig1-purity", "--set", "t_hi=10", "--set", "points_per_decade=3",
+                             "--workers", workers, "--out", str(out), "--no-timestamp"]) == 0
+            tables[workers] = out.read_text().splitlines()
+        differ = [(a, b) for a, b in zip(tables["1"], tables["2"]) if a != b]
+        assert differ == [("# workers = 1", "# workers = 2")]
+        assert len(tables["1"]) == len(tables["2"])
 
     @pytest.mark.parametrize("argv", [
         ["custom", "--set", "frame=thermal", "--set", "epsilon=1"],
