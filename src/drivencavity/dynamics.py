@@ -3,17 +3,21 @@
 The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
 Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
 the kernel projection each apply one sparse superoperator built once per
-call, and `sectors.coherence_block_gap` builds its singlet-triplet block with
-it (`model.apply_generator` stays as the independent dense reference).
+call (`model.apply_generator` stays as the independent dense reference).
 Spectral propagation restricts it to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
 
-One steady-state solver, no time integration: one sparse LU factorization of
-the trace-constrained Liouvillian at every dimension, whose condition estimate
-tells a unique fixed point from a degenerate manifold.  On a degenerate one
-the caller's initial state is projected onto the kernel along the range of the
-generator, which is the state it relaxes to; without one no state is picked.
+One steady-state solver, no time integration, block by block.  The Hilbert
+space splits into the components that H and the jumps never connect, and the
+Liouvillian on the ones the initial state touches splits again into the
+blocks its sparsity pattern decouples (a conserved singlet, a weak U(1)
+charge difference), found without symmetry labels.  A block with diagonal
+entries gets one sparse LU of its trace-constrained Liouvillian, whose
+condition estimate tells a unique fixed point from a degenerate manifold; a
+block of coherences is dropped once its gap (`coherence_block_gap`) shows it
+decays.  Otherwise the initial state's part is projected onto the block's
+kernel along its range, which is the state it relaxes to.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 
 from .hilbert import DensityMatrix, HermiticityError, LayoutError, TOL_POS
 from .model import Generator, apply_generator
@@ -33,7 +38,8 @@ SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
 SPECTRAL_MAX_SUPPORT = 64           # largest invariant-support dim k for evolve_spectral (k^2 x k^2 eig)
 _KERNEL_REL_TOL = 1e-10             # relative size of a kernel eigenvalue; 1 / max condition
 _SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
-_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel comes from dense eig
+_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel or gap comes from dense eig
+_COHERENCE_GAP_MIN = 1e-8           # a coherence block with a smaller gap is projected, not dropped
 
 
 class EvolutionError(RuntimeError):
@@ -46,6 +52,10 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateSteadyStateError(ConvergenceError):
     """The generator has a multi-dimensional fixed-point manifold."""
+
+
+class SupportTooLargeError(ValueError):
+    """The invariant support exceeds SPECTRAL_MAX_SUPPORT: integrate with evolve()."""
 
 
 @dataclass
@@ -71,7 +81,7 @@ class Trajectory:
 class SteadyStateResult:
     rho_ss: DensityMatrix
     residual: float
-    kernel_dim: int   # kernel dimension on the entries rho0 reaches; 1 for a unique fixed point
+    kernel_dim: int   # summed over the blocks rho0 touches; 1 per block with a unique fixed point
     method: str
 
 
@@ -237,8 +247,8 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     Vd = V.conj().T
     k = V.shape[1]
     if k > SPECTRAL_MAX_SUPPORT:
-        raise ValueError(f"invariant support of dimension {k} exceeds "
-                         f"SPECTRAL_MAX_SUPPORT = {SPECTRAL_MAX_SUPPORT}; use evolve()")
+        raise SupportTooLargeError(f"invariant support of dimension {k} exceeds "
+                                   f"SPECTRAL_MAX_SUPPORT = {SPECTRAL_MAX_SUPPORT}; use evolve()")
     T = _hermitian_coordinates(k)
     Td = T.conj().T
     L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators],
@@ -281,21 +291,19 @@ def propagate(gen: Generator, rho0: DensityMatrix, t_grid, tol: float) -> Trajec
     The cost of `evolve_spectral` is set by the dimension k of that support,
     not by the layout: up to SPECTRAL_MAX_SUPPORT it propagates spectrally
     (any grid, long ones for free), above it `evolve` integrates at tol.
+    `evolve_spectral` finds the support and refuses a large one before any
+    dense work, so the support is computed once on either route.
     """
-    k = _invariant_support(*_gen_matrices(gen), rho0.matrix).shape[1]
-    if k <= SPECTRAL_MAX_SUPPORT:
+    try:
         return evolve_spectral(gen, rho0, t_grid)
-    return evolve(gen, rho0, t_grid, tol=tol)
+    except SupportTooLargeError:
+        return evolve(gen, rho0, t_grid, tol=tol)
 
 
-def liouvillian_matrix_raw(H, dissipators, sparse: bool = True, right=None):
+def liouvillian_matrix_raw(H, dissipators, sparse: bool = True):
     """Superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
 
-    dX/dt = -i(H X - X H_r) + sum_k rate_k (2 A_k X B_k^dag - A_k^dag A_k X - X B_k^dag B_k),
-    where right = (H_r, [B_k]) gives each jump (A_k, rate_k) its right-hand
-    operator B_k.  Without it H_r = H and B_k = A_k: the Lindblad generator.
-    With other right-hand operators X is a rectangular block, such as the
-    coherences between two invariant subspaces.
+    dX/dt = -i[H, X] + sum_k rate_k (2 A_k X A_k^dag - A_k^dag A_k X - X A_k^dag A_k).
     """
     kron = sp.kron if sparse else np.kron
 
@@ -303,24 +311,13 @@ def liouvillian_matrix_raw(H, dissipators, sparse: bool = True, right=None):
         M = np.asarray(M, dtype=complex)
         return sp.csr_matrix(M) if sparse else M
 
-    def jump(M):
-        M = mat(M)
-        return M, M.conj().T @ M
-
-    def eye(M):
-        return sp.identity(M.shape[0], format="csr", dtype=complex) if sparse else np.eye(len(M))
-
-    Hl = mat(H)
-    eye_l = eye(Hl)
-    left = [(jump(A), rate) for A, rate in dissipators]
-    if right is None:
-        Hr, eye_r, rights = Hl, eye_l, [A for A, _ in left]
-    else:
-        Hr = mat(right[0])
-        eye_r, rights = eye(Hr), [jump(B) for B in right[1]]
-    L = -1j * (kron(Hl, eye_r) - kron(eye_l, Hr.T))
-    for ((A, AdA), rate), (B, BdB) in zip(left, rights):
-        L = L + rate * (2.0 * kron(A, B.conj()) - kron(AdA, eye_r) - kron(eye_l, BdB.T))
+    H = mat(H)
+    eye = sp.identity(H.shape[0], format="csr", dtype=complex) if sparse else np.eye(len(H))
+    L = -1j * (kron(H, eye) - kron(eye, H.T))
+    for A, rate in dissipators:
+        A = mat(A)
+        AdA = A.conj().T @ A
+        L = L + rate * (2.0 * kron(A, A.conj()) - kron(AdA, eye) - kron(eye, AdA.T))
     return L.tocsr() if sparse else L
 
 
@@ -343,6 +340,25 @@ def inverse_modes(lu, k: int, trans: str = "N"):
                                   dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(lu.shape[0]).astype(complex)
     return spla.eigs(inverse, k=k, which="LM", v0=v0)
+
+
+def coherence_block_gap(L) -> float:
+    """Smallest |eigenvalue| of the sparse Liouvillian block L.
+
+    Dense eigvals up to _DENSE_KERNEL_MAX rows; above, 1/|mu| for the
+    largest-magnitude eigenvalue mu of L's inverse, from one sparse LU and
+    ARPACK, and 0.0 when the factor is exactly singular.  A block of
+    coherences with a strictly positive gap decays, so it holds nothing in
+    the steady state.
+    """
+    if L.shape[0] <= _DENSE_KERNEL_MAX:
+        return float(np.min(np.abs(la.eigvals(L.toarray()))))
+    try:
+        lu = spla.splu(L.tocsc())
+    except RuntimeError:  # exactly singular: a zero mode
+        return 0.0
+    mu, _ = inverse_modes(lu, 1)
+    return float(1.0 / np.abs(mu[0]))
 
 
 def _kernel_bases(L):
@@ -371,82 +387,131 @@ def _kernel_bases(L):
     raise ConvergenceError(f"kernel of dimension >= {k // 2} in {n} entries: too large to search")
 
 
-def _kernel_projection(L, x0: np.ndarray, dim: int):
-    """(state x0 = vec(rho0) relaxes to, kernel dimension) for a degenerate kernel of L.
+def _kernel_projection(L, x0: np.ndarray):
+    """(the part of ker L that x0 relaxes to, kernel dimension) for one block L.
 
     R (Lam^H R)^-1 Lam^H x0 projects onto ker L along range L (Albert & Jiang, PRA 89,
-    022118, 2014), with L restricted to the entries x0 reaches through its nonzeros: L
-    maps them into themselves, and the rest stay exactly zero, not dense round-off.
+    022118, 2014).
     """
-    A, reached = abs(L), x0 != 0
-    while not np.array_equal(grown := reached | (A @ reached > 0), reached):
-        reached = grown
-    idx = np.flatnonzero(reached)
-    R, Lam = _kernel_bases(L[idx][:, idx])
+    R, Lam = _kernel_bases(L)
     if R.shape[1] != Lam.shape[1]:
         raise ConvergenceError(f"left and right kernels differ: {Lam.shape[1]} vs {R.shape[1]}")
+    return R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ x0), R.shape[1]
+
+
+def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
+    """The x with L x = 0 and unit trace sum(x[diag]), by one sparse LU; raises
+    DegenerateSteadyStateError when L has no unique fixed point.
+
+    Trace preservation makes the trace row a left null vector of L, so L with
+    the row of one diagonal entry replaced by it is nonsingular iff the
+    kernel is 1-D.  That is decided from the factor's 1-norm condition
+    estimate, up to 1 / _KERNEL_REL_TOL.
+    """
+    n, r = L.shape[0], diag[0]
+    trace_row = sp.csr_matrix((np.ones(diag.size), (np.full(diag.size, r), diag)), shape=(n, n))
+    keep = np.ones(n)
+    keep[r] = 0.0
+    M = (sp.diags(keep) @ L + trace_row).tocsc()
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:  # exactly singular: degenerate kernel
+        raise DegenerateSteadyStateError(str(exc)) from exc
+
+    def solve(x, trans="N"):
+        y = lu.solve(x, trans=trans)
+        y[np.abs(y) < np.finfo(float).tiny] = 0.0  # onenormest's sign step overflows on subnormals
+        return y
+
+    inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=lambda x: solve(x, "H"),
+                                  dtype=complex)
+    cond = spla.norm(M, 1) * spla.onenormest(inverse)
+    if not cond <= 1.0 / _KERNEL_REL_TOL:
+        raise DegenerateSteadyStateError(
+            f"trace-constrained Liouvillian has condition estimate {cond:.1e}: "
+            "fixed-point manifold is degenerate"
+        )
+    b = np.zeros(n, dtype=complex)
+    b[r] = 1.0
+    return lu.solve(b)
+
+
+def _components(pattern, seeds: np.ndarray) -> list:
+    """Index arrays of the weakly connected components of pattern's graph (an
+    edge per stored entry) that hold one of the seed indices."""
+    _, labels = connected_components(abs(pattern), directed=True, connection="weak")
+    return [np.flatnonzero(labels == c) for c in np.unique(labels[seeds])]
+
+
+def _solve_blocks(L, x0: np.ndarray, d: int):
+    """(steady vec(rho), kernel dimension, route) that x0 = vec(rho0) relaxes to.
+
+    L is a direct sum of the weakly connected components of its pattern; each
+    one x0 touches is solved alone.  A block with diagonal entries has a
+    unique fixed point, scaled by x0's trace on it, when it has one; a block
+    of coherences only decays when its gap is at least _COHERENCE_GAP_MIN.
+    Any other block is projected onto its kernel.
+    """
     x = np.zeros_like(x0)
-    x[idx] = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ x0[idx])
-    return _normalize_kernel_vector(x, dim), R.shape[1]
+    kernel_dim, route = 0, "nullspace"
+    for idx in _components(L, np.flatnonzero(x0)):
+        block = L[idx][:, idx]
+        diag = np.flatnonzero(idx % (d + 1) == 0)
+        if diag.size:
+            try:
+                x[idx] = x0[idx[diag]].sum().real * _unique_fixed_point(block, diag)
+                kernel_dim += 1
+                continue
+            except DegenerateSteadyStateError:
+                pass
+        elif coherence_block_gap(block) >= _COHERENCE_GAP_MIN:
+            continue
+        x[idx], k = _kernel_projection(block, x0[idx])
+        kernel_dim += k
+        route = "kernel-projection"
+    return x, kernel_dim, route
 
 
 def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9):
     """Steady state on raw matrices.  Returns (rho_matrix, residual, kernel_dim, route).
 
-    Route 'nullspace' (kernel_dim 1): one sparse LU of the trace-constrained
-    Liouvillian, for every dim up to SPARSE_NULLSPACE_MAX_DIM; a larger system
-    fails before its superoperator is built.  A degenerate fixed-point manifold
-    (an exactly singular factor, or a condition estimate above
-    1 / _KERNEL_REL_TOL) takes route 'kernel-projection' from rho0, or raises
-    DegenerateSteadyStateError without it.  Either candidate must have a
-    residual within residual_tol.
+    Without rho0 the whole space is one block: route 'nullspace' (kernel_dim
+    1) by one sparse LU of the trace-constrained Liouvillian, or
+    DegenerateSteadyStateError on a degenerate fixed-point manifold.  With
+    rho0 the Hilbert space first splits into the connected components of the
+    pattern of H and every jump; L is built on the ones rho0's rows touch, and
+    `_solve_blocks` solves each block of L that vec(rho0) touches.  kernel_dim
+    is then summed over those blocks, and the route is 'kernel-projection'
+    when any block was projected.  A Hilbert block of more than
+    SPARSE_NULLSPACE_MAX_DIM states fails before any superoperator is built.
+    The candidate must have a residual within residual_tol.
     """
     H = np.asarray(H, dtype=complex)
+    jumps = [(np.asarray(A, dtype=complex), rate) for A, rate in dissipators]
     dim = H.shape[0]
-    if dim > SPARSE_NULLSPACE_MAX_DIM:
-        raise ConvergenceError(f"dimension {dim} too large for the null-space route")
-    L = liouvillian_matrix_raw(H, dissipators)
-
-    def _nullspace():
-        # Trace preservation makes the trace row a left null vector of L, so L
-        # with row 0 replaced by it is nonsingular iff the kernel is 1-D.
-        n = dim * dim
-        trace_row = sp.csr_matrix(
-            (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(0, n, dim + 1))), shape=(n, n))
-        M = (sp.diags(np.r_[0.0, np.ones(n - 1)]) @ L + trace_row).tocsc()
-        try:
-            lu = spla.splu(M)
-        except RuntimeError as exc:  # exactly singular: degenerate kernel
-            raise DegenerateSteadyStateError(str(exc)) from exc
-
-        def solve(x, trans="N"):
-            y = lu.solve(x, trans=trans)
-            y[np.abs(y) < np.finfo(float).tiny] = 0.0  # onenormest's sign step overflows on subnormals
-            return y
-
-        inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=lambda x: solve(x, "H"),
-                                      dtype=complex)
-        cond = spla.norm(M, 1) * spla.onenormest(inverse)
-        if not cond <= 1.0 / _KERNEL_REL_TOL:
-            raise DegenerateSteadyStateError(
-                f"trace-constrained Liouvillian has condition estimate {cond:.1e}: "
-                "fixed-point manifold is degenerate"
-            )
-        b = np.zeros(n, dtype=complex)
-        b[0] = 1.0
-        return _normalize_kernel_vector(lu.solve(b), dim)
-
-    try:
-        m, kernel_dim, route = _nullspace(), 1, "nullspace"
-    except DegenerateSteadyStateError:
-        if rho0 is None:
-            raise
-        m, kernel_dim = _kernel_projection(L, np.asarray(rho0, dtype=complex).ravel(), dim)
-        route = "kernel-projection"
+    blocks = [np.arange(dim)]
+    if rho0 is not None:
+        rho0 = np.asarray(rho0, dtype=complex)
+        pattern = sp.csr_matrix(np.abs(H) + sum(np.abs(A) for A, _ in jumps))
+        blocks = _components(pattern, np.flatnonzero(np.any(rho0 != 0, axis=1)))
+    largest = max(b.size for b in blocks)
+    if largest > SPARSE_NULLSPACE_MAX_DIM:
+        raise ConvergenceError(f"dimension {largest} too large for the null-space route")
+    keep = np.sort(np.concatenate(blocks))
+    sub = np.ix_(keep, keep)
+    d = keep.size
+    L = liouvillian_matrix_raw(H[sub], [(A[sub], rate) for A, rate in jumps])
+    if rho0 is None:
+        x, kernel_dim, route = _unique_fixed_point(L, np.arange(0, d * d, d + 1)), 1, "nullspace"
+    else:
+        x, kernel_dim, route = _solve_blocks(L, rho0[sub].ravel(), d)
+    m = _normalize_kernel_vector(x, d)
     res = float(np.max(np.abs(L @ m.ravel())))
     if res > residual_tol:
         raise ConvergenceError(f"{route} candidate has residual {res:.3e} > {residual_tol:.1e}")
-    return m, res, kernel_dim, route
+    out = np.zeros((dim, dim), dtype=complex)
+    out[sub] = m
+    return out, res, kernel_dim, route
 
 
 def steady_state(gen: Generator, rho0: DensityMatrix | None = None,

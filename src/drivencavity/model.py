@@ -218,7 +218,7 @@ def build_generator(cfg: SystemConfig) -> Generator:
 
 
 def apply_generator(gen: Generator, rho) -> Operator:
-    """dрho/dt = -i[H, rho] + sum_k rate_k (2 A rho A^dag - A^dag A rho - rho A^dag A)."""
+    """d(rho)/dt = -i[H, rho] + sum_k rate_k (2 A rho A^dag - A^dag A rho - rho A^dag A)."""
     m = rho.matrix if isinstance(rho, (DensityMatrix, Operator)) else np.asarray(rho, dtype=complex)
     layout = gen.layout
     if m.shape != (layout.dim, layout.dim):

@@ -35,7 +35,7 @@ from .dynamics import (
     steady_state,
 )
 from .correlations import XStateError, correlation_report, field_statistics
-from .sectors import SectorError, two_atom_steady_state
+from .sectors import two_atom_steady_state
 
 SCENARIOS = ("fig1-purity", "fig1-correlations", "fig2-sweep", "fig3-thermal", "custom")
 SWEEPABLE = {"fig2-sweep": ("epsilon", "g"), "fig3-thermal": ("n_th",)}
@@ -241,16 +241,14 @@ def scenario_steady_state(cfg: SystemConfig, atoms_init,
                           residual_tol: float = 1e-9) -> DensityMatrix:
     """Steady state reached from atoms (x) frame-appropriate field initial state.
 
-    Two-atom systems go through the singlet/triplet sector solve; everything
-    else through `dynamics.steady_state`.
+    Two atoms are solved in the triplet/singlet basis, where the blocks of
+    the collective generators show in the sparsity pattern; any other N in
+    the product basis.
     """
-    try:
-        return two_atom_steady_state(cfg, atoms_init, residual_tol=residual_tol)
-    except SectorError:  # not two atoms, or a generator the sectors do not split
-        pass
     gen = build_generator(cfg)
     rho0 = initial_state(cfg, atoms_init, field=empty_cavity_field(cfg))
-    return steady_state(gen, rho0, residual_tol=residual_tol).rho_ss
+    solve = two_atom_steady_state if cfg.n_atoms == 2 else steady_state
+    return solve(gen, rho0, residual_tol=residual_tol).rho_ss
 
 
 def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:
@@ -324,8 +322,7 @@ def _map_points(func, points, workers: int):
 
 
 # Numerical failures of one sweep point; they cost that point, not the table.
-_POINT_ERRORS = (TruncationError, ConvergenceError, EvolutionError, StateError, SectorError,
-                 XStateError)
+_POINT_ERRORS = (TruncationError, ConvergenceError, EvolutionError, StateError, XStateError)
 
 
 def _sweep(scfg: ScenarioConfig, columns: list, points: list, solve, notes=()) -> OutputTable:

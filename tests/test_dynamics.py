@@ -26,7 +26,7 @@ from drivencavity.model import (
     initial_state,
     thermal_field_matrix,
 )
-from drivencavity.sectors import _isometries, _restrict
+from drivencavity.sectors import to_two_atom_basis
 from drivencavity import dynamics
 from drivencavity.scenarios import empty_cavity_field
 from drivencavity.dynamics import (
@@ -351,11 +351,13 @@ class TestSteadyState:
         cfg = SystemConfig(n_atoms=1 if sector == "single-atom" else 2,
                            g=0.3, epsilon=0.8, delta=0.2, n_max=5)
         gen = build_generator(cfg)
-        if sector == "single-atom":
-            h, diss = _gen_matrices(gen)
-        else:
-            vt, vs = _isometries(cfg.n_max + 1)
-            h, diss = _restrict(gen, vt if sector == "triplet" else vs)
+        h, diss = _gen_matrices(gen)
+        if sector != "single-atom":
+            # the triplet or the singlet block of the generator in the |T+>, |T0>, |T->, |S> basis
+            states = np.flatnonzero((np.arange(h.shape[0]) % 4 == 3) == (sector == "singlet"))
+            sub = np.ix_(states, states)
+            h = to_two_atom_basis(h)[sub]
+            diss = [(to_two_atom_basis(a)[sub], r) for a, r in diss]
         d = h.shape[0]
         vals, vecs = np.linalg.eig(liouvillian_matrix_raw(h, diss, sparse=False))
         order = np.argsort(np.abs(vals))
