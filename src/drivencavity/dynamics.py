@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 
-from .hilbert import DensityMatrix, HermiticityError, LayoutError, TOL_POS
+from .hilbert import DensityMatrix, LayoutError, TOL_POS
 from .model import Generator, apply_generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
@@ -94,23 +94,16 @@ def residual_norm(gen: Generator, rho) -> float:
     return float(np.max(np.abs(apply_generator(gen, rho).matrix)))
 
 
-def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
-           store_states: bool = True, observables=None) -> Trajectory:
+def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Trajectory:
     """Integrate rho through the requested times with local error control at tol.
 
     DOP853 with rtol = tol and atol = tol * 1e-3; the right-hand side
     is one product L @ vec(rho) with the sparse superoperator L, built once
     per call.  Each state is checked for Hermiticity, unit trace and
     positivity (floor max(TOL_POS, 10 tol)).
-
-    Stores the density matrices unless store_states is False, and, if
-    `observables` (a dict of name -> Hermitian Operator) is given, their
-    expectation values per time in `traj.observables`.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
-    if any(not op.is_hermitian() for op in (observables or {}).values()):
-        raise HermiticityError("observable is not Hermitian")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing 1-D sequence")
@@ -135,7 +128,6 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
         t_times = sol.t
 
     states = []
-    obs_values = {name: [] for name in (observables or {})}
     min_eig = np.inf
     for m in sol_states:
         asym = float(np.max(np.abs(m - m.conj().T)))
@@ -151,19 +143,10 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9,
         if drift > 1e-12:
             m = m / np.trace(m).real
             stats.n_renormalizations += 1
-        state = DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_floor)
+        states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_floor))
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(m))))
-        if observables:
-            for name, op in observables.items():
-                obs_values[name].append(np.trace(op.matrix @ m).real)
-        if store_states:
-            states.append(state)
     stats.min_eigenvalue = float(min_eig)
-
-    traj = Trajectory(times=np.asarray(t_times), states=states, stats=stats)
-    if observables:
-        traj.observables = {name: np.asarray(v) for name, v in obs_values.items()}
-    return traj
+    return Trajectory(times=np.asarray(t_times), states=states, stats=stats)
 
 
 def _invariant_support(H, dissipators, rho0) -> np.ndarray:
@@ -251,8 +234,7 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
                                    f"SPECTRAL_MAX_SUPPORT = {SPECTRAL_MAX_SUPPORT}; use evolve()")
     T = _hermitian_coordinates(k)
     Td = T.conj().T
-    L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators],
-                               sparse=False)
+    L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators]).toarray()
     L = np.ascontiguousarray((Td @ (T.T @ L.T).T).real)  # Re(T^dag L T); frees the complex L
     vals, vecs = np.linalg.eig(L)
     # clip tiny positive real parts (numerical noise) so nothing grows
@@ -300,25 +282,19 @@ def propagate(gen: Generator, rho0: DensityMatrix, t_grid, tol: float) -> Trajec
         return evolve(gen, rho0, t_grid, tol=tol)
 
 
-def liouvillian_matrix_raw(H, dissipators, sparse: bool = True):
-    """Superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
+def liouvillian_matrix_raw(H, dissipators) -> sp.csr_matrix:
+    """Sparse superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
 
     dX/dt = -i[H, X] + sum_k rate_k (2 A_k X A_k^dag - A_k^dag A_k X - X A_k^dag A_k).
     """
-    kron = sp.kron if sparse else np.kron
-
-    def mat(M):
-        M = np.asarray(M, dtype=complex)
-        return sp.csr_matrix(M) if sparse else M
-
-    H = mat(H)
-    eye = sp.identity(H.shape[0], format="csr", dtype=complex) if sparse else np.eye(len(H))
-    L = -1j * (kron(H, eye) - kron(eye, H.T))
+    H = sp.csr_matrix(np.asarray(H, dtype=complex))
+    eye = sp.identity(H.shape[0], format="csr", dtype=complex)
+    L = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
     for A, rate in dissipators:
-        A = mat(A)
+        A = sp.csr_matrix(np.asarray(A, dtype=complex))
         AdA = A.conj().T @ A
-        L = L + rate * (2.0 * kron(A, A.conj()) - kron(AdA, eye) - kron(eye, AdA.T))
-    return L.tocsr() if sparse else L
+        L = L + rate * (2.0 * sp.kron(A, A.conj()) - sp.kron(AdA, eye) - sp.kron(eye, AdA.T))
+    return L.tocsr()
 
 
 def _normalize_kernel_vector(v: np.ndarray, dim: int) -> np.ndarray:

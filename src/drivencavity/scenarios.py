@@ -32,10 +32,9 @@ from .dynamics import (
     EvolutionError,
     propagate,
     residual_norm,
-    steady_state,
 )
 from .correlations import XStateError, correlation_report, field_statistics
-from .sectors import two_atom_steady_state
+from .sectors import two_atom_steady_state  # the collective solve, under its traced name
 
 SCENARIOS = ("fig1-purity", "fig1-correlations", "fig2-sweep", "fig3-thermal", "custom")
 SWEEPABLE = {"fig2-sweep": ("epsilon", "g"), "fig3-thermal": ("n_th",)}
@@ -239,16 +238,11 @@ def empty_cavity_field(cfg: SystemConfig):
 
 def scenario_steady_state(cfg: SystemConfig, atoms_init,
                           residual_tol: float = 1e-9) -> DensityMatrix:
-    """Steady state reached from atoms (x) frame-appropriate field initial state.
-
-    Two atoms are solved in the triplet/singlet basis, where the blocks of
-    the collective generators show in the sparsity pattern; any other N in
-    the product basis.
-    """
+    """Steady state reached from atoms (x) frame-appropriate field initial state,
+    solved block by block in the collective (Dicke) basis for every N."""
     gen = build_generator(cfg)
     rho0 = initial_state(cfg, atoms_init, field=empty_cavity_field(cfg))
-    solve = two_atom_steady_state if cfg.n_atoms == 2 else steady_state
-    return solve(gen, rho0, residual_tol=residual_tol).rho_ss
+    return two_atom_steady_state(gen, rho0, residual_tol=residual_tol).rho_ss
 
 
 def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:

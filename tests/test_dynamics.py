@@ -8,12 +8,8 @@ from scipy.linalg import expm
 
 from drivencavity.hilbert import (
     DensityMatrix,
-    HermiticityError,
-    HilbertLayout,
     annihilation,
     embed,
-    identity,
-    sigma_plus,
     trace_distance,
 )
 from drivencavity.model import (
@@ -26,7 +22,7 @@ from drivencavity.model import (
     initial_state,
     thermal_field_matrix,
 )
-from drivencavity.sectors import to_two_atom_basis
+from drivencavity.sectors import collective_basis, collective_steady_state, to_collective_basis
 from drivencavity import dynamics
 from drivencavity.scenarios import empty_cavity_field
 from drivencavity.dynamics import (
@@ -53,6 +49,11 @@ def number_op(cfg):
     return embed(a.dag() @ a, lay.field_factor(), lay)
 
 
+def mean_photons(cfg, states):
+    nop = number_op(cfg).matrix
+    return np.array([np.trace(nop @ s.matrix).real for s in states])
+
+
 class TestEvolve:
     def test_photon_decay_against_exponential(self):
         # bare cavity: <n>(t) = n0 exp(-2 kappa t)
@@ -60,8 +61,8 @@ class TestEvolve:
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, "g", field=4)
         t = np.linspace(0.0, 3.0, 31)
-        traj = evolve(gen, rho0, t, tol=1e-10, observables={"n": number_op(cfg)})
-        assert np.max(np.abs(traj.observables["n"] - 4.0 * np.exp(-2.0 * t))) < 1e-6
+        traj = evolve(gen, rho0, t, tol=1e-10)
+        assert np.max(np.abs(mean_photons(cfg, traj.states) - 4.0 * np.exp(-2.0 * t))) < 1e-6
 
     def test_undamped_rabi_oscillation(self):
         # H = Omega S+ + h.c. with no dissipator: P_e(t) = sin^2(|Omega| t)
@@ -76,22 +77,17 @@ class TestEvolve:
         assert np.max(np.abs(p_e - np.sin(omega * t) ** 2)) < 1e-6
 
     def test_observable_recording_matches_stored_states(self):
+        # <n>(t) from the stored states against the dense propagator exp(L t)
         cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.5, n_max=4)
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, "g")
         t = np.linspace(0.0, 5.0, 11)
-        nop = number_op(cfg)
-        traj = evolve(gen, rho0, t, tol=1e-9, observables={"n": nop})
-        stored = [np.trace(nop.matrix @ s.matrix).real for s in traj.states]
-        assert np.allclose(traj.observables["n"], stored, atol=1e-12)
-
-    def test_store_states_false_keeps_observables_only(self):
-        cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.5, n_max=4)
-        gen = build_generator(cfg)
-        traj = evolve(gen, initial_state(cfg, "g"), np.linspace(0, 2, 5),
-                      store_states=False, observables={"n": number_op(cfg)})
-        assert traj.states == []
-        assert traj.observables["n"].shape == (5,)
+        traj = evolve(gen, rho0, t, tol=1e-9)
+        L = liouvillian_matrix_raw(*_gen_matrices(gen)).toarray()
+        d = gen.layout.dim
+        exact = [DensityMatrix.from_matrix(cfg.layout(), (expm(L * tk) @ rho0.matrix.ravel())
+                                           .reshape(d, d)) for tk in t]
+        assert np.allclose(mean_photons(cfg, traj.states), mean_photons(cfg, exact), atol=1e-6)
 
     def test_invariants_tracked(self):
         cfg = SystemConfig(n_atoms=2, g=0.3, epsilon=1.0, n_max=5)
@@ -150,7 +146,7 @@ class TestEvolveSpectral:
         V = _invariant_support(*_gen_matrices(gen), rho0.matrix)
         assert V.shape[1] == support_dim
         assert np.max(np.abs(V.conj().T @ V - np.eye(support_dim))) < 1e-12
-        L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=False)
+        L = liouvillian_matrix_raw(*_gen_matrices(gen)).toarray()
         t_grid = [0.0, 1.0, 5.0, 50.0]
         traj = evolve_spectral(gen, rho0, t_grid)
         assert traj.stats.support_dim == support_dim
@@ -208,24 +204,6 @@ class TestPropagate:
             evolve_spectral(gen, rho0, [0.0, 0.5])
 
 
-class TestRecord:
-    # expectation values recorded by evolve(observables=...)
-    def test_rejects_non_hermitian_observable(self):
-        cfg = SystemConfig(n_atoms=1, g=0.1, n_max=2)
-        gen = build_generator(cfg)
-        lay = cfg.layout()
-        sp = embed(sigma_plus(), lay.atom_factor(1), lay)
-        with pytest.raises(HermiticityError):
-            evolve(gen, initial_state(cfg, "g"), [0.0, 1.0], observables={"s+": sp})
-
-    def test_identity_records_unit_trace(self):
-        cfg = SystemConfig(n_atoms=1, g=0.1, epsilon=0.4, n_max=3)
-        gen = build_generator(cfg)
-        traj = evolve(gen, initial_state(cfg, "g"), np.linspace(0, 4, 9),
-                      observables={"1": identity(cfg.layout())})
-        assert np.max(np.abs(traj.observables["1"] - 1.0)) < 1e-10
-
-
 FRAME_CONFIGS = [
     SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3,
                  frame="lab-rotating"),
@@ -247,9 +225,8 @@ class TestLiouvillianMatrix:
         m = a @ a.conj().T
         m /= np.trace(m)
         direct = apply_generator(gen, m).matrix.ravel()
-        for sparse in (False, True):
-            L = liouvillian_matrix_raw(*_gen_matrices(gen), sparse=sparse)
-            assert np.max(np.abs(L @ m.ravel() - direct)) < 1e-12
+        L = liouvillian_matrix_raw(*_gen_matrices(gen))
+        assert np.max(np.abs(L @ m.ravel() - direct)) < 1e-12
 
 
 class TestHermitianCoordinates:
@@ -263,7 +240,7 @@ class TestHermitianCoordinates:
 
     @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
     def test_liouvillian_is_real(self, cfg):
-        L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg)), sparse=False)
+        L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg))).toarray()
         T = _hermitian_coordinates(cfg.layout().dim).toarray()
         assert np.max(np.abs((T.conj().T @ L @ T).imag)) <= 1e-14 * np.max(np.abs(L))
 
@@ -354,12 +331,13 @@ class TestSteadyState:
         h, diss = _gen_matrices(gen)
         if sector != "single-atom":
             # the triplet or the singlet block of the generator in the |T+>, |T0>, |T->, |S> basis
+            B, labels = collective_basis(2)
             states = np.flatnonzero((np.arange(h.shape[0]) % 4 == 3) == (sector == "singlet"))
             sub = np.ix_(states, states)
-            h = to_two_atom_basis(h)[sub]
-            diss = [(to_two_atom_basis(a)[sub], r) for a, r in diss]
+            h = to_collective_basis(h, B, labels)[sub]
+            diss = [(to_collective_basis(a, B, labels)[sub], r) for a, r in diss]
         d = h.shape[0]
-        vals, vecs = np.linalg.eig(liouvillian_matrix_raw(h, diss, sparse=False))
+        vals, vecs = np.linalg.eig(liouvillian_matrix_raw(h, diss).toarray())
         order = np.argsort(np.abs(vals))
         assert np.abs(vals[order[1]]) > 1e-3  # unique fixed point
         dense = vecs[:, order[0]].reshape(d, d)
@@ -386,7 +364,7 @@ class TestSteadyState:
 @functools.cache
 def _dense_kernel(cfg):
     """Right and left kernel bases of the generator's dense superoperator (scipy eig)."""
-    L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg)), sparse=False)
+    L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg))).toarray()
     vals, left, right = la.eig(L, left=True, right=True)
     kernel = np.abs(vals) < 1e-8
     assert np.min(np.abs(vals[~kernel])) > 1e-3  # a clear gap: the kernel is unambiguous
@@ -416,6 +394,10 @@ class TestKernelProjection:
         x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
         d = cfg.layout().dim
         assert np.max(np.abs(res.rho_ss.matrix - x.reshape(d, d))) < 1e-10
+        # the collective basis splits the kernel over the blocks rho0 touches
+        collective = collective_steady_state(gen, rho0, residual_tol=1e-12)
+        assert collective.kernel_dim <= kernel_dim
+        assert np.max(np.abs(collective.rho_ss.matrix - x.reshape(d, d))) < 1e-10
 
     @pytest.mark.parametrize("cfg, atoms", [(_N3, "egg"), (_DETUNED_DARK, "eg")],
                              ids=["N3-egg", "thermal-detuned"])

@@ -266,11 +266,13 @@ class TestScenarioRuns:
         assert "qd" in table.columns and "n_bar" in table.columns
         assert len(table.rows) == 1
 
-    @pytest.mark.parametrize("atoms", ["egg", "ggg", "eee"])
+    @pytest.mark.parametrize("atoms", ["egg", "ggg", "eee", "eggg"])
     def test_custom_steady_three_atoms(self, atoms):
-        # N = 3 has a five-dimensional kernel: the kernel projection finishes the point
-        cfg = load_config(None, ["scenario=custom", "custom_mode=steady", "n_atoms=3",
-                                 "g=0.1", "n_max=3", f"initial_atoms={atoms}"])
+        # N = 3 and 4 have degenerate kernels, one dimension per ordered pair of copies of
+        # a J multiplet: the collective basis solves each copy and coherence block
+        cfg = load_config(None, ["scenario=custom", "custom_mode=steady",
+                                 f"n_atoms={len(atoms)}", "g=0.1", "n_max=3",
+                                 f"initial_atoms={atoms}"])
         table = run_scenario(cfg)
         assert table.failures == []
         assert len(table.rows) == 1

@@ -2,10 +2,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from drivencavity import dynamics
-from drivencavity.hilbert import LayoutError, embed, sigma_minus, sigma_z, trace_distance
-from drivencavity.model import Generator, SystemConfig, build_generator, initial_state
+from drivencavity.hilbert import (
+    HilbertLayout,
+    LayoutError,
+    embed,
+    sigma_minus,
+    sigma_z,
+    trace_distance,
+)
+from drivencavity.model import (
+    Generator,
+    SystemConfig,
+    build_generator,
+    collective_raising,
+    collective_sz,
+    initial_state,
+)
 from drivencavity.dynamics import (
     ConvergenceError,
     _gen_matrices,
@@ -14,9 +29,14 @@ from drivencavity.dynamics import (
     steady_state,
 )
 from drivencavity.scenarios import scenario_steady_state
-from drivencavity.sectors import TWO_ATOM_BASIS, to_two_atom_basis, two_atom_steady_state
+from drivencavity.sectors import collective_basis, collective_steady_state, to_collective_basis
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+TWO_ATOM_BASIS, TWO_ATOM_LABELS = collective_basis(2)
+
+
+def to_two_atom_basis(m):
+    return to_collective_basis(m, TWO_ATOM_BASIS, TWO_ATOM_LABELS)
 
 
 def _singlet_mask(dim):
@@ -58,6 +78,45 @@ def _broken(term):
                          gen.dissipators + ((embed(sigma_minus(), lay.atom_factor(1), lay), 0.5),))
     return Generator(gen.hamiltonian + 0.3 * embed(sigma_z(), lay.atom_factor(1), lay),
                      gen.dissipators)
+
+
+class TestCollectiveBasis:
+    def test_two_atoms_is_triplet_singlet_basis(self):
+        # columns |T+>, |T0>, |T->, |S> in the atomic basis |ee>, |eg>, |ge>, |gg>,
+        # entry for entry: the N = 2 steady states do not move by a bit
+        s = 1.0 / np.sqrt(2.0)
+        expected = np.array([[1, 0, 0, 0], [0, s, 0, s], [0, s, 0, -s], [0, 0, 1, 0]],
+                            dtype=complex)
+        assert np.array_equal(TWO_ATOM_BASIS, expected)
+        assert TWO_ATOM_LABELS.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+    def test_orthonormal_and_invariant_under_collective_operators(self, n_atoms):
+        B, labels = collective_basis(n_atoms)
+        assert np.max(np.abs(B.conj().T @ B - np.eye(2 ** n_atoms))) < 1e-14
+        layout = HilbertLayout(atom_count=n_atoms)
+        mixed = labels[:, None] != labels[None, :]
+        for op in (collective_raising(layout), collective_raising(layout).dag(),
+                   collective_sz(layout)):
+            assert np.max(np.abs((B.conj().T @ op.matrix @ B)[mixed]), initial=0.0) < 1e-14
+
+    @pytest.mark.parametrize("n_atoms, sizes", [(3, [4, 2, 2]), (4, [5, 3, 3, 3, 1, 1])])
+    def test_multiplet_sizes(self, n_atoms, sizes):
+        assert np.bincount(collective_basis(n_atoms)[1]).tolist() == sizes
+
+    def test_four_atoms_match_dense_biorthogonal_projection(self):
+        # a 14-dimensional kernel: one dimension per ordered pair of equal-J copies
+        cfg = SystemConfig(n_atoms=4, g=0.1, epsilon=0.5, frame="effective-atomic")
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eggg")
+        vals, left, right = la.eig(liouvillian_matrix_raw(*_gen_matrices(gen)).toarray(),
+                                   left=True, right=True)
+        kernel = np.abs(vals) < 1e-8
+        assert kernel.sum() == 14 and np.min(np.abs(vals[~kernel])) > 1e-3
+        R, Lam = right[:, kernel], left[:, kernel]
+        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+        res = collective_steady_state(gen, rho0, residual_tol=1e-12)
+        assert np.max(np.abs(res.rho_ss.matrix - x.reshape(16, 16))) < 1e-10
 
 
 class TestRestrict:
@@ -121,14 +180,15 @@ class TestCoherenceBlockGap:
 def _solve(cfg, atoms, field="vacuum", **kw):
     gen = build_generator(cfg)
     rho0 = initial_state(cfg, atoms, field=field)
-    return gen, rho0, two_atom_steady_state(gen, rho0, **kw)
+    return gen, rho0, collective_steady_state(gen, rho0, **kw)
 
 
 class TestTwoAtomSteadyState:
-    def test_rejects_other_atom_numbers(self):
-        cfg = SystemConfig(n_atoms=3, g=0.1, epsilon=1.0, n_max=2)
+    def test_rejects_mismatched_layout(self):
+        gen = build_generator(SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=4))
+        rho0 = initial_state(SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=3), "eg")
         with pytest.raises(LayoutError):
-            _solve(cfg, "egg")
+            collective_steady_state(gen, rho0)
 
     # the oracle is the product basis's kernel projection: the t -> infinity
     # limit of integrating rho0, found without the triplet/singlet basis
@@ -191,7 +251,7 @@ class TestTwoAtomSteadyState:
         gen = _broken(term)
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=3)
         rho0 = initial_state(cfg, "eg")
-        res = two_atom_steady_state(gen, rho0, residual_tol=1e-10)
+        res = collective_steady_state(gen, rho0, residual_tol=1e-10)
         direct = steady_state(gen, rho0, residual_tol=1e-10)
         assert np.max(np.abs(res.rho_ss.matrix - direct.rho_ss.matrix)) < 1e-10
 

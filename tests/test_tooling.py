@@ -46,3 +46,18 @@ def test_traced_fig3_point_checks_every_coherence_gap(tracer):
     assert metrics["dynamics.steady_state_raw.calls"] > 0
     assert metrics["sectors.coherence_block_gap.calls"] > 0
     assert metrics["sectors.coherence_block_gap.unchecked"] == 0
+
+
+def test_traced_three_atom_steady_point_goes_through_the_collective_basis(tracer):
+    # every N reaches the steady solver through sectors, under the traced name
+    scfg = load_config(None, ["scenario=custom", "custom_mode=steady", "n_atoms=3",
+                              "g=0.1", "n_max=3", "initial_atoms=e-g", "timestamp=false"])
+    t = tracer.Tracer()
+    t.install()
+    try:
+        table = t.run_op(0, "custom", run_scenario, scfg)
+    finally:
+        t.uninstall()
+    assert not table.failures
+    metrics = tracer.per_layer_metrics(t, passes=1, wall_s=0.0)
+    assert metrics["sectors.two_atom_steady_state.calls"] > 0
