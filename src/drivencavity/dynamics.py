@@ -426,10 +426,13 @@ def _solve_blocks(L, x0: np.ndarray, d: int):
     one x0 touches is solved alone.  A block with diagonal entries has a
     unique fixed point, scaled by x0's trace on it, when it has one; a block
     of coherences only decays when its gap is at least _COHERENCE_GAP_MIN.
-    Any other block is projected onto its kernel.
+    Any other block is projected onto its kernel.  The index transpose
+    i d + j -> j d + i maps a coherence block onto its Hermitian partner,
+    whose spectrum is the complex conjugate, so the partner's gap is reused.
     """
     x = np.zeros_like(x0)
     kernel_dim, route = 0, "nullspace"
+    gaps = {}  # coherence-block gap by the block's sorted indices
     for idx in _components(L, np.flatnonzero(x0)):
         block = L[idx][:, idx]
         diag = np.flatnonzero(idx % (d + 1) == 0)
@@ -440,8 +443,12 @@ def _solve_blocks(L, x0: np.ndarray, d: int):
                 continue
             except DegenerateSteadyStateError:
                 pass
-        elif coherence_block_gap(block) >= _COHERENCE_GAP_MIN:
-            continue
+        else:
+            gap = gaps.get(np.sort(idx % d * d + idx // d).tobytes())
+            if gap is None:
+                gap = gaps[idx.tobytes()] = coherence_block_gap(block)
+            if gap >= _COHERENCE_GAP_MIN:
+                continue
         x[idx], k = _kernel_projection(block, x0[idx])
         kernel_dim += k
         route = "kernel-projection"

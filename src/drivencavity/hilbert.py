@@ -11,7 +11,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-9
@@ -227,6 +229,37 @@ def coherent_vector(alpha: complex, fock_dim: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian m, from the blocks of its exact-zero pattern.
+
+    A matrix with no zero entry gets one `eigvalsh`, a diagonal one its
+    diagonal's minimum.  Otherwise an index whose row and column are both all
+    zero adds the eigenvalue 0 and is dropped, and each connected component
+    of the pattern (m != 0) | (m != 0).T of the rest gets its own `eigvalsh`,
+    batched over components of equal size: a permuted direct sum has the
+    union of its blocks' spectra.  The symmetric pattern also holds the lower
+    triangle that `eigvalsh` reads.
+    """
+    if m.all():
+        return float(np.linalg.eigvalsh(m)[0])
+    diagonal = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        return float(np.min(diagonal.real))
+    nz = m != 0
+    live = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    if live.size < m.shape[0]:
+        return min(0.0, min_eigenvalue(m[np.ix_(live, live)]))
+    # an undirected search takes every entry as an edge both ways
+    _, labels = connected_components(sp.csr_matrix(nz), directed=False)
+    sizes = np.bincount(labels)[labels]
+    lo = np.inf
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        idx = members[np.argsort(labels[members], kind="stable")].reshape(-1, s)
+        lo = min(lo, float(np.min(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]))))
+    return lo
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state."""
@@ -242,7 +275,7 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > TOL_TRACE:
             raise StateError(f"density matrix trace {tr} deviates from 1")
-        lo = float(np.min(np.linalg.eigvalsh(m)))
+        lo = min_eigenvalue(m)
         if lo < -self.pos_tol:
             raise StateError(f"density matrix has eigenvalue {lo:.3e} below -{self.pos_tol:.1e}")
 

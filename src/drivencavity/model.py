@@ -117,14 +117,19 @@ class Generator:
         return self.hamiltonian.layout
 
 
+def _collective(local: Operator, layout: HilbertLayout) -> Operator:
+    """1_field (x) sum_j local^j: the sum is taken on the 2^N atom space alone."""
+    atoms = HilbertLayout(atom_count=layout.atom_count)
+    total = sum(embed(local, atoms.atom_factor(j), atoms).matrix
+                for j in range(1, layout.atom_count + 1))
+    if layout.has_field:
+        total = np.kron(np.eye(layout.fock_dim), total)
+    return Operator(layout, total)
+
+
 def collective_raising(layout: HilbertLayout) -> Operator:
     """S_+ = (1/sqrt(N)) sum_j sigma_+^j."""
-    n = layout.atom_count
-    total = sum(
-        (embed(sigma_plus(), layout.atom_factor(j), layout) for j in range(2, n + 1)),
-        embed(sigma_plus(), layout.atom_factor(1), layout),
-    )
-    return (1.0 / math.sqrt(n)) * total
+    return (1.0 / math.sqrt(layout.atom_count)) * _collective(sigma_plus(), layout)
 
 
 def collective_lowering(layout: HilbertLayout) -> Operator:
@@ -133,16 +138,25 @@ def collective_lowering(layout: HilbertLayout) -> Operator:
 
 def collective_sz(layout: HilbertLayout) -> Operator:
     """S_z = sum_j sigma_z^j (no 1/sqrt(N))."""
-    n = layout.atom_count
-    return sum(
-        (embed(sigma_z(), layout.atom_factor(j), layout) for j in range(2, n + 1)),
-        embed(sigma_z(), layout.atom_factor(1), layout),
-    )
+    return _collective(sigma_z(), layout)
 
 
 def _field_op(cfg: SystemConfig) -> Operator:
     layout = cfg.layout()
     return embed(annihilation(cfg.n_max), layout.field_factor(), layout)
+
+
+def _number_op(cfg: SystemConfig) -> Operator:
+    """a^dag a, from the field factor alone."""
+    a = annihilation(cfg.n_max).matrix
+    return Operator(cfg.layout(), np.kron(a.conj().T @ a, np.eye(2**cfg.n_atoms)))
+
+
+def _coupling(cfg: SystemConfig) -> Operator:
+    """g sqrt(N) a S_+ = g sqrt(N) (a (x) S_+), from the factors."""
+    sp = collective_raising(HilbertLayout(atom_count=cfg.n_atoms)).matrix
+    return cfg.g * math.sqrt(cfg.n_atoms) * Operator(
+        cfg.layout(), np.kron(annihilation(cfg.n_max).matrix, sp))
 
 
 def _require_frame(cfg: SystemConfig, frame: str):
@@ -157,9 +171,9 @@ def build_rotating_frame(cfg: SystemConfig) -> Generator:
         raise FrameError("lab-rotating frame is the T=0 master equation; use thermal for n_th > 0")
     layout = cfg.layout()
     a = _field_op(cfg)
-    sp = collective_raising(layout)
-    half = cfg.g * math.sqrt(cfg.n_atoms) * (sp @ a) + cfg.epsilon * a
-    h = cfg.delta * (a.dag() @ a) + 0.5 * cfg.delta_atom * collective_sz(layout) + half + half.dag()
+    half = _coupling(cfg) + cfg.epsilon * a
+    h = (cfg.delta * _number_op(cfg) + 0.5 * cfg.delta_atom * collective_sz(layout)
+         + half + half.dag())
     return Generator(h, ((a, 1.0),))
 
 
@@ -172,10 +186,10 @@ def build_displaced(cfg: SystemConfig) -> Generator:
     a = _field_op(cfg)
     sp = collective_raising(layout)
     omega = derived_params(cfg).omega_drive
-    h_jc_half = cfg.g * math.sqrt(cfg.n_atoms) * (a @ sp)
+    h_jc_half = _coupling(cfg)
     h_sc_half = omega * sp
     h = (
-        cfg.delta * (a.dag() @ a)
+        cfg.delta * _number_op(cfg)
         + 0.5 * cfg.delta_atom * collective_sz(layout)
         + h_jc_half + h_jc_half.dag()
         + h_sc_half + h_sc_half.dag()
@@ -199,8 +213,7 @@ def build_thermal(cfg: SystemConfig) -> Generator:
     _require_frame(cfg, "thermal")
     layout = cfg.layout()
     a = _field_op(cfg)
-    sp = collective_raising(layout)
-    half = cfg.g * math.sqrt(cfg.n_atoms) * (sp @ a)
+    half = _coupling(cfg)
     h = 0.5 * cfg.delta_atom * collective_sz(layout) + half + half.dag()
     return Generator(h, ((a, cfg.n_th + 1.0), (a.dag(), cfg.n_th)))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivencavity.hilbert import (
     DensityMatrix,
@@ -15,6 +16,7 @@ from drivencavity.hilbert import (
     fock_vector,
     hermitian_spectrum,
     identity,
+    min_eigenvalue,
     partial_trace,
     partial_trace_matrix,
     sigma_x,
@@ -253,6 +255,77 @@ class TestDensityMatrix:
     def test_random_states_accepted(self):
         for _ in range(20):
             DensityMatrix.from_matrix(HilbertLayout(atom_count=2), random_density(4))
+
+
+def _random_block(r, size, negative):
+    """U diag(w) U^dag with random unitary U; one eigenvalue below zero when negative."""
+    q, _ = np.linalg.qr(r.normal(size=(size, size)) + 1j * r.normal(size=(size, size)))
+    w = r.uniform(0.0, 1.0, size)
+    if negative:
+        w[0] = -r.uniform(1e-6, 1.0)
+    return (q * w) @ q.conj().T
+
+
+def _permuted_direct_sum(r, blocks, n_zero):
+    """The blocks on the diagonal, n_zero zero rows and columns, indices shuffled."""
+    dim = sum(b.shape[0] for b in blocks) + n_zero
+    m = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for b in blocks:
+        m[start:start + b.shape[0], start:start + b.shape[0]] = b
+        start += b.shape[0]
+    perm = r.permutation(dim)
+    return m[np.ix_(perm, perm)]
+
+
+class TestMinEigenvalue:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           negative=st.lists(st.booleans(), min_size=6, max_size=6),
+           n_zero=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_spectrum_on_permuted_direct_sums(self, sizes, negative, n_zero, seed):
+        r = np.random.default_rng(seed)
+        m = _permuted_direct_sum(r, [_random_block(r, s, neg) for s, neg in zip(sizes, negative)],
+                                 n_zero)
+        assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m).min()) <= 1e-12 * np.max(np.abs(m))
+
+    def test_diagonal(self):
+        m = np.diag([0.5, -0.2, 0.7, 0.0]).astype(complex)
+        assert min_eigenvalue(m) == -0.2
+        assert min_eigenvalue(np.diag([0.5, 0.2, 0.3]).astype(complex)) == 0.2
+
+    def test_as_many_entries_as_rows_is_not_diagonal(self):
+        m = np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 1]], dtype=complex)
+        assert min_eigenvalue(m) == pytest.approx(-0.5, abs=1e-15)
+
+    def test_dense(self):
+        m = _random_block(np.random.default_rng(3), 9, negative=True)
+        assert np.all(m != 0)
+        assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m).min()) <= 1e-12 * np.max(np.abs(m))
+
+    def test_zero_row_with_tiny_column_is_kept(self):
+        # eigvalsh reads the lower triangle: column 0 couples index 0 to 1 and 2
+        m = np.zeros((3, 3), dtype=complex)
+        m[1, 0] = m[2, 0] = 1e-12
+        expected = np.linalg.eigvalsh(m).min()
+        assert expected < -1e-12
+        assert abs(min_eigenvalue(m) - expected) <= 1e-24
+
+    def test_all_zero(self):
+        assert min_eigenvalue(np.zeros((4, 4), dtype=complex)) == 0.0
+
+    def test_negative_eigenvalue_in_one_small_block_of_a_large_state_is_rejected(self):
+        r = np.random.default_rng(5)
+        q, _ = np.linalg.qr(r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4)))
+        block = (q * [0.4, 0.3, 0.2, -1e-6]) @ q.conj().T
+        rest = np.full(5, (0.1 + 1e-6) / 5)
+        layout = HilbertLayout(atom_count=2, fock_dim=257)
+        m = _permuted_direct_sum(r, [block] + [np.array([[p]]) for p in rest],
+                                 layout.dim - 9)
+        assert m.shape == (1028, 1028)
+        assert abs(min_eigenvalue(m) + 1e-6) < 1e-12
+        with pytest.raises(StateError, match="eigenvalue"):
+            DensityMatrix.from_matrix(layout, m)
 
 
 def test_trace_distance_orthogonal_pure_states():

@@ -6,12 +6,16 @@ import pytest
 from drivencavity.hilbert import (
     DensityMatrix,
     HilbertLayout,
+    StateError,
     annihilation,
     embed,
     fock_vector,
+    sigma_plus,
+    sigma_z,
 )
 from drivencavity.model import (
     ConfigError,
+    FRAMES,
     FrameError,
     SystemConfig,
     apply_generator,
@@ -221,6 +225,53 @@ class TestThermalBuilder:
         assert np.isclose(gen_th.dissipators[1][1], 0.0)
 
 
+def _embedded_generator(cfg):
+    """(H, [(jump, rate)]) assembled in the full product space: each factor
+    embedded with identities, the field-atom coupling by dense products."""
+    lay = cfg.layout()
+    n = cfg.n_atoms
+
+    def summed(local):
+        ops = [embed(local, lay.atom_factor(j), lay) for j in range(1, n + 1)]
+        return sum(ops[1:], ops[0])
+
+    sp = (1.0 / math.sqrt(n)) * summed(sigma_plus())
+    sz = summed(sigma_z())
+    if cfg.frame == "effective-atomic":
+        p = derived_params(cfg)
+        half = p.omega_drive * sp
+        return half + half.dag(), [(sp.dag(), p.gamma_eff)]
+    a = embed(annihilation(cfg.n_max), lay.field_factor(), lay)
+    jc = cfg.g * math.sqrt(n) * (sp @ a)
+    if cfg.frame == "thermal":
+        h = 0.5 * cfg.delta_atom * sz + jc + jc.dag()
+        return h, [(a, cfg.n_th + 1.0), (a.dag(), cfg.n_th)]
+    if cfg.frame == "lab-rotating":
+        half = jc + cfg.epsilon * a
+        h = cfg.delta * (a.dag() @ a) + 0.5 * cfg.delta_atom * sz + half + half.dag()
+        return h, [(a, 1.0)]
+    jc = cfg.g * math.sqrt(n) * (a @ sp)
+    sc = derived_params(cfg).omega_drive * sp
+    h = cfg.delta * (a.dag() @ a) + 0.5 * cfg.delta_atom * sz + jc + jc.dag() + sc + sc.dag()
+    return h, [(a, 1.0)]
+
+
+class TestBuildFromFactors:
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_matches_embedded_construction_entry_for_entry(self, frame, n_atoms):
+        drive = {"thermal": {"n_th": 0.8}}.get(frame, {"epsilon": 0.7, "delta": 0.2})
+        cfg = SystemConfig(n_atoms=n_atoms, g=0.37, delta_atom=0.3, n_max=6, frame=frame,
+                           **drive)
+        gen = build_generator(cfg)
+        h, jumps = _embedded_generator(cfg)
+        assert np.array_equal(gen.hamiltonian.matrix, h.matrix)
+        assert len(gen.dissipators) == len(jumps)
+        for (jump, rate), (ref, ref_rate) in zip(gen.dissipators, jumps):
+            assert rate == ref_rate
+            assert np.array_equal(jump.matrix, ref.matrix)
+
+
 class TestApplyGenerator:
     def test_trace_preserving_on_random_states(self):
         cfg = SystemConfig(n_atoms=2, g=0.3, epsilon=0.8, delta=0.2, n_max=3)
@@ -289,6 +340,18 @@ class TestInitialState:
         nop = embed(annihilation(cfg.n_max).dag() @ annihilation(cfg.n_max),
                     lay.field_factor(), lay).matrix
         assert abs(np.trace(nop @ rho.matrix) - 1.5**2) < 1e-8
+
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(n_atoms=2, g=0.1, n_th=0.5, n_max=3, frame="thermal"),
+        SystemConfig(n_atoms=2, g=0.1, epsilon=0.5, n_max=3),
+    ], ids=["thermal", "displaced"])
+    @pytest.mark.parametrize("field", [
+        np.diag([1.5, -0.5, 0.0, 0.0]),
+        np.pad([[0.5, 0.8], [0.8, 0.5]], ((0, 2), (0, 2))),  # eigenvalues 1.3, -0.3
+    ], ids=["diagonal", "block"])
+    def test_non_positive_field_matrix_rejected(self, cfg, field):
+        with pytest.raises(StateError, match="eigenvalue"):
+            initial_state(cfg, "eg", field=field)
 
     def test_superposition_normalized(self):
         cfg = SystemConfig(n_atoms=1, g=0.1, n_max=2)

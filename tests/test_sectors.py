@@ -28,7 +28,7 @@ from drivencavity.dynamics import (
     liouvillian_matrix_raw,
     steady_state,
 )
-from drivencavity.scenarios import scenario_steady_state
+from drivencavity.scenarios import empty_cavity_field, scenario_steady_state
 from drivencavity.sectors import collective_basis, collective_steady_state, to_collective_basis
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -175,6 +175,26 @@ class TestCoherenceBlockGap:
         block = coherence_block(build_generator(cfg))
         assert block.shape[0] == 3 * 41 * 41
         assert coherence_block_gap(block) > 0.0
+
+    def test_hermitian_partner_blocks_share_one_gap(self, monkeypatch):
+        # a fig2 point: the blocks of |a><b| and |b><a| have complex-conjugate
+        # spectra, so ten coherence blocks (five partner pairs) need five gaps
+        cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=4)
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field=empty_cavity_field(cfg))
+        sizes = []
+        monkeypatch.setattr(dynamics, "coherence_block_gap",
+                            lambda L: sizes.append(L.shape[0]) or coherence_block_gap(L))
+        res = collective_steady_state(gen, rho0, residual_tol=1e-12)
+        assert sorted(sizes) == [1, 2, 3, 4, 75]
+        # every block decision stands: rho0 projected onto ker L along range L
+        vals, left, right = la.eig(liouvillian_matrix_raw(*_gen_matrices(gen)).toarray(),
+                                   left=True, right=True)
+        kernel = np.abs(vals) < 1e-8
+        assert kernel.sum() == res.kernel_dim == 2 and np.min(np.abs(vals[~kernel])) > 1e-4
+        R, Lam = right[:, kernel], left[:, kernel]
+        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+        assert np.max(np.abs(res.rho_ss.matrix - x.reshape(20, 20))) < 1e-10
 
 
 def _solve(cfg, atoms, field="vacuum", **kw):
