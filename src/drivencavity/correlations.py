@@ -22,6 +22,11 @@ from .hilbert import (
 
 _EIG_CLIP = 1e-9   # spectrum values in [-1e-9, 0) are integrator noise
 _EIG_DROP = 1e-12  # eigenvalues below this contribute nothing to entropy
+# brute-force discord: a coarse grid over the Bloch sphere of the measured
+# qubit, then rounds of a finer local grid around the best point
+_DISCORD_GRID_DENSITY = 64
+_DISCORD_REFINE_ROUNDS = 3
+_DISCORD_REFINE_DENSITY = 8
 
 
 class XStateError(ValueError):
@@ -84,7 +89,7 @@ def _block_eigenvalues(x: XStateElements) -> list:
     return eigs
 
 
-def x_structure(rho_ab: DensityMatrix, tol: float = 1e-6):
+def x_structure(rho_ab: DensityMatrix):
     """Extract X elements and the largest magnitude among forbidden entries.
 
     The violation is data, not an error; callers decide whether the analytic
@@ -171,9 +176,7 @@ def _conditional_entropy(rho_t: np.ndarray, theta: np.ndarray, phi: np.ndarray) 
     return out
 
 
-def quantum_discord_bruteforce(rho_ab: DensityMatrix, grid_density: int = 64,
-                               refine_rounds: int = 3, refine_density: int = 8,
-                               measure: str = "B") -> float:
+def quantum_discord_bruteforce(rho_ab: DensityMatrix, measure: str = "B") -> float:
     """Discord by definition: minimize the measured conditional entropy over
     projective measurements on one qubit (coarse grid plus local refinement)."""
     m = rho_ab.matrix
@@ -190,25 +193,24 @@ def quantum_discord_bruteforce(rho_ab: DensityMatrix, grid_density: int = 64,
     s_meas = _entropy_from_probs(np.linalg.eigvalsh(rho_b))
     s_ab = _entropy_from_probs(np.linalg.eigvalsh(m))
 
-    th = np.linspace(0.0, np.pi, grid_density)
-    ph = np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False)
+    th = np.linspace(0.0, np.pi, _DISCORD_GRID_DENSITY)
+    ph = np.linspace(0.0, 2.0 * np.pi, _DISCORD_GRID_DENSITY, endpoint=False)
     tt, pp = np.meshgrid(th, ph, indexing="ij")
     cond = _conditional_entropy(rho_t, tt.ravel(), pp.ravel())
     best = int(np.argmin(cond))
     best_th, best_ph, best_val = tt.ravel()[best], pp.ravel()[best], cond[best]
 
-    dth = th[1] - th[0] if grid_density > 1 else np.pi
-    dph = ph[1] - ph[0] if grid_density > 1 else np.pi
-    for _ in range(refine_rounds):
-        th_loc = np.linspace(best_th - dth, best_th + dth, refine_density)
-        ph_loc = np.linspace(best_ph - dph, best_ph + dph, refine_density)
+    dth, dph = th[1] - th[0], ph[1] - ph[0]
+    for _ in range(_DISCORD_REFINE_ROUNDS):
+        th_loc = np.linspace(best_th - dth, best_th + dth, _DISCORD_REFINE_DENSITY)
+        ph_loc = np.linspace(best_ph - dph, best_ph + dph, _DISCORD_REFINE_DENSITY)
         tt, pp = np.meshgrid(th_loc, ph_loc, indexing="ij")
         cond = _conditional_entropy(rho_t, tt.ravel(), pp.ravel())
         k = int(np.argmin(cond))
         if cond[k] < best_val:
             best_th, best_ph, best_val = tt.ravel()[k], pp.ravel()[k], cond[k]
-        dth *= 2.0 / (refine_density - 1)
-        dph *= 2.0 / (refine_density - 1)
+        dth *= 2.0 / (_DISCORD_REFINE_DENSITY - 1)
+        dph *= 2.0 / (_DISCORD_REFINE_DENSITY - 1)
 
     qd = s_meas - s_ab + float(best_val)
     return max(qd, 0.0)

@@ -8,16 +8,20 @@ Spectral propagation restricts it to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
 
-One steady-state solver, no time integration, block by block.  The Hilbert
-space splits into the components that H and the jumps never connect, and the
-Liouvillian on the ones the initial state touches splits again into the
-blocks its sparsity pattern decouples (a conserved singlet, a weak U(1)
-charge difference), found without symmetry labels.  A block with diagonal
-entries gets one sparse LU of its trace-constrained Liouvillian, whose
-condition estimate tells a unique fixed point from a degenerate manifold; a
-block of coherences is dropped once its gap (`coherence_block_gap`) shows it
-decays.  Otherwise the initial state's part is projected onto the block's
-kernel along its range, which is the state it relaxes to.
+One steady-state solver, no time integration, block by block.
+`steady_state` works in the collective basis |J, M, copy> of the atoms
+(`hilbert.collective_basis`), where a generator built from S_+/-, S_z is
+block diagonal; `steady_state_raw` solves whatever matrices it is given.
+The Hilbert space splits into the components that H and the jumps never
+connect, and the Liouvillian on the ones the initial state touches splits
+again into the blocks its sparsity pattern decouples (a conserved singlet,
+a weak U(1) charge difference), found without symmetry labels.  A block
+with diagonal entries gets one sparse LU of its trace-constrained
+Liouvillian, whose condition estimate tells a unique fixed point from a
+degenerate manifold; a block of coherences is dropped once its gap
+(`coherence_block_gap`) shows it decays.  Otherwise the initial state's part
+is projected onto the block's kernel along its range, which is the state it
+relaxes to.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 
-from .hilbert import DensityMatrix, LayoutError, TOL_POS
+from .hilbert import (DensityMatrix, LayoutError, TOL_POS, _sandwich, collective_basis,
+                      to_collective_basis)
 from .model import Generator, apply_generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
@@ -128,7 +133,6 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
         t_times = sol.t
 
     states = []
-    min_eig = np.inf
     for m in sol_states:
         asym = float(np.max(np.abs(m - m.conj().T)))
         stats.max_herm_asym = max(stats.max_herm_asym, asym)
@@ -144,8 +148,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
             m = m / np.trace(m).real
             stats.n_renormalizations += 1
         states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_floor))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(m))))
-    stats.min_eigenvalue = float(min_eig)
+    stats.min_eigenvalue = min(s.min_eigenvalue for s in states)
     return Trajectory(times=np.asarray(t_times), states=states, stats=stats)
 
 
@@ -246,7 +249,6 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
 
     stats = IntegratorStats(support_dim=k, eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
     states = []
-    min_eig = np.inf
     for t in t_grid:
         x = vecs @ (np.exp(vals * t) * coeff)
         asym = float(np.max(np.abs(x.imag)) / np.max(np.abs(x)))
@@ -262,8 +264,7 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
             )
         m = m / np.trace(m).real
         states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=1e-7))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(m))))
-    stats.min_eigenvalue = float(min_eig)
+    stats.min_eigenvalue = min(s.min_eigenvalue for s in states)
     return Trajectory(times=t_grid, states=states, stats=stats)
 
 
@@ -499,10 +500,22 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9):
 
 def steady_state(gen: Generator, rho0: DensityMatrix | None = None,
                  residual_tol: float = 1e-9) -> SteadyStateResult:
-    if rho0 is not None and rho0.layout != gen.layout:
+    """Steady state that rho0 relaxes to: H, the jumps and rho0 are rotated into
+    `collective_basis`, solved there by `steady_state_raw` and rotated back.
+
+    A generator that acts on the atoms one by one does not split there, and is
+    solved exactly.  Without rho0 the whole space is one block, degenerate for
+    N >= 2 (the multiplet weights are conserved).
+    """
+    layout = gen.layout
+    if rho0 is not None and rho0.layout != layout:
         raise LayoutError("initial state layout does not match generator layout")
+    B, labels = collective_basis(layout.atom_count)
     m, res, kernel_dim, route = steady_state_raw(
-        *_gen_matrices(gen), rho0=None if rho0 is None else rho0.matrix,
+        to_collective_basis(gen.hamiltonian.matrix, B, labels),
+        [(to_collective_basis(jump.matrix, B, labels), rate) for jump, rate in gen.dissipators],
+        rho0=None if rho0 is None else to_collective_basis(rho0.matrix, B, labels),
         residual_tol=residual_tol)
-    rho = DensityMatrix.from_matrix(gen.layout, m, pos_tol=max(TOL_POS, 100.0 * residual_tol))
+    m = _sandwich(B, m, B.conj().T)
+    rho = DensityMatrix.from_matrix(layout, m, pos_tol=max(TOL_POS, 100.0 * residual_tol))
     return SteadyStateResult(rho_ss=rho, residual=res, kernel_dim=kernel_dim, method=route)

@@ -3,6 +3,10 @@
 Spaces are composed of an optional bosonic (Fock-truncated) factor followed
 by a number of two-level atoms.  The factor order is fixed: field first,
 then atoms 1..N.  All matrices are dense complex arrays.
+
+In the collective (Dicke) basis of the atoms (`collective_basis`) every
+operator built from S_+/-, S_z is block diagonal (Shammah et al., PRA 98,
+063815, 2018).
 """
 
 from __future__ import annotations
@@ -229,6 +233,56 @@ def coherent_vector(alpha: complex, fock_dim: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def collective_basis(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, labels): the columns of B are |J, M, copy> in the product basis of
+    n_atoms atoms, and labels[c] is the multiplet (copy) index of column c.
+
+    A multiplet starts at a computational vector with the vectors already
+    found projected out, taken by level (number of excited atoms) from
+    all-excited down and within a level by index, and runs down from M = J by
+    J- steps.  Columns are normalised only at the end, so for two atoms B is
+    |T+>, |T0>, |T->, |S> entry for entry.
+    """
+    layout = HilbertLayout(atom_count=n_atoms)
+    lower = sum(embed(sigma_minus(), layout.atom_factor(j), layout).matrix.real
+                for j in range(1, n_atoms + 1))
+    excited = n_atoms - np.array([bin(c).count("1") for c in range(2 ** n_atoms)])  # |e> = 0
+    found, sizes = [], []   # unnormalised columns; 2J + 1 per multiplet
+    for c in np.argsort(-excited, kind="stable"):
+        v = np.eye(excited.size)[c]
+        for u in found:
+            v = v - (u @ v) / (u @ u) * u
+        if np.linalg.norm(v) < 1e-8:  # c lies in the span already found
+            continue
+        sizes.append(2 * excited[c] - n_atoms + 1)
+        found.append(v)
+        for _ in range(sizes[-1] - 1):
+            found.append(lower @ found[-1])
+    B = np.array([u / np.linalg.norm(u) for u in found], dtype=complex).T
+    return B, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _sandwich(left: np.ndarray, M: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(1_field (x) left) M (1_field (x) right) for square atomic factors."""
+    a = left.shape[0]
+    nf = M.shape[0] // a
+    return ((left @ M.reshape(nf, a, -1)).reshape(-1, nf, a) @ right).reshape(M.shape)
+
+
+def to_collective_basis(M: np.ndarray, B: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """W^dag M W for W = 1_field (x) B, from `collective_basis`.
+
+    Entries between different multiplets of at most 1e-12 max(1, max|M|) are
+    round-off of the rotation and set to exactly zero, so they do not merge
+    the blocks; larger ones are kept.
+    """
+    out = _sandwich(B.conj().T, M, B)
+    label = labels[np.arange(M.shape[0]) % labels.size]
+    mixed = label[:, None] != label[None, :]
+    out[mixed & (np.abs(out) <= 1e-12 * max(1.0, np.max(np.abs(M))))] = 0.0
+    return out
+
+
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian m, from the blocks of its exact-zero pattern.
 
@@ -266,6 +320,7 @@ class DensityMatrix:
 
     op: Operator
     pos_tol: float = field(default=TOL_POS, compare=False)
+    min_eigenvalue: float = field(init=False, compare=False)  # from the positivity check
 
     def __post_init__(self):
         m = self.op.matrix
@@ -278,6 +333,7 @@ class DensityMatrix:
         lo = min_eigenvalue(m)
         if lo < -self.pos_tol:
             raise StateError(f"density matrix has eigenvalue {lo:.3e} below -{self.pos_tol:.1e}")
+        object.__setattr__(self, "min_eigenvalue", lo)
 
     @property
     def layout(self) -> HilbertLayout:

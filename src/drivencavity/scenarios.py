@@ -34,7 +34,7 @@ from .dynamics import (
     residual_norm,
 )
 from .correlations import XStateError, correlation_report, field_statistics
-from .sectors import two_atom_steady_state  # the collective solve, under its traced name
+from .sectors import two_atom_steady_state  # dynamics.steady_state, under its traced name
 
 SCENARIOS = ("fig1-purity", "fig1-correlations", "fig2-sweep", "fig3-thermal", "custom")
 SWEEPABLE = {"fig2-sweep": ("epsilon", "g"), "fig3-thermal": ("n_th",)}
@@ -152,6 +152,9 @@ def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
             f"scenario {cfg.scenario} sweeps {swept or 'no parameter'}, not {cfg.sweep_param!r}")
     if cfg.sweep_values and not cfg.sweep_param:
         raise ScenarioConfigError("sweep_values given without sweep_param")
+    if cfg.scenario in ("fig2-sweep", "fig3-thermal") and cfg.n_atoms != 2:
+        raise ScenarioConfigError(f"scenario {cfg.scenario} tabulates two-atom QD and EoF: "
+                                  f"n_atoms must be 2, not {cfg.n_atoms}")
     return cfg
 
 
@@ -265,7 +268,7 @@ def _probe_observables(cfg: SystemConfig, rho: DensityMatrix) -> np.ndarray:
 
 def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
     """(config at the smallest n_max whose doubling moves every probe observable
-    by < tol, the state `solve(config)` gave there).
+    by < tol, the state `solve(config)` gave there, its probe observables).
 
     Probing doubles n_max up to 256 from 4, or in the thermal frame from
     where the thermal occupancy tail drops below 10 tol.
@@ -278,14 +281,14 @@ def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
     def probe(n_max):
         c = replace(cfg, n_max=n_max)
         rho = solve(c)
-        return (c, rho), _probe_observables(c, rho)
+        return c, rho, _probe_observables(c, rho)
 
-    chosen, current = probe(n)
+    chosen = probe(n)
     while n <= 256:
-        doubled, observed = probe(2 * n)
-        if np.max(np.abs(observed - current)) < tol:
+        doubled = probe(2 * n)
+        if np.max(np.abs(doubled[2] - chosen[2])) < tol:
             return chosen
-        n, chosen, current = 2 * n, doubled, observed
+        n, chosen = 2 * n, doubled
     raise TruncationError("observables not converged in n_max up to 256")
 
 
@@ -294,17 +297,20 @@ def _steady_solver(scfg: ScenarioConfig, atoms_init):
 
 
 def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
-    """(config at the resolved n_max, steady state there, its residual).
+    """(config at the resolved n_max, steady state there, its probe observables
+    or None, its residual).
 
-    n_max is scfg.n_max when set; otherwise `choose_truncation` chooses it.
-    A layout with no field has nothing to truncate.
+    n_max is scfg.n_max when set; otherwise `choose_truncation` chooses it and
+    hands back the observables it probed there.  A layout with no field has
+    nothing to truncate.  The residual is recomputed from the unrotated
+    generator, independently of the solve.
     """
     solve = _steady_solver(scfg, atoms_init)
     if scfg.n_max > 0 or not sys_cfg.layout().has_field:
-        cfg, rho = sys_cfg, solve(sys_cfg)
+        cfg, rho, observed = sys_cfg, solve(sys_cfg), None
     else:
-        cfg, rho = choose_truncation(sys_cfg, solve, scfg.truncation_tol)
-    return cfg, rho, residual_norm(build_generator(cfg), rho)
+        cfg, rho, observed = choose_truncation(sys_cfg, solve, scfg.truncation_tol)
+    return cfg, rho, observed, residual_norm(build_generator(cfg), rho)
 
 
 def _map_points(func, points, workers: int):
@@ -383,9 +389,10 @@ _INIT_CODE = {"e-g": 1.0, "g-g": 0.0, "all-g": 0.0, "all-e": 2.0}
 
 def _pair_row(scfg: ScenarioConfig, sys_cfg: SystemConfig, init: str) -> list:
     """[QD, EoF, residual, n_max] of one two-atom steady-state point."""
-    cfg, rho, res = _steady_point(scfg, sys_cfg, atoms_pattern(init, scfg.n_atoms))
-    rep = correlation_report(atomic_reduction(rho))
-    return [rep.qd, rep.eof, res, float(cfg.n_max)]
+    cfg, rho, observed, res = _steady_point(scfg, sys_cfg, atoms_pattern(init, scfg.n_atoms))
+    if observed is None:  # a fixed n_max: nothing was probed
+        observed = _probe_observables(cfg, rho)
+    return [float(observed[0]), float(observed[1]), res, float(cfg.n_max)]
 
 
 def run_fig2(scfg: ScenarioConfig) -> OutputTable:
@@ -452,7 +459,7 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
         return row + [res]
 
     def steady(_):
-        cfg, rho, res = _steady_point(scfg, sys_cfg, pattern)
+        cfg, rho, _, res = _steady_point(scfg, sys_cfg, pattern)
         return [observables_row(rho, res)], [f"n_max_used = {cfg.n_max}"]
 
     def evolution(_):

@@ -75,6 +75,12 @@ class TestLoadConfig:
         with pytest.raises(ScenarioConfigError):
             load_config(None, args)
 
+    @pytest.mark.parametrize("scenario", ["fig2-sweep", "fig3-thermal"])
+    @pytest.mark.parametrize("n_atoms", [1, 3])
+    def test_pair_scenarios_need_two_atoms(self, scenario, n_atoms):
+        with pytest.raises(ScenarioConfigError, match="n_atoms must be 2"):
+            load_config(None, [f"scenario={scenario}", f"n_atoms={n_atoms}"])
+
     def test_each_scenario_sweeps_its_parameters(self):
         for scenario, params in [("fig2-sweep", ("epsilon", "g")), ("fig3-thermal", ("n_th",))]:
             for param in params:
@@ -155,8 +161,10 @@ class TestOutputTable:
 class TestChooseTruncation:
     @staticmethod
     def chosen_n_max(cfg, tol):
-        chosen, rho = choose_truncation(cfg, lambda c: scenario_steady_state(c, "gg"), tol)
+        chosen, rho, observed = choose_truncation(
+            cfg, lambda c: scenario_steady_state(c, "gg"), tol)
         assert rho.layout == chosen.layout()  # the state solved at the chosen n_max
+        assert np.array_equal(observed, scenarios._probe_observables(chosen, rho))
         return chosen.n_max
 
     def test_driven_weak_coupling_needs_few_photons(self):
@@ -420,6 +428,19 @@ class TestCli:
                          "--set", "sweep_param=epsilon", "--set", "sweep_values=0.5,1,2,5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert solved == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2-sweep", "--set", "n_atoms=1", "--set", "g_list=0.1", "--set", "initial_list=e-g",
+         "--set", "sweep_param=epsilon", "--set", "sweep_values=0.5"],
+        ["fig3-thermal", "--set", "n_atoms=3", "--set", "nth_list=0.5"],
+    ], ids=["fig2-N1", "fig3-N3"])
+    def test_pair_scenario_with_other_atom_number_exits_2(self, argv, capsys, monkeypatch):
+        # refused before any point is solved, not after all of them
+        solved = []
+        monkeypatch.setattr(scenarios, "scenario_steady_state", lambda *a, **kw: solved.append(a))
+        assert cli.main(argv) == 2
+        assert "n_atoms must be 2" in capsys.readouterr().err
         assert solved == []
 
     def test_cli_flag_equivalent_to_set(self, tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from drivencavity import dynamics, scenarios, sectors
 from drivencavity.scenarios import load_config, run_scenario
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -61,3 +62,14 @@ def test_traced_three_atom_steady_point_goes_through_the_collective_basis(tracer
     assert not table.failures
     metrics = tracer.per_layer_metrics(t, passes=1, wall_s=0.0)
     assert metrics["sectors.two_atom_steady_state.calls"] > 0
+
+
+def test_sectors_binds_what_the_benchmark_reads():
+    # bench/tracer.py wraps two of these and the benchmark's own tests check
+    # the third; each is a dynamics function, and scenarios solves through the alias
+    public = {name for name in vars(sectors) if not name.startswith("_")}
+    assert public == {"two_atom_steady_state", "steady_state_raw", "coherence_block_gap"}
+    assert sectors.two_atom_steady_state is dynamics.steady_state
+    assert scenarios.two_atom_steady_state is dynamics.steady_state
+    assert sectors.steady_state_raw is dynamics.steady_state_raw
+    assert sectors.coherence_block_gap is dynamics.coherence_block_gap
