@@ -3,8 +3,9 @@
 The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
 Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
 the kernel projection each apply one sparse superoperator built once per
-call (`model.apply_generator` stays as the independent dense reference).
-Spectral propagation restricts it to the initial state's invariant subspace
+call.  `residual_norm` applies the generator to a state with sparse H and
+jumps, and `model.apply_generator` stays as the independent dense reference.
+Spectral propagation restricts L to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
 
@@ -12,8 +13,9 @@ One steady-state solver, no time integration, block by block.
 `steady_state` works in the collective basis |J, M, copy> of the atoms
 (`hilbert.collective_basis`), where a generator built from S_+/-, S_z is
 block diagonal; `steady_state_raw` solves whatever matrices it is given.
-The Hilbert space splits into the components that H and the jumps never
-connect, and the Liouvillian on the ones the initial state touches splits
+L is built only on the pairs (i, j) its pattern links to the initial
+state's entries (`_reachable_pairs`), found on a quotient graph of the
+components of pattern(H + sum A^dag A) without building L, and it splits
 again into the blocks its sparsity pattern decouples (a conserved singlet,
 a weak U(1) charge difference), found without symmetry labels.  A block
 with diagonal entries gets one sparse LU of its trace-constrained
@@ -37,7 +39,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .hilbert import (DensityMatrix, LayoutError, TOL_POS, _sandwich, collective_basis,
                       to_collective_basis)
-from .model import Generator, apply_generator
+from .model import Generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
 SPECTRAL_MAX_SUPPORT = 64           # largest invariant-support dim k for evolve_spectral (k^2 x k^2 eig)
@@ -95,8 +97,21 @@ def _gen_matrices(gen: Generator):
 
 
 def residual_norm(gen: Generator, rho) -> float:
-    """Entrywise max of d(rho)/dt."""
-    return float(np.max(np.abs(apply_generator(gen, rho).matrix)))
+    """Entrywise max of d(rho)/dt, from sparse H and jumps times the dense state
+    (`model.apply_generator` is the dense reference).
+
+    Only sparse-times-dense products: m H = (H^T m^T)^T, A m A^dag =
+    A (A m^dag)^dag, A^dag X = conj(A^T conj(X)), m A^dag A = (A^T conj(A m^dag))^T.
+    """
+    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    H = sp.csr_matrix(gen.hamiltonian.matrix)
+    out = -1j * (H @ m - (H.T @ m.T).T)
+    for jump, rate in gen.dissipators:
+        A = sp.csr_matrix(jump.matrix)
+        At = A.T
+        Am, Amh = A @ m, A @ m.conj().T
+        out += rate * (2.0 * (A @ Amh.conj().T) - (At @ Am.conj()).conj() - (At @ Amh.conj()).T)
+    return float(np.max(np.abs(out)))
 
 
 def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Trajectory:
@@ -283,25 +298,68 @@ def propagate(gen: Generator, rho0: DensityMatrix, t_grid, tol: float) -> Trajec
         return evolve(gen, rho0, t_grid, tol=tol)
 
 
-def liouvillian_matrix_raw(H, dissipators) -> sp.csr_matrix:
+def _ragged(counts: np.ndarray):
+    """(owner, offset) of each of sum(counts) items, counts[k] of them owned by k."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+def _kron_on(pairs: np.ndarray, d: int):
+    """kron(X, Y) restricted to the rows and columns `pairs`, sorted vec indices
+    i d + j that hold every pair their rows reach, for d x d sparse X and Y.
+
+    Row (i, j) holds X[i, k] Y[j, l] at column (k, l), in sorted order: each
+    entry is the one product that `sp.kron` stores there.
+    """
+    i, j = np.divmod(pairs, d)
+    position = np.empty(d * d, dtype=np.int32)  # of each vec index in pairs
+    position[pairs] = np.arange(pairs.size)
+
+    def kron(X, Y):
+        X, Y = X.tocsr(), Y.tocsr()
+        X.sort_indices()
+        Y.sort_indices()
+        nx, ny = np.diff(X.indptr)[i], np.diff(Y.indptr)[j]
+        row, t = _ragged(nx * ny)
+        dx, dy = np.divmod(t, ny[row])
+        px, py = X.indptr[i][row] + dx, Y.indptr[j][row] + dy
+        cols = position[X.indices[px] * d + Y.indices[py]]
+        indptr = np.concatenate(([0], np.cumsum(nx * ny)))
+        return sp.csr_matrix((X.data[px] * Y.data[py], cols, indptr), shape=(pairs.size,) * 2)
+
+    return kron
+
+
+def liouvillian_matrix_raw(H, dissipators, pairs=None) -> sp.csr_matrix:
     """Sparse superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
 
     dX/dt = -i[H, X] + sum_k rate_k (2 A_k X A_k^dag - A_k^dag A_k X - X A_k^dag A_k).
+    H and the jumps may be dense or sparse.  With `pairs`, sorted vec indices
+    i d + j that hold every pair their rows reach, each term is built on
+    those rows and columns only (`_kron_on`) and summed in the same order, so
+    L equals the whole L sliced to `pairs`, entry for entry.  The whole L
+    takes `sp.kron`, which is faster there, above all on the dense operators
+    `evolve_spectral` passes.
     """
-    H = sp.csr_matrix(np.asarray(H, dtype=complex))
+    H = sp.csr_matrix(H, dtype=complex)
+    kron = sp.kron if pairs is None else _kron_on(pairs, H.shape[0])
     eye = sp.identity(H.shape[0], format="csr", dtype=complex)
-    L = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
+    L = -1j * (kron(H, eye) - kron(eye, H.T))
     for A, rate in dissipators:
-        A = sp.csr_matrix(np.asarray(A, dtype=complex))
+        A = sp.csr_matrix(A, dtype=complex)
         AdA = A.conj().T @ A
-        L = L + rate * (2.0 * sp.kron(A, A.conj()) - sp.kron(AdA, eye) - sp.kron(eye, AdA.T))
+        L = L + rate * (2.0 * kron(A, A.conj()) - kron(AdA, eye) - kron(eye, AdA.T))
     return L.tocsr()
 
 
-def _normalize_kernel_vector(v: np.ndarray, dim: int) -> np.ndarray:
-    m = v.reshape(dim, dim)
+def _normalize_kernel_vector(x: np.ndarray, pairs: np.ndarray, dim: int) -> np.ndarray:
+    """The dim x dim matrix with x at the vec indices `pairs`, made Hermitian
+    and of unit trace; the trace sums the diagonal entries among `pairs`."""
+    m = np.zeros(dim * dim, dtype=complex)
+    m[pairs] = x
+    m = m.reshape(dim, dim)
     m = 0.5 * (m + m.conj().T)
-    tr = np.trace(m).real
+    tr = m.ravel()[pairs[pairs % (dim + 1) == 0]].sum().real
     if abs(tr) < 1e-10:
         raise DegenerateSteadyStateError("kernel vector is traceless; fixed point not unique")
     return m / tr
@@ -420,8 +478,56 @@ def _components(pattern, seeds: np.ndarray) -> list:
     return [np.flatnonzero(labels == c) for c in np.unique(labels[seeds])]
 
 
-def _solve_blocks(L, x0: np.ndarray, d: int):
-    """(steady vec(rho), kernel dimension, route) that x0 = vec(rho0) relaxes to.
+def _reachable_pairs(H, jumps, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sorted vec indices i d + j that the pattern of the Liouvillian of the CSR
+    H and jumps links to the entries (rows, cols) of rho0, found without
+    building it.
+
+    The states split into the components of pattern(H + sum A^dag A): H's
+    entries, plus a chain through the columns of each row of each A.  A pair
+    of components (a, b) stands for every (i, j) with i in a and j in b; the H
+    and A^dag A terms never leave it.  kron(A, conj A) links (a, b) to
+    (a', b') when A links a to a' and b to b', so the pairs sought are those
+    of the component pairs connected, in that quotient graph, to the ones
+    rho0's entries lie in.
+    """
+    d = H.shape[0]
+    H = H.tocoo()
+    src, dst = [H.row], [H.col]
+    for A, _ in jumps:
+        chain = np.flatnonzero(np.diff(np.repeat(np.arange(d), np.diff(A.indptr))) == 0)
+        src.append(A.indices[chain])
+        dst.append(A.indices[chain + 1])
+    comp = _labels(np.concatenate(src), np.concatenate(dst), d)
+    m = comp.max() + 1
+    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for A, _ in jumps:
+        A = A.tocoo()
+        a, b = np.divmod(np.unique(comp[A.row] * m + comp[A.col]), m)
+        src.append((a[:, None] * m + a).ravel())
+        dst.append((b[:, None] * m + b).ravel())
+    label = _labels(np.concatenate(src), np.concatenate(dst), m * m)
+    hit = np.zeros(label.max() + 1, dtype=bool)
+    hit[label[comp[rows] * m + comp[cols]]] = True
+    a, b = np.divmod(np.flatnonzero(hit[label]), m)
+    # each reached component pair (a, b) holds size[a] size[b] pairs
+    members = np.argsort(comp, kind="stable")
+    size = np.bincount(comp, minlength=m)
+    start = np.cumsum(size) - size
+    node, t = _ragged(size[a] * size[b])
+    da, db = np.divmod(t, size[b][node])
+    return np.sort(members[start[a][node] + da] * d + members[start[b][node] + db])
+
+
+def _labels(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Weakly connected component label of each of n nodes, for edges src -> dst."""
+    graph = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    return connected_components(graph, directed=True, connection="weak")[1]
+
+
+def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, d: int):
+    """(steady vec(rho) on `pairs`, kernel dimension, route) that x0 = vec(rho0)
+    on `pairs` relaxes to; L is the Liouvillian on those vec indices i d + j.
 
     L is a direct sum of the weakly connected components of its pattern; each
     one x0 touches is solved alone.  A block with diagonal entries has a
@@ -433,10 +539,11 @@ def _solve_blocks(L, x0: np.ndarray, d: int):
     """
     x = np.zeros_like(x0)
     kernel_dim, route = 0, "nullspace"
-    gaps = {}  # coherence-block gap by the block's sorted indices
+    gaps = {}  # coherence-block gap by the block's sorted vec indices
     for idx in _components(L, np.flatnonzero(x0)):
         block = L[idx][:, idx]
-        diag = np.flatnonzero(idx % (d + 1) == 0)
+        vec = pairs[idx]
+        diag = np.flatnonzero(vec % (d + 1) == 0)
         if diag.size:
             try:
                 x[idx] = x0[idx[diag]].sum().real * _unique_fixed_point(block, diag)
@@ -445,9 +552,9 @@ def _solve_blocks(L, x0: np.ndarray, d: int):
             except DegenerateSteadyStateError:
                 pass
         else:
-            gap = gaps.get(np.sort(idx % d * d + idx // d).tobytes())
+            gap = gaps.get(np.sort(vec % d * d + vec // d).tobytes())
             if gap is None:
-                gap = gaps[idx.tobytes()] = coherence_block_gap(block)
+                gap = gaps[vec.tobytes()] = coherence_block_gap(block)
             if gap >= _COHERENCE_GAP_MIN:
                 continue
         x[idx], k = _kernel_projection(block, x0[idx])
@@ -462,40 +569,39 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9):
     Without rho0 the whole space is one block: route 'nullspace' (kernel_dim
     1) by one sparse LU of the trace-constrained Liouvillian, or
     DegenerateSteadyStateError on a degenerate fixed-point manifold.  With
-    rho0 the Hilbert space first splits into the connected components of the
-    pattern of H and every jump; L is built on the ones rho0's rows touch, and
-    `_solve_blocks` solves each block of L that vec(rho0) touches.  kernel_dim
-    is then summed over those blocks, and the route is 'kernel-projection'
-    when any block was projected.  A Hilbert block of more than
-    SPARSE_NULLSPACE_MAX_DIM states fails before any superoperator is built.
-    The candidate must have a residual within residual_tol.
+    rho0, L is built only on the pairs (i, j) that its pattern links to
+    vec(rho0) (`_reachable_pairs`), and `_solve_blocks` solves each block of
+    that L which vec(rho0) touches.  kernel_dim is then summed over those
+    blocks, and the route is 'kernel-projection' when any block was
+    projected.  A component of the pattern of H and every jump that rho0's
+    rows touch and that has more than SPARSE_NULLSPACE_MAX_DIM states fails
+    before any superoperator is built.  The candidate must have a residual
+    within residual_tol.
     """
-    H = np.asarray(H, dtype=complex)
-    jumps = [(np.asarray(A, dtype=complex), rate) for A, rate in dissipators]
+    H = sp.csr_matrix(H, dtype=complex)
     dim = H.shape[0]
-    blocks = [np.arange(dim)]
+    jumps = [(sp.csr_matrix(A, dtype=complex), rate) for A, rate in dissipators]
+    largest = dim
     if rho0 is not None:
         rho0 = np.asarray(rho0, dtype=complex)
-        pattern = sp.csr_matrix(np.abs(H) + sum(np.abs(A) for A, _ in jumps))
-        blocks = _components(pattern, np.flatnonzero(np.any(rho0 != 0, axis=1)))
-    largest = max(b.size for b in blocks)
+        rows, cols = np.nonzero(rho0 != 0)
+        pattern = abs(H) + sum(abs(A) for A, _ in jumps)
+        largest = max(b.size for b in _components(pattern, rows))
     if largest > SPARSE_NULLSPACE_MAX_DIM:
         raise ConvergenceError(f"dimension {largest} too large for the null-space route")
-    keep = np.sort(np.concatenate(blocks))
-    sub = np.ix_(keep, keep)
-    d = keep.size
-    L = liouvillian_matrix_raw(H[sub], [(A[sub], rate) for A, rate in jumps])
     if rho0 is None:
-        x, kernel_dim, route = _unique_fixed_point(L, np.arange(0, d * d, d + 1)), 1, "nullspace"
+        pairs = np.arange(dim * dim)
+        L = liouvillian_matrix_raw(H, jumps)
+        x, kernel_dim, route = _unique_fixed_point(L, pairs[:: dim + 1]), 1, "nullspace"
     else:
-        x, kernel_dim, route = _solve_blocks(L, rho0[sub].ravel(), d)
-    m = _normalize_kernel_vector(x, d)
-    res = float(np.max(np.abs(L @ m.ravel())))
+        pairs = _reachable_pairs(H, jumps, rows, cols)
+        L = liouvillian_matrix_raw(H, jumps, pairs)
+        x, kernel_dim, route = _solve_blocks(L, rho0.ravel()[pairs], pairs, dim)
+    m = _normalize_kernel_vector(x, pairs, dim)
+    res = float(np.max(np.abs(L @ m.ravel()[pairs])))
     if res > residual_tol:
         raise ConvergenceError(f"{route} candidate has residual {res:.3e} > {residual_tol:.1e}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[sub] = m
-    return out, res, kernel_dim, route
+    return m, res, kernel_dim, route
 
 
 def steady_state(gen: Generator, rho0: DensityMatrix | None = None,

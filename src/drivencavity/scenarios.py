@@ -256,19 +256,24 @@ def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:
     return partial_trace(rho, keep=keep)
 
 
-def _probe_observables(cfg: SystemConfig, rho: DensityMatrix) -> np.ndarray:
-    """Probe observables for the truncation harness: QD, EoF, n_bar."""
-    qd = ent = 0.0
-    if cfg.n_atoms == 2:
-        rep = correlation_report(atomic_reduction(rho))
-        qd, ent = rep.qd, rep.eof
+def _pair_report(cfg: SystemConfig, rho: DensityMatrix):
+    """The atom pair's CorrelationReport, or None unless N = 2."""
+    return correlation_report(atomic_reduction(rho)) if cfg.n_atoms == 2 else None
+
+
+def _probe_observables(cfg: SystemConfig, rho: DensityMatrix):
+    """(QD, EoF, n_bar, which the truncation harness compares, the pair's
+    CorrelationReport they come from).  Unless N = 2 the report is None and
+    QD = EoF = 0."""
+    rep = _pair_report(cfg, rho)
     n_bar = field_statistics(partial_trace(rho, keep=(0,))).n_bar if rho.layout.has_field else 0.0
-    return np.array([qd, ent, n_bar])
+    return np.array([rep.qd, rep.eof, n_bar] if rep else [0.0, 0.0, n_bar]), rep
 
 
 def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
     """(config at the smallest n_max whose doubling moves every probe observable
-    by < tol, the state `solve(config)` gave there, its probe observables).
+    by < tol, the state `solve(config)` gave there, its probe observables, the
+    pair's CorrelationReport they come from or None).
 
     Probing doubles n_max up to 256 from 4, or in the thermal frame from
     where the thermal occupancy tail drops below 10 tol.
@@ -281,7 +286,7 @@ def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
     def probe(n_max):
         c = replace(cfg, n_max=n_max)
         rho = solve(c)
-        return c, rho, _probe_observables(c, rho)
+        return (c, rho, *_probe_observables(c, rho))
 
     chosen = probe(n)
     while n <= 256:
@@ -297,20 +302,21 @@ def _steady_solver(scfg: ScenarioConfig, atoms_init):
 
 
 def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
-    """(config at the resolved n_max, steady state there, its probe observables
-    or None, its residual).
+    """(config at the resolved n_max, steady state there, the pair's
+    CorrelationReport or None unless N = 2, its residual).
 
     n_max is scfg.n_max when set; otherwise `choose_truncation` chooses it and
-    hands back the observables it probed there.  A layout with no field has
-    nothing to truncate.  The residual is recomputed from the unrotated
-    generator, independently of the solve.
+    hands back the report it probed there, so each state gets one report.  A
+    layout with no field has nothing to truncate.  The residual is recomputed
+    from the unrotated generator, independently of the solve.
     """
     solve = _steady_solver(scfg, atoms_init)
     if scfg.n_max > 0 or not sys_cfg.layout().has_field:
-        cfg, rho, observed = sys_cfg, solve(sys_cfg), None
+        cfg, rho = sys_cfg, solve(sys_cfg)
+        report = _pair_report(cfg, rho)
     else:
-        cfg, rho, observed = choose_truncation(sys_cfg, solve, scfg.truncation_tol)
-    return cfg, rho, observed, residual_norm(build_generator(cfg), rho)
+        cfg, rho, _, report = choose_truncation(sys_cfg, solve, scfg.truncation_tol)
+    return cfg, rho, report, residual_norm(build_generator(cfg), rho)
 
 
 def _map_points(func, points, workers: int):
@@ -389,10 +395,8 @@ _INIT_CODE = {"e-g": 1.0, "g-g": 0.0, "all-g": 0.0, "all-e": 2.0}
 
 def _pair_row(scfg: ScenarioConfig, sys_cfg: SystemConfig, init: str) -> list:
     """[QD, EoF, residual, n_max] of one two-atom steady-state point."""
-    cfg, rho, observed, res = _steady_point(scfg, sys_cfg, atoms_pattern(init, scfg.n_atoms))
-    if observed is None:  # a fixed n_max: nothing was probed
-        observed = _probe_observables(cfg, rho)
-    return [float(observed[0]), float(observed[1]), res, float(cfg.n_max)]
+    cfg, _, rep, res = _steady_point(scfg, sys_cfg, atoms_pattern(init, scfg.n_atoms))
+    return [float(rep.qd), float(rep.eof), res, float(cfg.n_max)]
 
 
 def run_fig2(scfg: ScenarioConfig) -> OutputTable:
@@ -444,12 +448,13 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
     sys_cfg = scfg.system()
     has_field = sys_cfg.layout().has_field
 
-    def observables_row(rho, res):
-        red = atomic_reduction(rho)
+    def observables_row(rho, res, rep=None):
+        # rep: the state's pair report, when the steady solve already made it
         if scfg.n_atoms == 2:
-            rep = correlation_report(red)
+            rep = rep or correlation_report(atomic_reduction(rho))
             row = [rep.purity, rep.qd, rep.eof, rep.concurrence]
         else:
+            red = atomic_reduction(rho)
             row = [float(np.real(np.trace(red.matrix @ red.matrix)))]
         if has_field:
             stats = field_statistics(partial_trace(rho, keep=(0,)))
@@ -459,8 +464,8 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
         return row + [res]
 
     def steady(_):
-        cfg, rho, _, res = _steady_point(scfg, sys_cfg, pattern)
-        return [observables_row(rho, res)], [f"n_max_used = {cfg.n_max}"]
+        cfg, rho, rep, res = _steady_point(scfg, sys_cfg, pattern)
+        return [observables_row(rho, res, rep)], [f"n_max_used = {cfg.n_max}"]
 
     def evolution(_):
         # an automatic truncation is the one the steady state converges at

@@ -1,9 +1,11 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from drivencavity.hilbert import (
@@ -29,9 +31,11 @@ from drivencavity.scenarios import empty_cavity_field
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
+    _components,
     _gen_matrices,
     _hermitian_coordinates,
     _invariant_support,
+    _reachable_pairs,
     evolve,
     evolve_spectral,
     liouvillian_matrix_raw,
@@ -228,6 +232,90 @@ class TestLiouvillianMatrix:
         direct = apply_generator(gen, m).matrix.ravel()
         L = liouvillian_matrix_raw(*_gen_matrices(gen))
         assert np.max(np.abs(L @ m.ravel() - direct)) < 1e-12
+
+    @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
+    def test_sparse_residual_matches_dense_generator(self, cfg):
+        gen = build_generator(cfg)
+        d = gen.layout.dim
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))  # not Hermitian
+        direct = float(np.max(np.abs(apply_generator(gen, m).matrix)))
+        assert abs(residual_norm(gen, m) - direct) <= 1e-14 * direct
+
+
+def _collective_problem(cfg, atoms):
+    """(H, jumps, rho0) in the collective basis, as CSR, CSR and dense."""
+    gen = build_generator(cfg)
+    rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
+    B, labels = collective_basis(cfg.n_atoms)
+    H = sp.csr_matrix(to_collective_basis(gen.hamiltonian.matrix, B, labels))
+    jumps = [(sp.csr_matrix(to_collective_basis(A.matrix, B, labels)), rate)
+             for A, rate in gen.dissipators]
+    return H, jumps, to_collective_basis(rho0.matrix, B, labels)
+
+
+def _starts(n):
+    """A product start e g^(N-1) and a superposition of two single excitations."""
+    single = np.zeros(2**n, dtype=complex)
+    single[2 ** (n - 1) - 1] = 1.0   # e g ... g
+    single[2 ** (n - 1) + 2 ** (n - 2) - 1] = 1j    # g e g ... g
+    return ["e" + "g" * (n - 1), single]
+
+
+def _assert_restriction_exact(H, jumps, rho0):
+    rows, cols = np.nonzero(rho0)
+    pairs = _reachable_pairs(H, jumps, rows, cols)
+    d = H.shape[0]
+    full = liouvillian_matrix_raw(H, jumps)  # sp.kron on the whole space
+    restricted = liouvillian_matrix_raw(H, jumps, pairs)
+    sliced = full[pairs][:, pairs]
+    # the same entries, stored in the same order: products sum the same way
+    assert restricted.has_canonical_format and sliced.has_canonical_format
+    for got, want in zip((restricted.indptr, restricted.indices, restricted.data),
+                         (sliced.indptr, sliced.indices, sliced.data)):
+        assert np.array_equal(got, want)
+    # nothing links the pairs to the rest of the space, in either direction
+    rest = np.setdiff1d(np.arange(d * d), pairs)
+    assert full[pairs][:, rest].nnz == 0 and full[rest][:, pairs].nnz == 0
+    # so the blocks vec(rho0) touches are the same, in the same order
+    seeds = rows * d + cols
+    blocks = _components(restricted, np.searchsorted(pairs, seeds))
+    expected = _components(full, seeds)
+    assert len(blocks) == len(expected)
+    assert all(np.array_equal(pairs[b], e) for b, e in zip(blocks, expected))
+    return pairs
+
+
+class TestReachablePairs:
+    """L built on the pairs vec(rho0) reaches is the whole L sliced to them."""
+
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    @pytest.mark.parametrize("start", [0, 1], ids=["product", "superposition"])
+    @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
+    def test_restricted_liouvillian_is_the_sliced_one(self, cfg, n_atoms, start):
+        _assert_restriction_exact(*_collective_problem(replace(cfg, n_atoms=n_atoms),
+                                                       _starts(n_atoms)[start]))
+
+    def test_jump_row_with_two_entries_links_its_columns(self):
+        # A = |0><1| + |0><2|: A^dag A links states 1 and 2, so the coherence
+        # (1, 5) reaches (2, 5) although no jump acts on state 5
+        H = sp.csr_matrix(np.diag([0.3, -0.2, 0.5, 0.1, 0.7, -0.4]).astype(complex))
+        A = np.zeros((6, 6), dtype=complex)
+        A[0, 1], A[0, 2] = 0.8 + 0.1j, -0.6j
+        v = np.zeros(6, dtype=complex)
+        v[[1, 5]] = 0.6, 0.8j
+        pairs = _assert_restriction_exact(H, [(sp.csr_matrix(A), 0.7)], np.outer(v, v.conj()))
+        assert {1 * 6 + 5, 2 * 6 + 5} <= set(pairs) and 3 * 6 + 3 not in set(pairs)
+
+    @pytest.mark.parametrize("atoms, unknowns, whole", [("eg", 1860, 219024), ("gg", 1045, 123201)])
+    def test_thermal_unknowns_follow_the_touched_blocks(self, atoms, unknowns, whole):
+        # the triplet and singlet blocks and their coherences at matching
+        # excitation number, in place of every pair of kept states
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=116, frame="thermal")
+        H, jumps, rho0 = _collective_problem(cfg, atoms)
+        rows, cols = np.nonzero(rho0)
+        kept = sum(b.size for b in _components(abs(H) + sum(abs(A) for A, _ in jumps), rows))
+        assert kept**2 == whole
+        assert _reachable_pairs(H, jumps, rows, cols).size == unknowns
 
 
 class TestHermitianCoordinates:

@@ -161,10 +161,11 @@ class TestOutputTable:
 class TestChooseTruncation:
     @staticmethod
     def chosen_n_max(cfg, tol):
-        chosen, rho, observed = choose_truncation(
+        chosen, rho, observed, report = choose_truncation(
             cfg, lambda c: scenario_steady_state(c, "gg"), tol)
         assert rho.layout == chosen.layout()  # the state solved at the chosen n_max
-        assert np.array_equal(observed, scenarios._probe_observables(chosen, rho))
+        again, again_report = scenarios._probe_observables(chosen, rho)
+        assert np.array_equal(observed, again) and report == again_report
         return chosen.n_max
 
     def test_driven_weak_coupling_needs_few_photons(self):
@@ -183,6 +184,25 @@ class TestChooseTruncation:
         loose = self.chosen_n_max(cfg, tol=1e-3)
         tight = self.chosen_n_max(cfg, tol=1e-5)
         assert tight >= loose
+
+    @pytest.mark.parametrize("scenario", ["custom", "fig2-sweep"])
+    def test_one_report_per_probe(self, scenario, tmp_path, monkeypatch):
+        # the row takes the report of the probe that chose n_max, so each
+        # solved state gets exactly one correlation report
+        report, solve = scenarios.correlation_report, scenarios.scenario_steady_state
+        reports, solves = [], []
+        monkeypatch.setattr(scenarios, "correlation_report",
+                            lambda rho: reports.append(rho) or report(rho))
+        monkeypatch.setattr(scenarios, "scenario_steady_state",
+                            lambda *args, **kw: solves.append(args) or solve(*args, **kw))
+        args = (["custom", "--set", "custom_mode=steady", "--set", "initial_atoms=e-g"]
+                if scenario == "custom" else
+                ["fig2-sweep", "--set", "sweep_param=epsilon", "--set", "sweep_values=1.0",
+                 "--set", "initial_list=e-g"])
+        code = cli.main(args + ["--set", "g=0.1", "--set", "g_list=0.1",
+                                "--out", str(tmp_path / "out.csv"), "--no-timestamp"])
+        assert code == 0
+        assert len(solves) >= 2 and len(reports) == len(solves)
 
 
 class TestScenarioRuns:
