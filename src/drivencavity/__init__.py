@@ -19,11 +19,7 @@ from .model import (  # noqa: F401
     Generator,
     SystemConfig,
     apply_generator,
-    build_displaced,
-    build_effective_atomic,
     build_generator,
-    build_rotating_frame,
-    build_thermal,
     derived_params,
     initial_state,
 )

@@ -1,10 +1,11 @@
 """Time evolution and steady states of Lindblad generators.
 
-The Lindblad formula lives in one place here, `liouvillian_matrix_raw`: the
-Runge-Kutta right-hand side, the steady-state residual, the null-space LU and
-the kernel projection each apply one sparse superoperator built once per
-call.  `residual_norm` applies the generator to a state with sparse H and
-jumps, and `model.apply_generator` stays as the independent dense reference.
+The Lindblad formula is applied in two ways here.  `liouvillian_matrix_raw`
+builds the sparse superoperator once per call for the Runge-Kutta
+right-hand side, the null-space LU and the kernel projection;
+`residual_norm` applies the generator to a state with sparse H and jumps,
+sparse-times-dense products and no superoperator.  `model.apply_generator`
+stays as the independent dense reference.
 Spectral propagation restricts L to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
@@ -141,6 +142,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
     else:
         sol = solve_ivp(lambda _, y: L @ y, (t_grid[0], t_grid[-1]), rho0.matrix.ravel(),
                         method="DOP853", t_eval=t_grid, rtol=tol, atol=tol * 1e-3)
+        del L  # the solver's closures hold each other; L need not wait for the collector
         if not sol.success:
             raise EvolutionError(f"integrator failed: {sol.message}")
         stats.n_rhs_evals = int(sol.nfev)

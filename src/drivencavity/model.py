@@ -35,13 +35,14 @@ class ConfigError(ValueError):
     """Physically invalid system configuration."""
 
 
-class FrameError(ValueError):
-    """A builder was called with a configuration for a different frame."""
-
-
 @dataclass(frozen=True)
 class SystemConfig:
-    """Physical parameters, everything in units of kappa."""
+    """Physical parameters, everything in units of kappa.
+
+    Every frame rule is checked here, when the config is made: the thermal
+    frame is undriven, n_th > 0 needs it, and the effective frame is the
+    field eliminated at delta = 0.
+    """
 
     n_atoms: int
     g: float
@@ -63,6 +64,12 @@ class SystemConfig:
             raise ConfigError(f"unknown frame {self.frame!r}, expected one of {FRAMES}")
         if self.frame == "thermal" and (self.epsilon != 0.0 or self.delta != 0.0):
             raise ConfigError("thermal frame requires epsilon = 0 and delta = 0")
+        if self.frame != "thermal" and self.n_th != 0.0:
+            raise ConfigError(f"the {self.frame} frame is the T = 0 master equation; "
+                              "use frame=thermal for n_th > 0")
+        if self.frame == "effective-atomic" and self.delta != 0.0:
+            raise ConfigError("effective-atomic frame is the field eliminated at delta = 0, "
+                              f"got delta = {self.delta}")
 
     def layout(self) -> HilbertLayout:
         if self.frame == "effective-atomic":
@@ -159,75 +166,34 @@ def _coupling(cfg: SystemConfig) -> Operator:
         cfg.layout(), np.kron(annihilation(cfg.n_max).matrix, sp))
 
 
-def _require_frame(cfg: SystemConfig, frame: str):
-    if cfg.frame != frame:
-        raise FrameError(f"builder for frame {frame!r} called with frame {cfg.frame!r}")
-
-
-def build_rotating_frame(cfg: SystemConfig) -> Generator:
-    """H = delta a^dag a + (Delta/2) S_z + (g sqrt(N) S_+ a + eps a + h.c.), jump (a, kappa)."""
-    _require_frame(cfg, "lab-rotating")
-    if cfg.n_th != 0:
-        raise FrameError("lab-rotating frame is the T=0 master equation; use thermal for n_th > 0")
-    layout = cfg.layout()
-    a = _field_op(cfg)
-    half = _coupling(cfg) + cfg.epsilon * a
-    h = (cfg.delta * _number_op(cfg) + 0.5 * cfg.delta_atom * collective_sz(layout)
-         + half + half.dag())
-    return Generator(h, ((a, 1.0),))
-
-
-def build_displaced(cfg: SystemConfig) -> Generator:
-    """H = H_JC + H_SC with the drive relocated into Omega = g sqrt(N) alpha."""
-    _require_frame(cfg, "displaced")
-    if cfg.n_th != 0:
-        raise FrameError("displaced frame is the T=0 master equation; use thermal for n_th > 0")
-    layout = cfg.layout()
-    a = _field_op(cfg)
-    sp = collective_raising(layout)
-    omega = derived_params(cfg).omega_drive
-    h_jc_half = _coupling(cfg)
-    h_sc_half = omega * sp
-    h = (
-        cfg.delta * _number_op(cfg)
-        + 0.5 * cfg.delta_atom * collective_sz(layout)
-        + h_jc_half + h_jc_half.dag()
-        + h_sc_half + h_sc_half.dag()
-    )
-    return Generator(h, ((a, 1.0),))
-
-
-def build_effective_atomic(cfg: SystemConfig) -> Generator:
-    """Atoms-only generator after adiabatic elimination of the field."""
-    _require_frame(cfg, "effective-atomic")
-    layout = cfg.layout()
-    sp = collective_raising(layout)
-    params = derived_params(cfg)
-    half = params.omega_drive * sp
-    h = half + half.dag()
-    return Generator(h, ((sp.dag(), params.gamma_eff),))
-
-
-def build_thermal(cfg: SystemConfig) -> Generator:
-    """Undriven cavity coupled to a thermal reservoir with occupancy n_th."""
-    _require_frame(cfg, "thermal")
-    layout = cfg.layout()
-    a = _field_op(cfg)
-    half = _coupling(cfg)
-    h = 0.5 * cfg.delta_atom * collective_sz(layout) + half + half.dag()
-    return Generator(h, ((a, cfg.n_th + 1.0), (a.dag(), cfg.n_th)))
-
-
-_BUILDERS = {
-    "lab-rotating": build_rotating_frame,
-    "displaced": build_displaced,
-    "effective-atomic": build_effective_atomic,
-    "thermal": build_thermal,
-}
-
-
 def build_generator(cfg: SystemConfig) -> Generator:
-    return _BUILDERS[cfg.frame](cfg)
+    """The frame's Hamiltonian and jumps, each term built from its factors.
+
+    Every field frame: H = (Delta/2) S_z + g sqrt(N) (a S_+ + h.c.).
+    lab-rotating and displaced add delta a^dag a and a drive plus its h.c.,
+    eps a in the lab frame and Omega S_+ in the displaced frame, with the jump
+    (a, kappa); thermal has the jumps (a, n_th + 1) and (a^dag, n_th).
+    effective-atomic, the field adiabatically eliminated at delta = 0:
+    H = (Delta/2) S_z + Omega S_+ + h.c., jump (S_-, g^2 N / kappa).
+    """
+    layout = cfg.layout()
+    if cfg.frame == "effective-atomic":
+        params = derived_params(cfg)
+        sp = collective_raising(layout)
+        half = params.omega_drive * sp
+    else:
+        a = _field_op(cfg)
+        half = _coupling(cfg)
+    h = 0.5 * cfg.delta_atom * collective_sz(layout) + half + half.dag()
+    if cfg.frame == "effective-atomic":
+        return Generator(h, ((sp.dag(), params.gamma_eff),))
+    if cfg.frame == "thermal":
+        return Generator(h, ((a, cfg.n_th + 1.0), (a.dag(), cfg.n_th)))
+    if cfg.frame == "lab-rotating":
+        drive = cfg.epsilon * a
+    else:
+        drive = derived_params(cfg).omega_drive * collective_raising(layout)
+    return Generator(h + cfg.delta * _number_op(cfg) + drive + drive.dag(), ((a, 1.0),))
 
 
 def apply_generator(gen: Generator, rho) -> Operator:
@@ -260,10 +226,6 @@ def atomic_vector(pattern: str) -> np.ndarray:
 
 def thermal_field_matrix(n_th: float, n_max: int) -> np.ndarray:
     """Geometric photon-number distribution, renormalized on the truncation."""
-    if n_th == 0:
-        m = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        m[0, 0] = 1.0
-        return m
     n = np.arange(n_max + 1)
     p = (n_th / (n_th + 1.0)) ** n / (n_th + 1.0)
     p = p / p.sum()

@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,6 @@ from drivencavity.model import (
     Generator,
     SystemConfig,
     apply_generator,
-    build_effective_atomic,
     build_generator,
     derived_params,
     initial_state,
@@ -72,7 +73,7 @@ class TestEvolve:
     def test_undamped_rabi_oscillation(self):
         # H = Omega S+ + h.c. with no dissipator: P_e(t) = sin^2(|Omega| t)
         cfg = SystemConfig(n_atoms=1, g=0.01, epsilon=10.0, frame="effective-atomic")
-        h = build_effective_atomic(cfg).hamiltonian
+        h = build_generator(cfg).hamiltonian
         gen = Generator(h, ())
         rho0 = initial_state(cfg, "g")
         t = np.linspace(0.0, 40.0, 60)
@@ -102,6 +103,25 @@ class TestEvolve:
         assert traj.stats.max_herm_asym < 1e-8
         assert traj.stats.min_eigenvalue > -1e-8
         assert traj.stats.n_rhs_evals > 0
+
+    def test_liouvillian_freed_without_collection(self, monkeypatch):
+        # scipy's solver sits in a reference cycle; L must not be held by it
+        refs = []
+        build = dynamics.liouvillian_matrix_raw
+
+        def keeping(*a, **kw):
+            L = build(*a, **kw)
+            refs.append(weakref.ref(L))
+            return L
+
+        monkeypatch.setattr(dynamics, "liouvillian_matrix_raw", keeping)
+        cfg = SystemConfig(n_atoms=1, g=0.3, epsilon=1.0, n_max=3)
+        gc.disable()
+        try:
+            evolve(build_generator(cfg), initial_state(cfg, "e"), [0.0, 1.0])
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_halving_tolerance_tightens_the_result(self):
         cfg = SystemConfig(n_atoms=1, g=0.3, epsilon=1.0, n_max=5)

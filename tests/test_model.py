@@ -16,15 +16,10 @@ from drivencavity.hilbert import (
 from drivencavity.model import (
     ConfigError,
     FRAMES,
-    FrameError,
     SystemConfig,
     apply_generator,
     atomic_vector,
-    build_displaced,
-    build_effective_atomic,
     build_generator,
-    build_rotating_frame,
-    build_thermal,
     collective_lowering,
     collective_raising,
     collective_sz,
@@ -53,6 +48,17 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(n_atoms=2, g=0.1, delta=0.5, frame="thermal")
         SystemConfig(n_atoms=2, g=0.1, n_th=2.0, frame="thermal")  # ok
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_th=1.0, frame="lab-rotating"),
+        dict(n_th=0.5, frame="displaced"),
+        dict(n_th=1.0, frame="effective-atomic"),
+        dict(delta=0.5, frame="effective-atomic"),
+    ], ids=["nth-lab", "nth-displaced", "nth-effective", "delta-effective"])
+    def test_frame_rules(self, kw):
+        # n_th > 0 only in the thermal frame; the eliminated field is the delta = 0 one
+        with pytest.raises(ConfigError):
+            SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, **kw)
 
     def test_layout_dimensions(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_max=5)
@@ -128,11 +134,11 @@ class TestRotatingFrameBuilder:
     def test_hermitian(self):
         cfg = SystemConfig(n_atoms=2, g=0.3, epsilon=0.7, delta=0.2,
                            delta_atom=0.4, n_max=4, frame="lab-rotating")
-        assert _hermitian(build_rotating_frame(cfg))
+        assert _hermitian(build_generator(cfg))
 
     def test_decoupled_limit_is_pure_drive(self):
         cfg = SystemConfig(n_atoms=1, g=0.0, epsilon=0.5, n_max=3, frame="lab-rotating")
-        gen = build_rotating_frame(cfg)
+        gen = build_generator(cfg)
         lay = cfg.layout()
         a = embed(annihilation(cfg.n_max), lay.field_factor(), lay)
         expected = 0.5 * (a + a.dag())
@@ -142,30 +148,23 @@ class TestRotatingFrameBuilder:
 
     def test_no_direct_atom_atom_coupling(self):
         cfg = SystemConfig(n_atoms=2, g=0.3, epsilon=0.7, n_max=2, frame="lab-rotating")
-        h = build_rotating_frame(cfg).hamiltonian.matrix
+        h = build_generator(cfg).hamiltonian.matrix
         lay = cfg.layout()
         # <0, e, g| H |0, g, e> = 0: atoms talk only through the field
         eg = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("eg"))
         ge = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("ge"))
         assert abs(eg.conj() @ h @ ge) < 1e-14
 
-    def test_rejects_wrong_frame(self):
-        with pytest.raises(FrameError):
-            build_rotating_frame(SystemConfig(n_atoms=1, g=0.1, frame="displaced"))
-        with pytest.raises(FrameError):
-            build_rotating_frame(SystemConfig(n_atoms=1, g=0.1, epsilon=0.0,
-                                              n_th=1.0, frame="lab-rotating"))
-
 
 class TestDisplacedBuilder:
     def test_hermitian(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=5.0, delta=0.3, n_max=4)
-        assert _hermitian(build_displaced(cfg))
+        assert _hermitian(build_generator(cfg))
 
     def test_no_linear_field_drive_left(self):
         # after displacement the drive lives on the atoms: <1,gg|H|0,gg> = 0
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=5.0, n_max=3)
-        h = build_displaced(cfg).hamiltonian.matrix
+        h = build_generator(cfg).hamiltonian.matrix
         lay = cfg.layout()
         v0 = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("gg"))
         v1 = np.kron(fock_vector(lay.factors[0], 1), atomic_vector("gg"))
@@ -173,7 +172,7 @@ class TestDisplacedBuilder:
 
     def test_semiclassical_drive_amplitude(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=5.0, n_max=3)
-        h = build_displaced(cfg).hamiltonian.matrix
+        h = build_generator(cfg).hamiltonian.matrix
         lay = cfg.layout()
         omega = derived_params(cfg).omega_drive
         v_gg = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("gg"))
@@ -183,20 +182,20 @@ class TestDisplacedBuilder:
 
     def test_zero_drive_matches_rotating_frame(self):
         base = dict(n_atoms=2, g=0.2, epsilon=0.0, delta=0.1, delta_atom=0.2, n_max=3)
-        h_disp = build_displaced(SystemConfig(frame="displaced", **base)).hamiltonian.matrix
-        h_lab = build_rotating_frame(SystemConfig(frame="lab-rotating", **base)).hamiltonian.matrix
+        h_disp = build_generator(SystemConfig(frame="displaced", **base)).hamiltonian.matrix
+        h_lab = build_generator(SystemConfig(frame="lab-rotating", **base)).hamiltonian.matrix
         assert np.allclose(h_disp, h_lab)
 
 
 class TestEffectiveAtomicBuilder:
     def test_atoms_only_layout(self):
         cfg = SystemConfig(n_atoms=2, g=0.01, epsilon=10.0, frame="effective-atomic")
-        gen = build_effective_atomic(cfg)
+        gen = build_generator(cfg)
         assert gen.layout.factors == (2, 2)
 
     def test_collective_decay_rate(self):
         cfg = SystemConfig(n_atoms=3, g=0.02, epsilon=1.0, frame="effective-atomic")
-        gen = build_effective_atomic(cfg)
+        gen = build_generator(cfg)
         (jump, rate), = gen.dissipators
         assert np.isclose(rate, 0.02**2 * 3)
         lay = gen.layout
@@ -204,7 +203,7 @@ class TestEffectiveAtomicBuilder:
 
     def test_rabi_matrix_element(self):
         cfg = SystemConfig(n_atoms=1, g=0.01, epsilon=10.0, frame="effective-atomic")
-        h = build_effective_atomic(cfg).hamiltonian.matrix
+        h = build_generator(cfg).hamiltonian.matrix
         omega = derived_params(cfg).omega_drive
         assert abs(h[0, 1] - omega) < 1e-14
 
@@ -212,14 +211,14 @@ class TestEffectiveAtomicBuilder:
 class TestThermalBuilder:
     def test_two_dissipators_with_detailed_balance_rates(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=2.0, n_max=4, frame="thermal")
-        gen = build_thermal(cfg)
+        gen = build_generator(cfg)
         rates = [r for _, r in gen.dissipators]
         assert rates == [3.0, 2.0]
 
     def test_zero_temperature_matches_undriven_resonant_lab_frame(self):
         base = dict(n_atoms=2, g=0.15, n_max=3)
-        gen_th = build_thermal(SystemConfig(frame="thermal", n_th=0.0, **base))
-        gen_lab = build_rotating_frame(SystemConfig(frame="lab-rotating", epsilon=0.0, **base))
+        gen_th = build_generator(SystemConfig(frame="thermal", n_th=0.0, **base))
+        gen_lab = build_generator(SystemConfig(frame="lab-rotating", epsilon=0.0, **base))
         assert np.allclose(gen_th.hamiltonian.matrix, gen_lab.hamiltonian.matrix)
         assert np.isclose(gen_th.dissipators[0][1], 1.0)
         assert np.isclose(gen_th.dissipators[1][1], 0.0)
@@ -240,7 +239,7 @@ def _embedded_generator(cfg):
     if cfg.frame == "effective-atomic":
         p = derived_params(cfg)
         half = p.omega_drive * sp
-        return half + half.dag(), [(sp.dag(), p.gamma_eff)]
+        return 0.5 * cfg.delta_atom * sz + half + half.dag(), [(sp.dag(), p.gamma_eff)]
     a = embed(annihilation(cfg.n_max), lay.field_factor(), lay)
     jc = cfg.g * math.sqrt(n) * (sp @ a)
     if cfg.frame == "thermal":
@@ -260,7 +259,8 @@ class TestBuildFromFactors:
     @pytest.mark.parametrize("frame", FRAMES)
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
     def test_matches_embedded_construction_entry_for_entry(self, frame, n_atoms):
-        drive = {"thermal": {"n_th": 0.8}}.get(frame, {"epsilon": 0.7, "delta": 0.2})
+        drive = {"thermal": {"n_th": 0.8}, "effective-atomic": {"epsilon": 0.7}}.get(
+            frame, {"epsilon": 0.7, "delta": 0.2})
         cfg = SystemConfig(n_atoms=n_atoms, g=0.37, delta_atom=0.3, n_max=6, frame=frame,
                            **drive)
         gen = build_generator(cfg)

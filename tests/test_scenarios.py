@@ -429,10 +429,23 @@ class TestCli:
         ["custom", "--set", "frame=thermal", "--set", "epsilon=1"],
         ["fig2-sweep", "--set", "g_list=-0.1"],
         ["window", "--set", "g=-1"],
-    ], ids=["thermal-drive", "negative-g-list", "window-negative-g"])
-    def test_physical_config_error_exits_2(self, argv, capsys):
+        ["custom", "--set", "n_th=1"],
+        ["fig1-purity", "--set", "n_th=1"],
+        ["custom", "--set", "frame=lab-rotating", "--set", "n_th=0.5",
+         "--set", "custom_mode=evolve"],
+        ["custom", "--set", "frame=effective-atomic", "--set", "delta=0.5"],
+        ["window", "--set", "n_th=1"],
+    ], ids=["thermal-drive", "negative-g-list", "window-negative-g", "custom-nth", "fig1-nth",
+            "lab-evolve-nth", "effective-delta", "window-nth"])
+    def test_physical_config_error_exits_2(self, argv, capsys, monkeypatch):
+        # one error line, and no point has built its generator
+        built = []
+        monkeypatch.setattr(scenarios, "build_generator", built.append)
+        monkeypatch.setattr(scenarios, "scenario_steady_state", lambda *a, **kw: built.append(a))
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert built == []
 
     def test_bad_point_rejected_before_any_solve(self, capsys, monkeypatch):
         # every point's system is checked before the first point is solved
