@@ -9,6 +9,8 @@ stays as the independent dense reference.
 Spectral propagation restricts L to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
+RK (`evolve`) steps scipy's DOP853 itself and checks each grid state as
+the integrator reaches it, so a bad state stops the integration there.
 
 One steady-state solver, no time integration, block by block.
 `steady_state` works in the collective basis |J, M, copy> of the atoms
@@ -35,7 +37,6 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 
 from .hilbert import (DensityMatrix, LayoutError, TOL_POS, _sandwich, collective_basis,
@@ -118,10 +119,14 @@ def residual_norm(gen: Generator, rho) -> float:
 def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Trajectory:
     """Integrate rho through the requested times with local error control at tol.
 
-    DOP853 with rtol = tol and atol = tol * 1e-3; the right-hand side
-    is one product L @ vec(rho) with the sparse superoperator L, built once
-    per call.  Each state is checked for Hermiticity, unit trace and
-    positivity (floor max(TOL_POS, 10 tol)).
+    DOP853 with rtol = tol and atol = tol * 1e-3, stepped here; the
+    right-hand side is one product L @ vec(rho) with the sparse
+    superoperator L, built once per call and freed on every exit.  The
+    states at the grid times inside a step come from that step's
+    interpolant, as `solve_ivp(..., t_eval=t_grid)` gives them; the first is
+    rho0 itself.  Each state is checked for Hermiticity, unit trace and
+    positivity (floor max(TOL_POS, 10 tol)) as soon as it is reached, so the
+    first bad state raises before any later step is taken.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
@@ -131,26 +136,12 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    L = liouvillian_matrix_raw(*_gen_matrices(gen))
     dim = gen.layout.dim
     stats = IntegratorStats(rtol=tol)
     pos_floor = max(TOL_POS, 10.0 * tol)
-
-    if t_grid.size == 1:
-        sol_states = [rho0.matrix.copy()]
-        t_times = t_grid
-    else:
-        sol = solve_ivp(lambda _, y: L @ y, (t_grid[0], t_grid[-1]), rho0.matrix.ravel(),
-                        method="DOP853", t_eval=t_grid, rtol=tol, atol=tol * 1e-3)
-        del L  # the solver's closures hold each other; L need not wait for the collector
-        if not sol.success:
-            raise EvolutionError(f"integrator failed: {sol.message}")
-        stats.n_rhs_evals = int(sol.nfev)
-        sol_states = [sol.y[:, k].reshape(dim, dim) for k in range(sol.t.size)]
-        t_times = sol.t
-
     states = []
-    for m in sol_states:
+
+    def check(m):
         asym = float(np.max(np.abs(m - m.conj().T)))
         stats.max_herm_asym = max(stats.max_herm_asym, asym)
         m = 0.5 * (m + m.conj().T)
@@ -165,8 +156,33 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
             m = m / np.trace(m).real
             stats.n_renormalizations += 1
         states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_floor))
+
+    check(rho0.matrix)
+    if t_grid.size > 1:
+        from scipy.integrate import DOP853  # only RK needs it, and it loads scipy.optimize
+
+        L = liouvillian_matrix_raw(*_gen_matrices(gen))
+        solver = DOP853(lambda _, y, L=L: L @ y, float(t_grid[0]), rho0.matrix.ravel(),
+                        float(t_grid[-1]), rtol=tol, atol=tol * 1e-3)
+        del L
+        try:
+            k = 1
+            while k < t_grid.size:
+                message = solver.step()
+                if solver.status == "failed":
+                    raise EvolutionError(f"integrator failed: {message}")
+                reached = int(np.searchsorted(t_grid, solver.t, side="right"))
+                if reached > k:
+                    for y in solver.dense_output()(t_grid[k:reached]).T:
+                        check(y.reshape(dim, dim))
+                    k = reached
+            stats.n_rhs_evals = int(solver.nfev)
+        finally:
+            # the solver and its closures hold each other: dropping its state
+            # frees L and the stage arrays on every exit, not at the next collection
+            solver.__dict__.clear()
     stats.min_eigenvalue = min(s.min_eigenvalue for s in states)
-    return Trajectory(times=np.asarray(t_times), states=states, stats=stats)
+    return Trajectory(times=t_grid, states=states, stats=stats)
 
 
 def _invariant_support(H, dissipators, rho0) -> np.ndarray:

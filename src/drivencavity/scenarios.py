@@ -38,6 +38,13 @@ from .sectors import two_atom_steady_state  # dynamics.steady_state, under its t
 
 SCENARIOS = ("fig1-purity", "fig1-correlations", "fig2-sweep", "fig3-thermal", "custom")
 SWEEPABLE = {"fig2-sweep": ("epsilon", "g"), "fig3-thermal": ("n_th",)}
+# keys a scenario computes at fixed values: a value set for one must be that one
+FIXED_KEYS = {
+    "fig1-purity": {"frame": "displaced"},
+    "fig1-correlations": {"frame": "displaced"},
+    "fig2-sweep": {"frame": "displaced", "n_th": 0.0},
+    "fig3-thermal": {"frame": "thermal", "epsilon": 0.0, "delta": 0.0},
+}
 
 
 class ScenarioConfigError(ConfigError):
@@ -146,6 +153,10 @@ def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
     cfg = ScenarioConfig(**values)
     if cfg.scenario not in SCENARIOS:
         raise ScenarioConfigError(f"unknown scenario {cfg.scenario!r}, expected one of {SCENARIOS}")
+    for key, used in FIXED_KEYS.get(cfg.scenario, {}).items():
+        if key in values and values[key] != used:
+            raise ScenarioConfigError(f"scenario {cfg.scenario} computes at {key} = {used}, "
+                                      f"not {values[key]}")
     swept = SWEEPABLE.get(cfg.scenario, ())
     if cfg.sweep_param and cfg.sweep_param not in swept:
         raise ScenarioConfigError(
@@ -365,8 +376,8 @@ def run_fig1(scfg: ScenarioConfig, which: str) -> OutputTable:
     """
     grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
     t_eval = np.concatenate(([0.0], grid))
-    cfgs = {n: scfg.system(n_atoms=n, frame="displaced",
-                           n_max=scfg.n_max if scfg.n_max > 0 else 6)
+    cfgs = {n: scfg.system(n_atoms=n, n_max=scfg.n_max if scfg.n_max > 0 else 6,
+                           **FIXED_KEYS["fig1-purity"])
             for n in ((1, 2, 3) if which == "purity" else (2,))}
 
     def solve(n):
@@ -411,7 +422,7 @@ def run_fig2(scfg: ScenarioConfig) -> OutputTable:
         g_values = parse_float_list(scfg.sweep_values)
     points = [(g, init, eps) for g in g_values for init in initials for eps in eps_values]
     # built up front, so a bad point's ConfigError comes before any point is solved
-    cfgs = {p: scfg.system(g=p[0], epsilon=p[2], frame="displaced", n_th=0.0) for p in points}
+    cfgs = {p: scfg.system(g=p[0], epsilon=p[2], **FIXED_KEYS["fig2-sweep"]) for p in points}
 
     def solve(point):
         g, init, eps = point
@@ -429,7 +440,7 @@ def run_fig3(scfg: ScenarioConfig) -> OutputTable:
                   else parse_float_list(scfg.nth_list))
     initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
     points = [(init, nth) for init in initials for nth in nth_values]
-    cfgs = {p: scfg.system(epsilon=0.0, delta=0.0, n_th=p[1], frame="thermal") for p in points}
+    cfgs = {p: scfg.system(n_th=p[1], **FIXED_KEYS["fig3-thermal"]) for p in points}
 
     def solve(point):
         init, nth = point

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from drivencavity.hilbert import (
     DensityMatrix,
+    StateError,
     annihilation,
     collective_basis,
     embed,
@@ -28,7 +30,7 @@ from drivencavity.model import (
     thermal_field_matrix,
 )
 from drivencavity import dynamics
-from drivencavity.scenarios import empty_cavity_field
+from drivencavity.scenarios import empty_cavity_field, log_grid
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
@@ -58,6 +60,15 @@ def number_op(cfg):
 def mean_photons(cfg, states):
     nop = number_op(cfg).matrix
     return np.array([np.trace(nop @ s.matrix).real for s in states])
+
+
+def all_e_evolution():
+    """(generator, rho0, t_grid) of the RK run whose state at t = 7.29 fails the
+    positivity floor: N = 2, g 0.1, eps 1, n_max 16, `ee` from an empty
+    cavity, t = 0.1..300 at 8 points per decade."""
+    cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=16)
+    rho0 = initial_state(cfg, "ee", field=empty_cavity_field(cfg))
+    return build_generator(cfg), rho0, np.concatenate(([0.0], log_grid(0.1, 300.0, 8)))
 
 
 class TestEvolve:
@@ -119,9 +130,59 @@ class TestEvolve:
         gc.disable()
         try:
             evolve(build_generator(cfg), initial_state(cfg, "e"), [0.0, 1.0])
-            assert len(refs) == 1 and refs[0]() is None
+            # and when a state fails its check part way through the grid
+            with pytest.raises(StateError):
+                evolve(*all_e_evolution())
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+    def test_states_match_solve_ivp(self):
+        # the stepped integration gives solve_ivp's t_eval states, bit for bit,
+        # made Hermitian and renormalised as evolve makes them
+        cfg = SystemConfig(n_atoms=2, g=0.3, epsilon=1.0, n_max=3)
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field=empty_cavity_field(cfg))
+        t = np.concatenate(([0.0, 1e-4, 2e-4, 3e-4], np.linspace(0.5, 6.0, 12)))
+        tol = 1e-8
+        traj = evolve(gen, rho0, t, tol=tol)
+        L = liouvillian_matrix_raw(*_gen_matrices(gen))
+        ref = functools.partial(solve_ivp, lambda _, y: L @ y, (t[0], t[-1]), rho0.matrix.ravel(),
+                                method="DOP853", t_eval=t, rtol=tol, atol=tol * 1e-3)
+        steps = ref(dense_output=True).sol.ts  # the same steps, with an interpolant on each
+        ref = ref()
+        assert ref.success and np.array_equal(ref.t, t)
+        # several grid times inside one step, and the grid ends at the final bound
+        assert np.bincount(np.searchsorted(steps, t[1:])).max() >= 3
+        assert steps[-1] == t[-1]
+        d = gen.layout.dim
+        for k, state in enumerate(traj.states):
+            m = ref.y[:, k].reshape(d, d)
+            m = 0.5 * (m + m.conj().T)
+            if abs(np.trace(m).real - 1.0) > 1e-12:
+                m = m / np.trace(m).real
+            assert np.array_equal(state.matrix, m), f"state {k} at t = {t[k]}"
+        assert traj.stats.n_rhs_evals == ref.nfev
+
+    def test_first_bad_state_stops_the_integration(self, monkeypatch):
+        # the state at t = 7.29 breaks the floor: the steps to t = 300 (about
+        # 19 500 products) are never taken
+        products = []
+        build = dynamics.liouvillian_matrix_raw
+
+        class Counting:
+            def __init__(self, L):
+                self.L = L
+
+            def __matmul__(self, y):
+                products.append(None)
+                return self.L @ y
+
+        monkeypatch.setattr(dynamics, "liouvillian_matrix_raw",
+                            lambda *a, **kw: Counting(build(*a, **kw)))
+        with pytest.raises(StateError, match=r"eigenvalue -1\.580e-08 below -1\.0e-08"):
+            evolve(*all_e_evolution())
+        assert 0 < len(products) < 1000
 
     def test_halving_tolerance_tightens_the_result(self):
         cfg = SystemConfig(n_atoms=1, g=0.3, epsilon=1.0, n_max=5)

@@ -81,6 +81,19 @@ class TestLoadConfig:
         with pytest.raises(ScenarioConfigError, match="n_atoms must be 2"):
             load_config(None, [f"scenario={scenario}", f"n_atoms={n_atoms}"])
 
+    def test_fixed_keys_accept_only_the_value_used(self, tmp_path):
+        # a key the scenario fixes may be set, but only to the value it computes at
+        cfg = load_config(None, ["scenario=fig3-thermal", "frame=thermal", "epsilon=0",
+                                 "delta=0.0"])
+        assert (cfg.frame, cfg.epsilon, cfg.delta) == ("thermal", 0.0, 0.0)
+        assert load_config(None, ["scenario=fig2-sweep", "n_th=0"]).n_th == 0.0
+        path = tmp_path / "fig2.cfg"
+        path.write_text("scenario = fig2-sweep\nframe = thermal\n")
+        with pytest.raises(ScenarioConfigError, match="computes at frame = displaced"):
+            load_config(str(path))
+        # a fixed key left unset keeps its default
+        assert load_config(None, ["scenario=fig3-thermal"]).epsilon == 1.0
+
     def test_each_scenario_sweeps_its_parameters(self):
         for scenario, params in [("fig2-sweep", ("epsilon", "g")), ("fig3-thermal", ("n_th",))]:
             for param in params:
@@ -435,8 +448,14 @@ class TestCli:
          "--set", "custom_mode=evolve"],
         ["custom", "--set", "frame=effective-atomic", "--set", "delta=0.5"],
         ["window", "--set", "n_th=1"],
+        ["fig2-sweep", "--set", "n_th=1"],
+        ["fig2-sweep", "--set", "frame=lab-rotating"],
+        ["fig1-purity", "--set", "frame=effective-atomic"],
+        ["fig3-thermal", "--set", "epsilon=5"],
+        ["fig3-thermal", "--delta", "0.5"],
     ], ids=["thermal-drive", "negative-g-list", "window-negative-g", "custom-nth", "fig1-nth",
-            "lab-evolve-nth", "effective-delta", "window-nth"])
+            "lab-evolve-nth", "effective-delta", "window-nth", "fig2-nth", "fig2-frame",
+            "fig1-frame", "fig3-epsilon", "fig3-delta"])
     def test_physical_config_error_exits_2(self, argv, capsys, monkeypatch):
         # one error line, and no point has built its generator
         built = []

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +74,14 @@ def test_sectors_binds_what_the_benchmark_reads():
     assert scenarios.two_atom_steady_state is dynamics.steady_state
     assert sectors.steady_state_raw is dynamics.steady_state_raw
     assert sectors.coherence_block_gap is dynamics.coherence_block_gap
+
+
+def test_scenarios_import_leaves_scipy_integrate_unloaded():
+    # only Runge-Kutta evolution needs scipy.integrate, which also loads
+    # scipy.optimize; the other routes should not pay for importing it
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import drivencavity.scenarios; "
+            "print('scipy.integrate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
