@@ -12,21 +12,22 @@ and writes it in orthonormal Hermitian coordinates, where it is real;
 RK (`evolve`) steps scipy's DOP853 itself and checks each grid state as
 the integrator reaches it, so a bad state stops the integration there.
 
-One steady-state solver, no time integration, block by block.
-`steady_state` works in the collective basis |J, M, copy> of the atoms
-(`hilbert.collective_basis`), where a generator built from S_+/-, S_z is
-block diagonal; `steady_state_raw` solves whatever matrices it is given.
-L is built only on the pairs (i, j) its pattern links to the initial
-state's entries (`_reachable_pairs`), found on a quotient graph of the
-components of pattern(H + sum A^dag A) without building L, and it splits
-again into the blocks its sparsity pattern decouples (a conserved singlet,
-a weak U(1) charge difference), found without symmetry labels.  A block
-with diagonal entries gets one sparse LU of its trace-constrained
-Liouvillian, whose condition estimate tells a unique fixed point from a
-degenerate manifold; a block of coherences is dropped once its gap
-(`coherence_block_gap`) shows it decays.  Otherwise the initial state's part
-is projected onto the block's kernel along its range, which is the state it
-relaxes to.
+One steady-state solver, no time integration, block by block, always from
+an initial state: where the kernel is degenerate the steady state depends
+on it.  `steady_state` works in the collective basis |J, M, copy> of the
+atoms (`hilbert.collective_basis`), where a generator built from S_+/-, S_z
+is block diagonal; `steady_state_raw` solves whatever matrices it is given.
+One quotient graph of the components of pattern(H + sum A^dag A)
+(`_reachable_blocks`) gives, without building L, the pairs (i, j) L's
+pattern links to the initial state's entries, the blocks L splits into on
+them (a conserved singlet, a weak U(1) charge difference; found without
+symmetry labels) and the largest Hilbert block, which the cap bounds.  L is
+built on those pairs only.  A block with diagonal entries gets one sparse
+LU of its trace-constrained Liouvillian, whose condition estimate tells a
+unique fixed point from a degenerate manifold; a block of coherences is
+dropped once its gap (`coherence_block_gap`) shows it decays.  Otherwise
+the initial state's part is projected onto the block's kernel along its
+range, which is the state it relaxes to.
 """
 
 from __future__ import annotations
@@ -489,25 +490,22 @@ def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
     return lu.solve(b)
 
 
-def _components(pattern, seeds: np.ndarray) -> list:
-    """Index arrays of the weakly connected components of pattern's graph (an
-    edge per stored entry) that hold one of the seed indices."""
-    _, labels = connected_components(abs(pattern), directed=True, connection="weak")
-    return [np.flatnonzero(labels == c) for c in np.unique(labels[seeds])]
-
-
-def _reachable_pairs(H, jumps, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sorted vec indices i d + j that the pattern of the Liouvillian of the CSR
-    H and jumps links to the entries (rows, cols) of rho0, found without
-    building it.
+def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray):
+    """(pairs, blocks, largest) of the Liouvillian L of the CSR H and jumps for
+    the entries (rows, cols) of rho0, found without building L.
 
     The states split into the components of pattern(H + sum A^dag A): H's
     entries, plus a chain through the columns of each row of each A.  A pair
     of components (a, b) stands for every (i, j) with i in a and j in b; the H
     and A^dag A terms never leave it.  kron(A, conj A) links (a, b) to
-    (a', b') when A links a to a' and b to b', so the pairs sought are those
-    of the component pairs connected, in that quotient graph, to the ones
-    rho0's entries lie in.
+    (a', b') when A links a to a' and b to b'.  In that quotient graph:
+    `pairs` are the sorted vec indices i d + j of the component pairs
+    connected to the ones rho0's entries lie in; `blocks` are L's weakly
+    connected blocks on them, one per reached component, as ascending index
+    arrays into `pairs` in the order of their first pair; `largest` is the
+    largest Hilbert block, the summed sizes of the components a of one
+    reached component's diagonal nodes (a, a).  A jump of rate 0 would link
+    what L does not: the caller leaves it out.
     """
     d = H.shape[0]
     H = H.tocoo()
@@ -527,14 +525,22 @@ def _reachable_pairs(H, jumps, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     label = _labels(np.concatenate(src), np.concatenate(dst), m * m)
     hit = np.zeros(label.max() + 1, dtype=bool)
     hit[label[comp[rows] * m + comp[cols]]] = True
-    a, b = np.divmod(np.flatnonzero(hit[label]), m)
+    node = np.flatnonzero(hit[label])
+    a, b = np.divmod(node, m)
     # each reached component pair (a, b) holds size[a] size[b] pairs
     members = np.argsort(comp, kind="stable")
     size = np.bincount(comp, minlength=m)
     start = np.cumsum(size) - size
-    node, t = _ragged(size[a] * size[b])
-    da, db = np.divmod(t, size[b][node])
-    return np.sort(members[start[a][node] + da] * d + members[start[b][node] + db])
+    owner, t = _ragged(size[a] * size[b])
+    da, db = np.divmod(t, size[b][owner])
+    pairs = np.sort(members[start[a][owner] + da] * d + members[start[b][owner] + db])
+    block = label[comp[pairs // d] * m + comp[pairs % d]]
+    order = np.argsort(block, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
+    blocks.sort(key=lambda idx: idx[0])
+    diag = a == b
+    largest = np.bincount(label[node[diag]], size[a[diag]], minlength=1).max()
+    return pairs, blocks, int(largest)
 
 
 def _labels(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -543,22 +549,22 @@ def _labels(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     return connected_components(graph, directed=True, connection="weak")[1]
 
 
-def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, d: int):
+def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, blocks: list, d: int):
     """(steady vec(rho) on `pairs`, kernel dimension, route) that x0 = vec(rho0)
-    on `pairs` relaxes to; L is the Liouvillian on those vec indices i d + j.
+    on `pairs` relaxes to; L is the Liouvillian on those vec indices i d + j,
+    a direct sum of the `blocks` (index arrays into `pairs`), each solved alone.
 
-    L is a direct sum of the weakly connected components of its pattern; each
-    one x0 touches is solved alone.  A block with diagonal entries has a
-    unique fixed point, scaled by x0's trace on it, when it has one; a block
-    of coherences only decays when its gap is at least _COHERENCE_GAP_MIN.
-    Any other block is projected onto its kernel.  The index transpose
-    i d + j -> j d + i maps a coherence block onto its Hermitian partner,
-    whose spectrum is the complex conjugate, so the partner's gap is reused.
+    A block with diagonal entries has a unique fixed point, scaled by x0's
+    trace on it, when it has one; a block of coherences only decays when its
+    gap is at least _COHERENCE_GAP_MIN.  Any other block is projected onto
+    its kernel.  The index transpose i d + j -> j d + i maps a coherence
+    block onto its Hermitian partner, whose spectrum is the complex
+    conjugate, so the partner's gap is reused.
     """
     x = np.zeros_like(x0)
     kernel_dim, route = 0, "nullspace"
     gaps = {}  # coherence-block gap by the block's sorted vec indices
-    for idx in _components(L, np.flatnonzero(x0)):
+    for idx in blocks:
         block = L[idx][:, idx]
         vec = pairs[idx]
         diag = np.flatnonzero(vec % (d + 1) == 0)
@@ -581,40 +587,28 @@ def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, d: int):
     return x, kernel_dim, route
 
 
-def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9):
-    """Steady state on raw matrices.  Returns (rho_matrix, residual, kernel_dim, route).
+def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
+    """Steady state that rho0 relaxes to, on raw matrices.  Returns
+    (rho_matrix, residual, kernel_dim, route).
 
-    Without rho0 the whole space is one block: route 'nullspace' (kernel_dim
-    1) by one sparse LU of the trace-constrained Liouvillian, or
-    DegenerateSteadyStateError on a degenerate fixed-point manifold.  With
-    rho0, L is built only on the pairs (i, j) that its pattern links to
-    vec(rho0) (`_reachable_pairs`), and `_solve_blocks` solves each block of
-    that L which vec(rho0) touches.  kernel_dim is then summed over those
+    Jumps of rate 0 add nothing to L and are left out.  One quotient graph
+    (`_reachable_blocks`) gives the pairs (i, j) that L's pattern links to
+    vec(rho0), L's blocks on them and the largest Hilbert block they span.
+    A Hilbert block above SPARSE_NULLSPACE_MAX_DIM states fails before any
+    superoperator is built; otherwise L is built on the pairs only and
+    `_solve_blocks` solves each block.  kernel_dim is summed over the
     blocks, and the route is 'kernel-projection' when any block was
-    projected.  A component of the pattern of H and every jump that rho0's
-    rows touch and that has more than SPARSE_NULLSPACE_MAX_DIM states fails
-    before any superoperator is built.  The candidate must have a residual
-    within residual_tol.
+    projected.  The candidate must have a residual within residual_tol.
     """
     H = sp.csr_matrix(H, dtype=complex)
     dim = H.shape[0]
-    jumps = [(sp.csr_matrix(A, dtype=complex), rate) for A, rate in dissipators]
-    largest = dim
-    if rho0 is not None:
-        rho0 = np.asarray(rho0, dtype=complex)
-        rows, cols = np.nonzero(rho0 != 0)
-        pattern = abs(H) + sum(abs(A) for A, _ in jumps)
-        largest = max(b.size for b in _components(pattern, rows))
+    jumps = [(sp.csr_matrix(A, dtype=complex), rate) for A, rate in dissipators if rate != 0]
+    rho0 = np.asarray(rho0, dtype=complex)
+    pairs, blocks, largest = _reachable_blocks(H, jumps, *np.nonzero(rho0))
     if largest > SPARSE_NULLSPACE_MAX_DIM:
         raise ConvergenceError(f"dimension {largest} too large for the null-space route")
-    if rho0 is None:
-        pairs = np.arange(dim * dim)
-        L = liouvillian_matrix_raw(H, jumps)
-        x, kernel_dim, route = _unique_fixed_point(L, pairs[:: dim + 1]), 1, "nullspace"
-    else:
-        pairs = _reachable_pairs(H, jumps, rows, cols)
-        L = liouvillian_matrix_raw(H, jumps, pairs)
-        x, kernel_dim, route = _solve_blocks(L, rho0.ravel()[pairs], pairs, dim)
+    L = liouvillian_matrix_raw(H, jumps, pairs)
+    x, kernel_dim, route = _solve_blocks(L, rho0.ravel()[pairs], pairs, blocks, dim)
     m = _normalize_kernel_vector(x, pairs, dim)
     res = float(np.max(np.abs(L @ m.ravel()[pairs])))
     if res > residual_tol:
@@ -622,24 +616,22 @@ def steady_state_raw(H, dissipators, rho0=None, residual_tol: float = 1e-9):
     return m, res, kernel_dim, route
 
 
-def steady_state(gen: Generator, rho0: DensityMatrix | None = None,
+def steady_state(gen: Generator, rho0: DensityMatrix,
                  residual_tol: float = 1e-9) -> SteadyStateResult:
     """Steady state that rho0 relaxes to: H, the jumps and rho0 are rotated into
     `collective_basis`, solved there by `steady_state_raw` and rotated back.
 
     A generator that acts on the atoms one by one does not split there, and is
-    solved exactly.  Without rho0 the whole space is one block, degenerate for
-    N >= 2 (the multiplet weights are conserved).
+    solved exactly.
     """
     layout = gen.layout
-    if rho0 is not None and rho0.layout != layout:
+    if rho0.layout != layout:
         raise LayoutError("initial state layout does not match generator layout")
     B, labels = collective_basis(layout.atom_count)
     m, res, kernel_dim, route = steady_state_raw(
         to_collective_basis(gen.hamiltonian.matrix, B, labels),
         [(to_collective_basis(jump.matrix, B, labels), rate) for jump, rate in gen.dissipators],
-        rho0=None if rho0 is None else to_collective_basis(rho0.matrix, B, labels),
-        residual_tol=residual_tol)
+        to_collective_basis(rho0.matrix, B, labels), residual_tol=residual_tol)
     m = _sandwich(B, m, B.conj().T)
     rho = DensityMatrix.from_matrix(layout, m, pos_tol=max(TOL_POS, 100.0 * residual_tol))
     return SteadyStateResult(rho_ss=rho, residual=res, kernel_dim=kernel_dim, method=route)

@@ -222,7 +222,14 @@ class OutputTable:
 
 
 def _config_metadata(cfg: ScenarioConfig) -> list:
-    return [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
+    """One `key = value` line per configuration key, at the value the table is
+    computed with: a fixed key at its FIXED_KEYS value, and no line for a key
+    the table sets per column (fig1's n_atoms) or per row (fig2's g and
+    epsilon, fig3's n_th: SWEEPABLE)."""
+    used = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    used.update(FIXED_KEYS.get(cfg.scenario, {}))
+    per_point = SWEEPABLE.get(cfg.scenario, ("n_atoms",) if cfg.scenario.startswith("fig1") else ())
+    return [f"{key} = {value}" for key, value in used.items() if key not in per_point]
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -401,7 +408,10 @@ def run_fig1(scfg: ScenarioConfig, which: str) -> OutputTable:
     return table
 
 
-_INIT_CODE = {"e-g": 1.0, "g-g": 0.0, "all-g": 0.0, "all-e": 2.0}
+def _initial_code(init: str) -> float:
+    """The number of excited atoms in the two-atom token `init`; NaN for custom amplitudes."""
+    pattern = atoms_pattern(init, 2)
+    return float(pattern.count("e")) if isinstance(pattern, str) else math.nan
 
 
 def _pair_row(scfg: ScenarioConfig, sys_cfg: SystemConfig, init: str) -> list:
@@ -426,7 +436,7 @@ def run_fig2(scfg: ScenarioConfig) -> OutputTable:
 
     def solve(point):
         g, init, eps = point
-        return [[g, _INIT_CODE.get(init, math.nan), eps] + _pair_row(scfg, cfgs[point], init)], []
+        return [[g, _initial_code(init), eps] + _pair_row(scfg, cfgs[point], init)], []
 
     columns = ["g", "initial_code", "epsilon", "qd_ss", "eof_ss", "residual", "n_max"]
     return _sweep(scfg, columns, points, solve, notes=[
@@ -444,7 +454,7 @@ def run_fig3(scfg: ScenarioConfig) -> OutputTable:
 
     def solve(point):
         init, nth = point
-        return [[nth, _INIT_CODE.get(init, math.nan)] + _pair_row(scfg, cfgs[point], init)], []
+        return [[nth, _initial_code(init)] + _pair_row(scfg, cfgs[point], init)], []
 
     columns = ["n_th", "initial_code", "qd_ss", "eof_ss", "residual", "n_max"]
     return _sweep(scfg, columns, points, solve, notes=[

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from drivencavity.hilbert import (
     DensityMatrix,
@@ -34,11 +36,11 @@ from drivencavity.scenarios import empty_cavity_field, log_grid
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
-    _components,
     _gen_matrices,
     _hermitian_coordinates,
     _invariant_support,
-    _reachable_pairs,
+    _reachable_blocks,
+    _unique_fixed_point,
     evolve,
     evolve_spectral,
     liouvillian_matrix_raw,
@@ -342,10 +344,41 @@ def _starts(n):
     return ["e" + "g" * (n - 1), single]
 
 
-def _assert_restriction_exact(H, jumps, rho0):
-    rows, cols = np.nonzero(rho0)
-    pairs = _reachable_pairs(H, jumps, rows, cols)
+def _whole_space_blocks(H, jumps, rho0):
+    """The oracle of `_reachable_blocks`, from the whole Liouvillian.
+
+    pairs and blocks: the weak components of L (every jump included, zeros
+    eliminated: `sp.kron`'s block path stores some, which would link pairs)
+    that vec(rho0) touches.  largest: the largest component of
+    pattern(H + sum A), over the jumps of non-zero rate, that rho0's rows touch.
+    """
     d = H.shape[0]
+    rows, cols = np.nonzero(rho0)
+    full = liouvillian_matrix_raw(H, jumps)
+    full.eliminate_zeros()
+    labels = connected_components(abs(full), directed=True, connection="weak")[1]
+    touched = [np.flatnonzero(labels == c) for c in np.unique(labels[rows * d + cols])]
+    pairs = np.sort(np.concatenate(touched))
+    pattern = abs(sp.csr_matrix(H)) + sum(abs(A) for A, rate in jumps if rate != 0)
+    comp = connected_components(pattern, directed=True, connection="weak")[1]
+    largest = max(np.count_nonzero(comp == c) for c in np.unique(comp[rows]))
+    return pairs, [np.searchsorted(pairs, b) for b in touched], largest
+
+
+def _assert_blocks_exact(H, jumps, rho0):
+    """`_reachable_blocks` of the jumps of non-zero rate against the whole-space oracle."""
+    pairs, blocks, largest = _reachable_blocks(H, [(A, r) for A, r in jumps if r != 0],
+                                               *np.nonzero(rho0))
+    want_pairs, want_blocks, want_largest = _whole_space_blocks(H, jumps, rho0)
+    assert np.array_equal(pairs, want_pairs)
+    assert len(blocks) == len(want_blocks)
+    assert all(np.array_equal(b, e) for b, e in zip(blocks, want_blocks))
+    assert largest == want_largest
+    return pairs, blocks, largest
+
+
+def _assert_restriction_exact(H, jumps, rho0):
+    pairs = _assert_blocks_exact(H, jumps, rho0)[0]
     full = liouvillian_matrix_raw(H, jumps)  # sp.kron on the whole space
     restricted = liouvillian_matrix_raw(H, jumps, pairs)
     sliced = full[pairs][:, pairs]
@@ -354,20 +387,36 @@ def _assert_restriction_exact(H, jumps, rho0):
     for got, want in zip((restricted.indptr, restricted.indices, restricted.data),
                          (sliced.indptr, sliced.indices, sliced.data)):
         assert np.array_equal(got, want)
-    # nothing links the pairs to the rest of the space, in either direction
-    rest = np.setdiff1d(np.arange(d * d), pairs)
-    assert full[pairs][:, rest].nnz == 0 and full[rest][:, pairs].nnz == 0
-    # so the blocks vec(rho0) touches are the same, in the same order
-    seeds = rows * d + cols
-    blocks = _components(restricted, np.searchsorted(pairs, seeds))
-    expected = _components(full, seeds)
-    assert len(blocks) == len(expected)
-    assert all(np.array_equal(pairs[b], e) for b, e in zip(blocks, expected))
     return pairs
 
 
+@st.composite
+def sparse_problems(draw):
+    """CSR H (Hermitian) and jumps on d <= 9 states, some jumps of rate 0, and
+    a sparse rho0 >= 0 from one or two vectors on random supports."""
+    d = draw(st.integers(1, 9))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.4, 1.0]), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse(shape, density):
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return np.where(rng.random(shape) < density, values, 0.0)
+
+    H = sparse((d, d), 0.15)
+    jumps = [(sp.csr_matrix(sparse((d, d), 0.2)), rate) for rate in rates]
+    vectors = sparse((d, draw(st.integers(1, 2))), 0.3)
+    vectors[rng.integers(d), 0] = 1.0  # rho0 is never zero
+    return sp.csr_matrix(H + H.conj().T), jumps, vectors @ vectors.conj().T
+
+
 class TestReachablePairs:
-    """L built on the pairs vec(rho0) reaches is the whole L sliced to them."""
+    """One quotient graph gives the pairs, blocks and largest Hilbert block of the
+    whole L, and L built on those pairs is the whole L sliced to them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_problems())
+    def test_matches_the_whole_liouvillian(self, problem):
+        _assert_blocks_exact(*problem)
 
     @pytest.mark.parametrize("n_atoms", [2, 3])
     @pytest.mark.parametrize("start", [0, 1], ids=["product", "superposition"])
@@ -393,10 +442,10 @@ class TestReachablePairs:
         # excitation number, in place of every pair of kept states
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=116, frame="thermal")
         H, jumps, rho0 = _collective_problem(cfg, atoms)
-        rows, cols = np.nonzero(rho0)
-        kept = sum(b.size for b in _components(abs(H) + sum(abs(A) for A, _ in jumps), rows))
-        assert kept**2 == whole
-        assert _reachable_pairs(H, jumps, rows, cols).size == unknowns
+        pairs, _, largest = _assert_blocks_exact(H, jumps, rho0)
+        assert np.unique(pairs // H.shape[0]).size ** 2 == whole
+        assert pairs.size == unknowns
+        assert largest == 3 * (cfg.n_max + 1)  # the triplet block
 
 
 class TestHermitianCoordinates:
@@ -434,8 +483,9 @@ class TestSteadyState:
         n_th, n_max = 0.8, 40
         a = annihilation(n_max).matrix
         h = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        vacuum = np.diag(np.eye(n_max + 1)[0]).astype(complex)
         m, res, kernel_dim, used = steady_state_raw(
-            h, [(a, n_th + 1.0), (a.conj().T, n_th)], residual_tol=1e-9)
+            h, [(a, n_th + 1.0), (a.conj().T, n_th)], vacuum, residual_tol=1e-9)
         assert used == "nullspace" and kernel_dim == 1
         n_ss = np.sum(np.arange(n_max + 1) * np.diag(m).real)
         assert abs(n_ss - n_th) < 1e-8
@@ -445,7 +495,7 @@ class TestSteadyState:
         cfg = SystemConfig(n_atoms=1, g=0.3, n_th=0.5, n_max=10, frame="thermal")
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, "e", field="vacuum")
-        direct = steady_state(gen, residual_tol=1e-9)
+        direct = steady_state(gen, rho0, residual_tol=1e-9)
         integrated = evolve(gen, rho0, [0.0, 300.0], tol=1e-10).states[-1]
         assert residual_norm(gen, integrated) < 1e-8
         assert trace_distance(direct.rho_ss, integrated) < 1e-6
@@ -465,9 +515,10 @@ class TestSteadyState:
     def test_degenerate_manifold_detected(self):
         # undriven two-atom cavity conserves the singlet weight: no unique fixed point
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=0.0, n_max=2)
-        gen = build_generator(cfg)
+        d = cfg.layout().dim
+        L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg)))
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state(gen)
+            _unique_fixed_point(L, np.arange(d) * (d + 1))
 
     def test_degenerate_fallback_preserves_singlet_weight(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=0.0, n_max=2)
@@ -492,7 +543,7 @@ class TestSteadyState:
         h = q @ h @ q.conj().T
         diss = [(q @ a @ q.conj().T, r) for a, r in diss]
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state_raw(h, diss)
+            _unique_fixed_point(liouvillian_matrix_raw(h, diss), np.arange(d) * (d + 1))
 
     @pytest.mark.parametrize("sector", ["single-atom", "triplet", "singlet"])
     def test_nullspace_matches_dense_kernel(self, sector):
@@ -514,14 +565,15 @@ class TestSteadyState:
         dense = vecs[:, order[0]].reshape(d, d)
         dense = 0.5 * (dense + dense.conj().T)
         dense /= np.trace(dense).real
-        m, res, _, used = steady_state_raw(h, diss, residual_tol=1e-10)
+        # every diagonal entry lies in the block of the unique fixed point
+        m, res, _, used = steady_state_raw(h, diss, np.eye(d) / d, residual_tol=1e-10)
         assert used == "nullspace"
         assert np.max(np.abs(m - dense)) < 1e-12
 
     def test_residual_norm_zero_on_fixed_point(self):
         cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.4, n_max=6)
         gen = build_generator(cfg)
-        res = steady_state(gen, residual_tol=1e-10)
+        res = steady_state(gen, initial_state(cfg, "g"), residual_tol=1e-10)
         assert residual_norm(gen, res.rho_ss) < 1e-10
 
     def test_above_cap_fails_even_with_initial_state(self, monkeypatch):
@@ -530,6 +582,31 @@ class TestSteadyState:
         cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.4, n_max=6)
         with pytest.raises(ConvergenceError, match="too large"):
             steady_state(build_generator(cfg), rho0=initial_state(cfg, "e"))
+
+    def test_rate_zero_jump_does_not_count_toward_the_cap(self, monkeypatch):
+        # at g = 0 the effective frame's collective decay has rate 0 and H = 0:
+        # L is zero, every block holds one state, and rho0 is its own steady state
+        monkeypatch.setattr(dynamics, "SPARSE_NULLSPACE_MAX_DIM", 1)
+        cfg = SystemConfig(n_atoms=2, g=0.0, frame="effective-atomic")
+        gen = build_generator(cfg)
+        assert [rate for _, rate in gen.dissipators] == [0.0]
+        rho0 = initial_state(cfg, "eg")
+        res = steady_state(gen, rho0)
+        assert np.max(np.abs(res.rho_ss.matrix - rho0.matrix)) < 1e-15
+
+    def test_one_solve_makes_two_graph_passes(self, monkeypatch):
+        # the state components and the quotient graph over their pairs; the
+        # cap, the pairs and the blocks all come from those two
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "connected_components", counting)
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, n_max=8, frame="thermal")
+        steady_state(build_generator(cfg), initial_state(cfg, "eg", field="thermal"))
+        assert len(calls) == 2
 
 
 @functools.cache

@@ -268,6 +268,12 @@ class TestScenarioRuns:
         assert table.column("eof_ss")[0] < 1e-6
         assert 0.1 < table.column("qd_ss")[0] < 0.33
 
+    def test_initial_code_counts_the_excited_atoms(self):
+        cfg = load_config(None, ["scenario=fig2-sweep", "g_list=0.1", "sweep_param=epsilon",
+                                 "sweep_values=1.0", "initial_list=ee,ge,e-g,g-g"])
+        assert list(run_scenario(cfg).column("initial_code")) == [2.0, 1.0, 1.0, 0.0]
+        assert math.isnan(scenarios._initial_code("custom:0,1,1,0"))
+
     @pytest.mark.parametrize("args", [
         ["scenario=fig2-sweep", "g_list=0.1", "sweep_param=epsilon", "sweep_values=1.0",
          "initial_list=e-g"],
@@ -346,6 +352,29 @@ class TestCli:
         assert text.splitlines()[0].startswith("# drivencavity")
         assert "qd_ss" in text
         assert "# generated:" not in text
+
+    @pytest.mark.parametrize("scenario, args, used, per_row", [
+        ("fig1-correlations", ["t_hi=1", "points_per_decade=2"], {"frame": "displaced"},
+         ("n_atoms",)),
+        ("fig2-sweep", ["g_list=0.1", "sweep_param=epsilon", "sweep_values=1.0",
+                        "initial_list=e-g"],
+         {"frame": "displaced", "n_th": "0.0"}, ("g", "epsilon")),
+        ("fig3-thermal", ["g=0.1", "sweep_param=n_th", "sweep_values=0.5",
+                          "initial_list=g-g", "truncation_tol=1e-4"],
+         {"frame": "thermal", "epsilon": "0.0", "delta": "0.0", "g": "0.1"}, ("n_th",)),
+    ], ids=["fig1", "fig2", "fig3"])
+    def test_metadata_echoes_the_values_used(self, tmp_path, scenario, args, used, per_row):
+        # a fixed key reads its fixed value, and a key set per row or column has
+        # no scalar line
+        out = tmp_path / "table.csv"
+        argv = [scenario, "--out", str(out), "--no-timestamp"]
+        for item in args:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        meta = dict(line[2:].split(" = ", 1) for line in out.read_text().splitlines()
+                    if line.startswith("# ") and " = " in line)
+        assert {key: meta.get(key) for key in used} == used
+        assert not set(per_row) & set(meta)
 
     def test_failed_points_keep_finished_rows(self, tmp_path, capsys, monkeypatch):
         # the null-space cap makes the truncation probes of the hotter points
