@@ -15,6 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,18 +34,8 @@ from .dynamics import (
     propagate,
     residual_norm,
 )
-from .correlations import XStateError, correlation_report, field_statistics
+from .correlations import XStateError, correlation_report, field_statistics, purity
 from .sectors import two_atom_steady_state  # dynamics.steady_state, under its traced name
-
-SCENARIOS = ("fig1-purity", "fig1-correlations", "fig2-sweep", "fig3-thermal", "custom")
-SWEEPABLE = {"fig2-sweep": ("epsilon", "g"), "fig3-thermal": ("n_th",)}
-# keys a scenario computes at fixed values: a value set for one must be that one
-FIXED_KEYS = {
-    "fig1-purity": {"frame": "displaced"},
-    "fig1-correlations": {"frame": "displaced"},
-    "fig2-sweep": {"frame": "displaced", "n_th": 0.0},
-    "fig3-thermal": {"frame": "thermal", "epsilon": 0.0, "delta": 0.0},
-}
 
 
 class ScenarioConfigError(ConfigError):
@@ -120,8 +111,7 @@ def _coerce(name: str, kind, raw: str):
 
 
 def config_schema() -> dict:
-    return {f.name: f.type if isinstance(f.type, type) else type(f.default)
-            for f in fields(ScenarioConfig)}
+    return {f.name: type(f.default) for f in fields(ScenarioConfig)}
 
 
 def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
@@ -151,30 +141,57 @@ def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
         key, raw = item.split("=", 1)
         _apply(key, raw, "override")
     cfg = ScenarioConfig(**values)
-    if cfg.scenario not in SCENARIOS:
+    if cfg.scenario not in RULES:
         raise ScenarioConfigError(f"unknown scenario {cfg.scenario!r}, expected one of {SCENARIOS}")
-    for key, used in FIXED_KEYS.get(cfg.scenario, {}).items():
+    rules = RULES[cfg.scenario]
+    for key, used in rules.fixed.items():
         if key in values and values[key] != used:
             raise ScenarioConfigError(f"scenario {cfg.scenario} computes at {key} = {used}, "
                                       f"not {values[key]}")
-    swept = SWEEPABLE.get(cfg.scenario, ())
+    swept = rules.per_point if rules.pair else ()   # fig1 sets n_atoms per column, unswept
     if cfg.sweep_param and cfg.sweep_param not in swept:
         raise ScenarioConfigError(
             f"scenario {cfg.scenario} sweeps {swept or 'no parameter'}, not {cfg.sweep_param!r}")
     if cfg.sweep_values and not cfg.sweep_param:
         raise ScenarioConfigError("sweep_values given without sweep_param")
-    if cfg.scenario in ("fig2-sweep", "fig3-thermal") and cfg.n_atoms != 2:
+    if rules.pair and cfg.n_atoms != 2:
         raise ScenarioConfigError(f"scenario {cfg.scenario} tabulates two-atom QD and EoF: "
                                   f"n_atoms must be 2, not {cfg.n_atoms}")
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: ScenarioConfig):
+    """Refuse a value no scenario can run with, so it fails before any point does."""
+    if cfg.custom_mode not in ("steady", "evolve"):
+        raise ScenarioConfigError(f"unknown custom_mode {cfg.custom_mode!r}, "
+                                  f"expected 'steady' or 'evolve'")
+    for lo, hi in (("t_lo", "t_hi"), ("eps_lo", "eps_hi")):
+        if not 0 < getattr(cfg, lo) < getattr(cfg, hi) < math.inf:
+            raise ScenarioConfigError(f"a log grid needs 0 < {lo} < {hi} < inf, not "
+                                      f"{lo} = {getattr(cfg, lo)}, {hi} = {getattr(cfg, hi)}")
+    for key in ("integrator_tol", "residual_tol", "truncation_tol"):
+        if not getattr(cfg, key) > 0:
+            raise ScenarioConfigError(f"{key} must be positive, not {getattr(cfg, key)}")
+    if cfg.n_max < 0:
+        raise ScenarioConfigError(f"n_max must be >= 0 (0 = choose automatically), not {cfg.n_max}")
+    if cfg.points_per_decade < 1:
+        raise ScenarioConfigError(f"points_per_decade must be >= 1, not {cfg.points_per_decade}")
+    for key in ("sweep_values", "g_list", "nth_list"):
+        try:
+            parse_float_list(getattr(cfg, key))
+        except ValueError as exc:
+            raise ScenarioConfigError(f"cannot parse {key}={getattr(cfg, key)!r} as "
+                                      f"comma-separated floats") from exc
 
 
 def parse_float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def atoms_pattern(token: str, n_atoms: int):
-    """Resolve an initial-atoms token to a pattern string or amplitude vector."""
+def atoms_pattern(token: str, n_atoms: int, key: str = "initial_atoms"):
+    """Resolve an initial-atoms token, the value of `key`, to a pattern string or
+    amplitude vector."""
     if token == "all-e":
         return "e" * n_atoms
     if token in ("all-g", "g-g"):
@@ -182,7 +199,10 @@ def atoms_pattern(token: str, n_atoms: int):
     if token == "e-g":
         return "e" + "g" * (n_atoms - 1)
     if token.startswith("custom:"):
-        amps = np.array([complex(tok) for tok in token[len("custom:"):].split(",")])
+        try:
+            amps = np.array([complex(tok) for tok in token[len("custom:"):].split(",")])
+        except ValueError as exc:
+            raise ScenarioConfigError(f"cannot parse {key}={token!r} as amplitudes") from exc
         if amps.size != 2**n_atoms:
             raise ScenarioConfigError(
                 f"custom amplitudes have length {amps.size}, expected {2**n_atoms}"
@@ -190,7 +210,7 @@ def atoms_pattern(token: str, n_atoms: int):
         return amps
     if token and all(c in "eg" for c in token) and len(token) == n_atoms:
         return token
-    raise ScenarioConfigError(f"cannot interpret initial_atoms={token!r} for {n_atoms} atoms")
+    raise ScenarioConfigError(f"cannot interpret {key}={token!r} for {n_atoms} atoms")
 
 
 @dataclass
@@ -223,13 +243,13 @@ class OutputTable:
 
 def _config_metadata(cfg: ScenarioConfig) -> list:
     """One `key = value` line per configuration key, at the value the table is
-    computed with: a fixed key at its FIXED_KEYS value, and no line for a key
-    the table sets per column (fig1's n_atoms) or per row (fig2's g and
-    epsilon, fig3's n_th: SWEEPABLE)."""
+    computed with: a key in the scenario's `RULES.fixed` at that value, and no
+    line for a key in its `RULES.per_point`, which the table sets per column
+    (fig1's n_atoms) or per row (fig2's g and epsilon, fig3's n_th)."""
+    rules = RULES[cfg.scenario]
     used = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    used.update(FIXED_KEYS.get(cfg.scenario, {}))
-    per_point = SWEEPABLE.get(cfg.scenario, ("n_atoms",) if cfg.scenario.startswith("fig1") else ())
-    return [f"{key} = {value}" for key, value in used.items() if key not in per_point]
+    used.update(rules.fixed)
+    return [f"{key} = {value}" for key, value in used.items() if key not in rules.per_point]
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -337,14 +357,6 @@ def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
     return cfg, rho, report, residual_norm(build_generator(cfg), rho)
 
 
-def _map_points(func, points, workers: int):
-    """Evaluate sweep points, concurrently when asked; order-deterministic."""
-    if workers <= 1 or len(points) <= 1:
-        return [func(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, points))
-
-
 # Numerical failures of one sweep point; they cost that point, not the table.
 _POINT_ERRORS = (TruncationError, ConvergenceError, EvolutionError, StateError, XStateError)
 
@@ -362,9 +374,14 @@ def _sweep(scfg: ScenarioConfig, columns: list, points: list, solve, notes=()) -
         except _POINT_ERRORS as exc:
             return None, str(exc)
 
+    if scfg.workers <= 1 or len(points) <= 1:
+        results = [attempt(p) for p in points]
+    else:
+        with ThreadPoolExecutor(max_workers=scfg.workers) as pool:
+            results = list(pool.map(attempt, points))
     table = OutputTable(columns=columns, rows=[],
                         metadata=_config_metadata(scfg) + list(notes))
-    for point, (done, msg) in zip(points, _map_points(attempt, points, scfg.workers)):
+    for point, (done, msg) in zip(points, results):
         if msg is None:
             rows, lines = done
             table.rows += rows
@@ -375,96 +392,93 @@ def _sweep(scfg: ScenarioConfig, columns: list, points: list, solve, notes=()) -
     return table
 
 
-def run_fig1(scfg: ScenarioConfig, which: str) -> OutputTable:
+def _trajectory(scfg: ScenarioConfig, cfg: SystemConfig, pattern):
+    """(generator, trajectory from `pattern` (x) the empty cavity field on [0] + log grid)."""
+    gen = build_generator(cfg)
+    rho0 = initial_state(cfg, pattern, field=empty_cavity_field(cfg))
+    t_eval = np.concatenate(([0.0], log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)))
+    return gen, propagate(gen, rho0, t_eval, scfg.integrator_tol)
+
+
+def run_fig1(scfg: ScenarioConfig) -> OutputTable:
     """Time evolution from all-excited atoms: purity for N = 1..3, or QD/EoF for N = 2.
 
     One sweep point per N, whose columns are written under `kt` once all
     points are done; a failed N costs its own columns only.
     """
-    grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
-    t_eval = np.concatenate(([0.0], grid))
+    purity_table = scfg.scenario == "fig1-purity"
     cfgs = {n: scfg.system(n_atoms=n, n_max=scfg.n_max if scfg.n_max > 0 else 6,
-                           **FIXED_KEYS["fig1-purity"])
-            for n in ((1, 2, 3) if which == "purity" else (2,))}
+                           **RULES[scfg.scenario].fixed)
+            for n in ((1, 2, 3) if purity_table else (2,))}
 
     def solve(n):
-        cfg = cfgs[n]
-        rho0 = initial_state(cfg, "e" * n, field=empty_cavity_field(cfg))
-        traj = propagate(build_generator(cfg), rho0, t_eval, scfg.integrator_tol)
-        reduced = [atomic_reduction(s) for s in traj.states[1:]]
-        if which == "purity":
-            cols = [(f"purity_N{n}", [float(np.real(np.trace(r.matrix @ r.matrix)))
-                                      for r in reduced])]
+        reduced = [atomic_reduction(s) for s in _trajectory(scfg, cfgs[n], "e" * n)[1].states[1:]]
+        if purity_table:
+            cols = [(f"purity_N{n}", [purity(r) for r in reduced])]
         else:
             reports = [correlation_report(r) for r in reduced]
             cols = [("qd_N2", [rep.qd for rep in reports]),
                     ("eof_N2", [rep.eof for rep in reports])]
-        return cols, [f"n_max_used_N{n} = {cfg.n_max}"]
+        return cols, [f"n_max_used_N{n} = {cfgs[n].n_max}"]
 
     table = _sweep(scfg, [], list(cfgs), solve)
     columns = dict(table.rows)
     table.columns = ["kt", *columns]
+    grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
     table.rows = [list(row) for row in zip(grid, *columns.values())]
     return table
 
 
 def _initial_code(init: str) -> float:
     """The number of excited atoms in the two-atom token `init`; NaN for custom amplitudes."""
-    pattern = atoms_pattern(init, 2)
+    pattern = atoms_pattern(init, 2, "initial_list")
     return float(pattern.count("e")) if isinstance(pattern, str) else math.nan
 
 
-def _pair_row(scfg: ScenarioConfig, sys_cfg: SystemConfig, init: str) -> list:
-    """[QD, EoF, residual, n_max] of one two-atom steady-state point."""
-    cfg, _, rep, res = _steady_point(scfg, sys_cfg, atoms_pattern(init, scfg.n_atoms))
-    return [float(rep.qd), float(rep.eof), res, float(cfg.n_max)]
+def _pair_table(scfg: ScenarioConfig, head: list, points: list, unpack) -> OutputTable:
+    """One row per point: the values of `head`, then the atom pair's steady QD,
+    EoF, residual and n_max.  `unpack(point)` gives (its initial_list token,
+    its system keys, its `head` values); all are checked before any solve."""
+    fixed = RULES[scfg.scenario].fixed
+    jobs = {p: (scfg.system(**keys, **fixed),
+                atoms_pattern(init, scfg.n_atoms, "initial_list"), lead)
+            for p, (init, keys, lead) in zip(points, map(unpack, points))}
+
+    def solve(point):
+        sys_cfg, pattern, lead = jobs[point]
+        cfg, _, rep, res = _steady_point(scfg, sys_cfg, pattern)
+        return [lead + [float(rep.qd), float(rep.eof), res, float(cfg.n_max)]], []
+
+    return _sweep(scfg, head + ["qd_ss", "eof_ss", "residual", "n_max"], points, solve, notes=[
+        "initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited"])
 
 
 def run_fig2(scfg: ScenarioConfig) -> OutputTable:
     """Stationary QD/EoF versus drive strength, per coupling and initial state."""
-    g_values = parse_float_list(scfg.g_list)
     initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
     if scfg.sweep_param == "epsilon" and scfg.sweep_values:
         eps_values = parse_float_list(scfg.sweep_values)
     else:
         eps_values = list(log_grid(scfg.eps_lo, scfg.eps_hi, scfg.points_per_decade))
-    if scfg.sweep_param == "g" and scfg.sweep_values:
-        g_values = parse_float_list(scfg.sweep_values)
+    g_values = parse_float_list(scfg.sweep_values if scfg.sweep_param == "g" and scfg.sweep_values
+                                else scfg.g_list)
     points = [(g, init, eps) for g in g_values for init in initials for eps in eps_values]
-    # built up front, so a bad point's ConfigError comes before any point is solved
-    cfgs = {p: scfg.system(g=p[0], epsilon=p[2], **FIXED_KEYS["fig2-sweep"]) for p in points}
-
-    def solve(point):
-        g, init, eps = point
-        return [[g, _initial_code(init), eps] + _pair_row(scfg, cfgs[point], init)], []
-
-    columns = ["g", "initial_code", "epsilon", "qd_ss", "eof_ss", "residual", "n_max"]
-    return _sweep(scfg, columns, points, solve, notes=[
-        "initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited"])
+    return _pair_table(scfg, ["g", "initial_code", "epsilon"], points, lambda p: (
+        p[1], {"g": p[0], "epsilon": p[2]}, [p[0], _initial_code(p[1]), p[2]]))
 
 
 def run_fig3(scfg: ScenarioConfig) -> OutputTable:
     """Stationary QD/EoF versus thermal occupancy at zero drive."""
-    nth_values = (parse_float_list(scfg.sweep_values)
-                  if scfg.sweep_param == "n_th" and scfg.sweep_values
-                  else parse_float_list(scfg.nth_list))
+    nth_values = parse_float_list(
+        scfg.sweep_values if scfg.sweep_param == "n_th" and scfg.sweep_values else scfg.nth_list)
     initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
     points = [(init, nth) for init in initials for nth in nth_values]
-    cfgs = {p: scfg.system(n_th=p[1], **FIXED_KEYS["fig3-thermal"]) for p in points}
-
-    def solve(point):
-        init, nth = point
-        return [[nth, _initial_code(init)] + _pair_row(scfg, cfgs[point], init)], []
-
-    columns = ["n_th", "initial_code", "qd_ss", "eof_ss", "residual", "n_max"]
-    return _sweep(scfg, columns, points, solve, notes=[
-        "initial_code: 0 = both atoms ground, 1 = one excited, 2 = both excited"])
+    return _pair_table(scfg, ["n_th", "initial_code"], points, lambda p: (
+        p[0], {"n_th": p[1]}, [p[1], _initial_code(p[0])]))
 
 
 def run_custom(scfg: ScenarioConfig) -> OutputTable:
     """Generic pipeline, one point: truncation -> steady state or evolution -> report."""
-    if scfg.custom_mode not in ("steady", "evolve"):
-        raise ScenarioConfigError(f"unknown custom_mode {scfg.custom_mode!r}")
     pattern = atoms_pattern(scfg.initial_atoms, scfg.n_atoms)
     sys_cfg = scfg.system()
     has_field = sys_cfg.layout().has_field
@@ -475,8 +489,7 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
             rep = rep or correlation_report(atomic_reduction(rho))
             row = [rep.purity, rep.qd, rep.eof, rep.concurrence]
         else:
-            red = atomic_reduction(rho)
-            row = [float(np.real(np.trace(red.matrix @ red.matrix)))]
+            row = [purity(atomic_reduction(rho))]
         if has_field:
             stats = field_statistics(partial_trace(rho, keep=(0,)))
             row += [stats.n_bar,
@@ -484,9 +497,12 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
                     math.nan if stats.mandel_q is None else stats.mandel_q]
         return row + [res]
 
+    def n_max_used(cfg):  # a layout with no field has no truncation to report
+        return [f"n_max_used = {cfg.n_max}"] if has_field else []
+
     def steady(_):
         cfg, rho, rep, res = _steady_point(scfg, sys_cfg, pattern)
-        return [observables_row(rho, res, rep)], [f"n_max_used = {cfg.n_max}"]
+        return [observables_row(rho, res, rep)], n_max_used(cfg)
 
     def evolution(_):
         # an automatic truncation is the one the steady state converges at
@@ -494,13 +510,10 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
         if scfg.n_max == 0 and has_field:
             cfg = choose_truncation(sys_cfg, _steady_solver(scfg, pattern),
                                     scfg.truncation_tol)[0]
-        gen = build_generator(cfg)
-        rho0 = initial_state(cfg, pattern, field=empty_cavity_field(cfg))
-        grid = log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)
-        traj = propagate(gen, rho0, np.concatenate(([0.0], grid)), scfg.integrator_tol)
+        gen, traj = _trajectory(scfg, cfg, pattern)
         rows = [[t] + observables_row(state, residual_norm(gen, state))
                 for t, state in zip(traj.times[1:], traj.states[1:])]
-        return rows, [f"n_max_used = {cfg.n_max}"]
+        return rows, n_max_used(cfg)
 
     columns = ["purity", "qd", "eof", "concurrence"] if scfg.n_atoms == 2 else ["purity"]
     if has_field:
@@ -511,15 +524,25 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
     return _sweep(scfg, columns, [("steady", scfg.initial_atoms)], steady)
 
 
+class Rules(NamedTuple):
+    run: Callable       # ScenarioConfig -> OutputTable
+    fixed: dict         # keys computed at a fixed value: a value set for one must be that one
+    per_point: tuple    # keys the table sets per row or column; a pair table sweeps them
+    pair: bool          # tabulates the two-atom pair's QD and EoF: n_atoms must be 2
+
+
+RULES = {
+    "fig1-purity": Rules(run_fig1, {"frame": "displaced"}, ("n_atoms",), False),
+    "fig1-correlations": Rules(run_fig1, {"frame": "displaced"}, ("n_atoms",), False),
+    "fig2-sweep": Rules(run_fig2, {"frame": "displaced", "n_th": 0.0}, ("epsilon", "g"), True),
+    "fig3-thermal": Rules(run_fig3, {"frame": "thermal", "epsilon": 0.0, "delta": 0.0}, ("n_th",),
+                          True),
+    "custom": Rules(run_custom, {}, (), False),
+}
+SCENARIOS = tuple(RULES)
+
+
 def run_scenario(scfg: ScenarioConfig) -> OutputTable:
-    if scfg.scenario == "fig1-purity":
-        return run_fig1(scfg, which="purity")
-    if scfg.scenario == "fig1-correlations":
-        return run_fig1(scfg, which="correlations")
-    if scfg.scenario == "fig2-sweep":
-        return run_fig2(scfg)
-    if scfg.scenario == "fig3-thermal":
-        return run_fig3(scfg)
-    if scfg.scenario == "custom":
-        return run_custom(scfg)
-    raise ScenarioConfigError(f"unknown scenario {scfg.scenario!r}")
+    if scfg.scenario not in RULES:
+        raise ScenarioConfigError(f"unknown scenario {scfg.scenario!r}")
+    return RULES[scfg.scenario].run(scfg)

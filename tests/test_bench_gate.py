@@ -1,10 +1,12 @@
-"""The benchmark's correctness gate on the steady-state workloads, as tests.
+"""The benchmark's correctness gate on every workload, as tests.
 
-Each `driven-sweep` and `thermal-sweep` op of `bench/harness.workloads()` runs
-as `bench/run.py` runs it (`load_config` -> `run_scenario` -> `to_csv`, a
-table with failed points counting as a failed op) and is checked by
-`harness.check_op` against `bench/reference.json`.  A drift of a gated
-output on the steady path then fails here, not only in the benchmark.
+Each op of `bench/harness.workloads()` (`driven-sweep`, `thermal-sweep`,
+`transient`, `rk-evolve`) runs as `bench/run.py` runs it (`load_config` ->
+`run_scenario` -> `to_csv`, a table with failed points counting as a failed
+op) and is checked by `harness.check_op` against `bench/reference.json`: an
+op whose reference is an error must fail again.  A drift of a gated output on
+the steady or the time-evolution path then fails here, not only in the
+benchmark.
 """
 
 import functools
@@ -25,8 +27,7 @@ _spec.loader.exec_module(bench_run)
 harness = bench_run.harness
 
 REFERENCE = json.loads(bench_run.REFERENCE.read_text())
-OPS = [(workload, op) for workload in ("driven-sweep", "thermal-sweep")
-       for op in harness.workloads()[workload]]
+OPS = [(workload, op) for workload, ops in harness.workloads().items() for op in ops]
 
 
 @pytest.mark.parametrize("workload, op", OPS, ids=[f"{w}/{op.label}" for w, op in OPS])

@@ -7,7 +7,7 @@ import pytest
 from drivencavity.correlations import XStateError, correlation_report
 from drivencavity.dynamics import EvolutionError
 from drivencavity.hilbert import DensityMatrix, HilbertLayout
-from drivencavity.model import SystemConfig
+from drivencavity.model import SystemConfig, initial_state
 from drivencavity.scenarios import (
     OutputTable,
     ScenarioConfigError,
@@ -334,9 +334,40 @@ class TestScenarioRuns:
         assert len(table.rows) == table.column("kt").size
 
     def test_custom_bad_mode(self):
-        cfg = load_config(None, ["scenario=custom", "custom_mode=adiabatic", "n_max=4"])
-        with pytest.raises(ScenarioConfigError):
-            run_scenario(cfg)
+        with pytest.raises(ScenarioConfigError, match="custom_mode"):
+            load_config(None, ["scenario=custom", "custom_mode=adiabatic", "n_max=4"])
+
+    def test_custom_evolve_at_the_automatic_truncation(self):
+        # n_max = 0: evolve at the n_max the steady-state harness converges at
+        args = ["scenario=custom", "custom_mode=evolve", "g=0.1", "epsilon=1.0", "t_hi=10",
+                "points_per_decade=2", "initial_atoms=e-g"]
+        scfg = load_config(None, args + ["n_max=0"])
+        table = run_scenario(scfg)
+        chosen = choose_truncation(scfg.system(), lambda c: scenario_steady_state(c, "eg"),
+                                   scfg.truncation_tol)[0].n_max
+        assert table.metadata[-1] == f"n_max_used = {chosen}"
+        assert run_scenario(load_config(None, args + [f"n_max={chosen}"])).rows == table.rows
+
+    def test_fig2_sweeps_the_coupling(self):
+        # sweep_param=g replaces g_list; each g keeps its own epsilon grid
+        table = run_scenario(load_config(None, [
+            "scenario=fig2-sweep", "g_list=1.0", "sweep_param=g", "sweep_values=0.05,0.1",
+            "eps_lo=0.1", "eps_hi=10", "points_per_decade=1", "initial_list=g-g"]))
+        assert table.failures == []
+        assert list(table.column("g")) == [0.05] * 3 + [0.1] * 3
+        assert list(table.column("epsilon")) == pytest.approx([0.1, 1.0, 10.0] * 2)
+
+    def test_atoms_only_layout_is_its_own_atomic_reduction(self):
+        cfg = load_config(None, ["frame=effective-atomic"]).system()
+        rho = initial_state(cfg, "eg")
+        assert not rho.layout.has_field
+        assert scenarios.atomic_reduction(rho) is rho
+
+    def test_atoms_only_table_claims_no_truncation(self):
+        table = run_scenario(load_config(None, ["frame=effective-atomic"]))
+        assert table.failures == [] and len(table.rows) == 1
+        assert not any(line.startswith("n_max_used") for line in table.metadata)
+        assert table.columns == ["purity", "qd", "eof", "concurrence", "residual"]
 
 
 class TestCli:
@@ -509,6 +540,50 @@ class TestCli:
                          "--set", "sweep_param=epsilon", "--set", "sweep_values=0.5,1,2,5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert solved == []
+
+    @pytest.mark.parametrize("argv, key", [
+        (["fig1-purity", "--set", "t_lo=0"], "t_lo"),
+        (["fig1-purity", "--set", "t_lo=10", "--set", "t_hi=1"], "t_lo"),
+        (["custom", "--set", "custom_mode=evolve", "--set", "t_hi=inf", "--set", "n_max=4"],
+         "t_hi"),
+        (["fig2-sweep", "--set", "eps_lo=0", "--set", "g_list=0.1", "--set", "initial_list=e-g"],
+         "eps_lo"),
+        (["fig3-thermal", "--set", "truncation_tol=0", "--set", "nth_list=0.5"],
+         "truncation_tol"),
+        (["custom", "--set", "custom_mode=evolve", "--set", "integrator_tol=0", "--set", "n_max=16",
+          "--set", "g=0.1", "--set", "t_hi=10"], "integrator_tol"),
+        (["custom", "--set", "residual_tol=0", "--set", "n_max=4"], "residual_tol"),
+        (["fig2-sweep", "--set", "sweep_param=epsilon", "--set", "sweep_values=abc"],
+         "sweep_values"),
+        (["fig3-thermal", "--set", "nth_list=1,x"], "nth_list"),
+        (["custom", "--set", "n_max=-3"], "n_max"),
+        (["fig1-purity", "--set", "points_per_decade=0"], "points_per_decade"),
+        (["custom", "--set", "initial_atoms=custom:1,abc,0,0", "--set", "n_max=4"],
+         "initial_atoms"),
+    ], ids=["t_lo-zero", "t-descending", "t_hi-inf", "eps_lo-zero", "truncation_tol-zero",
+            "integrator_tol-zero", "residual_tol-zero", "sweep_values-text", "nth_list-text",
+            "n_max-negative", "points_per_decade-zero", "custom-amplitudes"])
+    def test_bad_value_exits_2_before_any_build(self, argv, key, capsys, monkeypatch):
+        # one error line naming the key, and no point has built its generator
+        built = []
+        monkeypatch.setattr(scenarios, "build_generator", built.append)
+        monkeypatch.setattr(scenarios, "scenario_steady_state", lambda *a, **kw: built.append(a))
+        assert cli.main(argv + ["--no-timestamp"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert built == []
+
+    def test_bad_initial_token_rejected_before_any_solve(self, capsys, monkeypatch):
+        # the good e-g points would solve first if tokens were read point by point
+        solved = []
+        solve = scenarios.scenario_steady_state
+        monkeypatch.setattr(scenarios, "scenario_steady_state",
+                            lambda *a, **kw: solved.append(a) or solve(*a, **kw))
+        code = cli.main(["fig2-sweep", "--set", "g_list=0.1", "--set", "initial_list=e-g,xx",
+                         "--set", "sweep_param=epsilon", "--set", "sweep_values=0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot interpret initial_list='xx' for 2 atoms\n"
         assert solved == []
 
     @pytest.mark.parametrize("argv", [
