@@ -1,9 +1,11 @@
 """Time evolution and steady states of Lindblad generators.
 
-The Lindblad formula is applied in two ways here.  `liouvillian_matrix_raw`
-builds the sparse superoperator once per call for the Runge-Kutta
-right-hand side, the null-space LU and the kernel projection;
-`residual_norm` applies the generator to a state with sparse H and jumps,
+A generator keeps its H and jumps as CSR (`model.Generator`); RK, the
+steady-state solver and `residual_norm` read those, and spectral
+propagation reads the dense views.  The Lindblad formula is applied in two
+ways here.  `liouvillian_matrix_raw` builds the sparse superoperator once
+per call for the Runge-Kutta right-hand side, the null-space LU and the
+kernel projection; `residual_norm` applies the generator to a state with
 sparse-times-dense products and no superoperator.  `model.apply_generator`
 stays as the independent dense reference.
 Spectral propagation restricts L to the initial state's invariant subspace
@@ -16,7 +18,8 @@ One steady-state solver, no time integration, block by block, always from
 an initial state: where the kernel is degenerate the steady state depends
 on it.  `steady_state` works in the collective basis |J, M, copy> of the
 atoms (`hilbert.collective_basis`), where a generator built from S_+/-, S_z
-is block diagonal; `steady_state_raw` solves whatever matrices it is given.
+is block diagonal; it rotates the CSR operators and rho0 there as CSR, and
+`steady_state_raw` solves whatever matrices it is given.
 One quotient graph of the components of pattern(H + sum A^dag A)
 (`_reachable_blocks`) gives, without building L, the pairs (i, j) L's
 pattern links to the initial state's entries, the blocks L splits into on
@@ -96,21 +99,21 @@ class SteadyStateResult:
 
 
 def _gen_matrices(gen: Generator):
+    """The generator's dense views: H and (jump, rate) pairs as arrays."""
     return gen.hamiltonian.matrix, [(j.matrix, r) for j, r in gen.dissipators]
 
 
 def residual_norm(gen: Generator, rho) -> float:
-    """Entrywise max of d(rho)/dt, from sparse H and jumps times the dense state
-    (`model.apply_generator` is the dense reference).
+    """Entrywise max of d(rho)/dt, from the generator's CSR H and jumps times
+    the dense state (`model.apply_generator` is the dense reference).
 
     Only sparse-times-dense products: m H = (H^T m^T)^T, A m A^dag =
     A (A m^dag)^dag, A^dag X = conj(A^T conj(X)), m A^dag A = (A^T conj(A m^dag))^T.
     """
     m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    H = sp.csr_matrix(gen.hamiltonian.matrix)
+    H = gen.H
     out = -1j * (H @ m - (H.T @ m.T).T)
-    for jump, rate in gen.dissipators:
-        A = sp.csr_matrix(jump.matrix)
+    for A, rate in gen.jumps:
         At = A.T
         Am, Amh = A @ m, A @ m.conj().T
         out += rate * (2.0 * (A @ Amh.conj().T) - (At @ Am.conj()).conj() - (At @ Amh.conj()).T)
@@ -122,7 +125,8 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
 
     DOP853 with rtol = tol and atol = tol * 1e-3, stepped here; the
     right-hand side is one product L @ vec(rho) with the sparse
-    superoperator L, built once per call and freed on every exit.  The
+    superoperator L, built from the generator's CSR operators once per call
+    and freed on every exit.  The
     states at the grid times inside a step come from that step's
     interpolant, as `solve_ivp(..., t_eval=t_grid)` gives them; the first is
     rho0 itself.  Each state is checked for Hermiticity, unit trace and
@@ -162,7 +166,7 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
     if t_grid.size > 1:
         from scipy.integrate import DOP853  # only RK needs it, and it loads scipy.optimize
 
-        L = liouvillian_matrix_raw(*_gen_matrices(gen))
+        L = liouvillian_matrix_raw(gen.H, gen.jumps)
         solver = DOP853(lambda _, y, L=L: L @ y, float(t_grid[0]), rho0.matrix.ravel(),
                         float(t_grid[-1]), rtol=tol, atol=tol * 1e-3)
         del L
@@ -591,7 +595,8 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
     """Steady state that rho0 relaxes to, on raw matrices.  Returns
     (rho_matrix, residual, kernel_dim, route).
 
-    Jumps of rate 0 add nothing to L and are left out.  One quotient graph
+    H, the jumps and rho0 may each be dense or sparse.  Jumps of rate 0 add
+    nothing to L and are left out.  One quotient graph
     (`_reachable_blocks`) gives the pairs (i, j) that L's pattern links to
     vec(rho0), L's blocks on them and the largest Hilbert block they span.
     A Hilbert block above SPARSE_NULLSPACE_MAX_DIM states fails before any
@@ -603,12 +608,16 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
     H = sp.csr_matrix(H, dtype=complex)
     dim = H.shape[0]
     jumps = [(sp.csr_matrix(A, dtype=complex), rate) for A, rate in dissipators if rate != 0]
-    rho0 = np.asarray(rho0, dtype=complex)
-    pairs, blocks, largest = _reachable_blocks(H, jumps, *np.nonzero(rho0))
+    rho0 = sp.coo_matrix(rho0, dtype=complex)
+    live = rho0.data != 0
+    rows, cols = rho0.row[live], rho0.col[live]
+    pairs, blocks, largest = _reachable_blocks(H, jumps, rows, cols)
     if largest > SPARSE_NULLSPACE_MAX_DIM:
         raise ConvergenceError(f"dimension {largest} too large for the null-space route")
     L = liouvillian_matrix_raw(H, jumps, pairs)
-    x, kernel_dim, route = _solve_blocks(L, rho0.ravel()[pairs], pairs, blocks, dim)
+    x0 = np.zeros(pairs.size, dtype=complex)
+    x0[np.searchsorted(pairs, rows * dim + cols)] = rho0.data[live]
+    x, kernel_dim, route = _solve_blocks(L, x0, pairs, blocks, dim)
     m = _normalize_kernel_vector(x, pairs, dim)
     res = float(np.max(np.abs(L @ m.ravel()[pairs])))
     if res > residual_tol:
@@ -618,8 +627,9 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
 
 def steady_state(gen: Generator, rho0: DensityMatrix,
                  residual_tol: float = 1e-9) -> SteadyStateResult:
-    """Steady state that rho0 relaxes to: H, the jumps and rho0 are rotated into
-    `collective_basis`, solved there by `steady_state_raw` and rotated back.
+    """Steady state that rho0 relaxes to: the generator's CSR H and jumps and
+    rho0 are rotated into `collective_basis` as CSR, solved there by
+    `steady_state_raw` and the solution rotated back.
 
     A generator that acts on the atoms one by one does not split there, and is
     solved exactly.
@@ -629,8 +639,9 @@ def steady_state(gen: Generator, rho0: DensityMatrix,
         raise LayoutError("initial state layout does not match generator layout")
     B, labels = collective_basis(layout.atom_count)
     m, res, kernel_dim, route = steady_state_raw(
-        to_collective_basis(gen.hamiltonian.matrix, B, labels),
-        [(to_collective_basis(jump.matrix, B, labels), rate) for jump, rate in gen.dissipators],
+        # dense: the benchmark tracer sizes the solve by len(H) (ROADMAP item 19)
+        to_collective_basis(gen.H, B, labels).toarray(),
+        [(to_collective_basis(jump, B, labels), rate) for jump, rate in gen.jumps],
         to_collective_basis(rho0.matrix, B, labels), residual_tol=residual_tol)
     m = _sandwich(B, m, B.conj().T)
     rho = DensityMatrix.from_matrix(layout, m, pos_tol=max(TOL_POS, 100.0 * residual_tol))

@@ -2,7 +2,9 @@
 
 Spaces are composed of an optional bosonic (Fock-truncated) factor followed
 by a number of two-level atoms.  The factor order is fixed: field first,
-then atoms 1..N.  All matrices are dense complex arrays.
+then atoms 1..N.  Operators and states are dense complex arrays; a
+Lindblad generator (`model.Generator`) keeps its operators as CSR, and
+`to_collective_basis` rotates CSR or dense matrices into CSR.
 
 In the collective (Dicke) basis of the atoms (`collective_basis`) every
 operator built from S_+/-, S_z is block diagonal (Shammah et al., PRA 98,
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -233,9 +236,11 @@ def coherent_vector(alpha: complex, fock_dim: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+@lru_cache(maxsize=None)
 def collective_basis(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """(B, labels): the columns of B are |J, M, copy> in the product basis of
     n_atoms atoms, and labels[c] is the multiplet (copy) index of column c.
+    Made once per n_atoms; both arrays are read-only.
 
     A multiplet starts at a computational vector with the vectors already
     found projected out, taken by level (number of excited atoms) from
@@ -259,7 +264,9 @@ def collective_basis(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(sizes[-1] - 1):
             found.append(lower @ found[-1])
     B = np.array([u / np.linalg.norm(u) for u in found], dtype=complex).T
-    return B, np.repeat(np.arange(len(sizes)), sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    B.flags.writeable = labels.flags.writeable = False
+    return B, labels
 
 
 def _sandwich(left: np.ndarray, M: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -269,18 +276,34 @@ def _sandwich(left: np.ndarray, M: np.ndarray, right: np.ndarray) -> np.ndarray:
     return ((left @ M.reshape(nf, a, -1)).reshape(-1, nf, a) @ right).reshape(M.shape)
 
 
-def to_collective_basis(M: np.ndarray, B: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """W^dag M W for W = 1_field (x) B, from `collective_basis`.
+def to_collective_basis(M, B: np.ndarray, labels: np.ndarray) -> sp.csr_matrix:
+    """W^dag M W for W = 1_field (x) B, from `collective_basis`, as CSR; M dense or sparse.
 
-    Entries between different multiplets of at most 1e-12 max(1, max|M|) are
+    M is cut into its a x a blocks (a = 2^N), one per pair of field levels,
+    and each block that holds an entry becomes B^dag M_block B.  Entries
+    between different multiplets of at most 1e-12 max(1, max|M|) are
     round-off of the rotation and set to exactly zero, so they do not merge
     the blocks; larger ones are kept.
     """
-    out = _sandwich(B.conj().T, M, B)
-    label = labels[np.arange(M.shape[0]) % labels.size]
-    mixed = label[:, None] != label[None, :]
-    out[mixed & (np.abs(out) <= 1e-12 * max(1.0, np.max(np.abs(M))))] = 0.0
-    return out
+    a, d = B.shape[0], M.shape[0]
+    if sp.issparse(M):
+        M = sp.csr_matrix(M)
+        r, c, v = np.repeat(np.arange(d), np.diff(M.indptr)), M.indices, M.data
+    else:
+        r, c = np.nonzero(M)
+        v = M[r, c]
+    blocks, block = np.unique(r // a * d + c // a, return_inverse=True)
+    rotated = np.zeros((blocks.size, a, a), dtype=complex)
+    np.add.at(rotated, (block, r % a, c % a), v)
+    rotated = B.conj().T @ rotated @ B
+    i, j = np.divmod(np.arange(a * a), a)
+    row, col = (blocks // d * a)[:, None] + i, (blocks % d * a)[:, None] + j
+    order = np.argsort((row * d + col).ravel(), kind="stable")
+    row, col, val = row.ravel()[order], col.ravel()[order], rotated.ravel()[order]
+    small = np.abs(val) <= 1e-12 * max(1.0, np.abs(v).max(initial=0.0))
+    keep = (val != 0) & ~(small & (labels[row % a] != labels[col % a]))
+    return sp.csr_matrix((val[keep], col[keep], np.searchsorted(row[keep], np.arange(d + 1))),
+                         shape=M.shape)
 
 
 def min_eigenvalue(m: np.ndarray) -> float:

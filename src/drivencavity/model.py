@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import (
     DensityMatrix,
@@ -19,13 +21,8 @@ from .hilbert import (
     LayoutError,
     Operator,
     TOL_HERM,
-    annihilation,
     coherent_vector,
-    embed,
     fock_vector,
-    sigma_minus,
-    sigma_plus,
-    sigma_z,
 )
 
 FRAMES = ("lab-rotating", "displaced", "effective-atomic", "thermal")
@@ -102,41 +99,146 @@ def derived_params(cfg: SystemConfig) -> DerivedParams:
     )
 
 
-@dataclass(frozen=True)
 class Generator:
-    """One Liouvillian: a Hamiltonian plus (jump operator, rate) pairs."""
+    """One Liouvillian: a Hamiltonian plus (jump operator, rate) pairs.
 
-    hamiltonian: Operator
-    dissipators: tuple[tuple[Operator, float], ...]
+    Stored once, as canonical CSR matrices on `layout`: `H` and `jumps`, with
+    sorted indices, no duplicates and no stored zeros, so `H` is the
+    `scipy.sparse.csr_matrix` of its dense view entry for entry.  The
+    operators may be given as `Operator`s or as sparse matrices on `layout`.
+    `hamiltonian` and `dissipators` are dense `Operator` views, made on first
+    use.
+    """
 
-    def __post_init__(self):
-        if not self.hamiltonian.is_hermitian(TOL_HERM):
+    def __init__(self, hamiltonian, dissipators=(), layout: HilbertLayout | None = None):
+        self.layout = hamiltonian.layout if layout is None else layout
+
+        def canonical(op):
+            if isinstance(op, Operator):
+                if op.layout != self.layout:
+                    raise LayoutError("jump operator layout differs from Hamiltonian layout")
+                op = op.matrix
+            m = op if isinstance(op, sp.csr_matrix) and op.dtype == complex else sp.csr_matrix(
+                op, dtype=complex)
+            if m.shape != (self.layout.dim,) * 2:
+                raise LayoutError(f"operator shape {m.shape} does not match layout "
+                                  f"dimension {self.layout.dim}")
+            if not (m.has_canonical_format and m.data.all()):
+                m = m.copy()
+                m.sum_duplicates()
+                m.eliminate_zeros()
+            return m
+
+        self.H = canonical(hamiltonian)
+        self.jumps = tuple((canonical(jump), rate) for jump, rate in dissipators)
+        if _asymmetry(self.H) > TOL_HERM:
             raise ValueError("generator Hamiltonian is not Hermitian")
-        object.__setattr__(self, "dissipators", tuple(self.dissipators))
-        for jump, rate in self.dissipators:
-            if jump.layout != self.hamiltonian.layout:
-                raise LayoutError("jump operator layout differs from Hamiltonian layout")
+        for _, rate in self.jumps:
             if rate < 0:
                 raise ValueError(f"dissipator rate must be nonnegative, got {rate}")
 
-    @property
-    def layout(self) -> HilbertLayout:
-        return self.hamiltonian.layout
+    @cached_property
+    def hamiltonian(self) -> Operator:
+        return Operator(self.layout, self.H.toarray())
+
+    @cached_property
+    def dissipators(self) -> tuple[tuple[Operator, float], ...]:
+        return tuple((Operator(self.layout, jump.toarray()), rate) for jump, rate in self.jumps)
 
 
-def _collective(local: Operator, layout: HilbertLayout) -> Operator:
-    """1_field (x) sum_j local^j: the sum is taken on the 2^N atom space alone."""
-    atoms = HilbertLayout(atom_count=layout.atom_count)
-    total = sum(embed(local, atoms.atom_factor(j), atoms).matrix
-                for j in range(1, layout.atom_count + 1))
-    if layout.has_field:
-        total = np.kron(np.eye(layout.fock_dim), total)
-    return Operator(layout, total)
+def _asymmetry(m: sp.csr_matrix) -> float:
+    """max |m - m^dag| of a canonical CSR m: each entry against its mirror
+    entry, found by its sorted row-major key, when the pattern is symmetric."""
+    d = m.shape[0]
+    rows = np.repeat(np.arange(d), np.diff(m.indptr))
+    key, mirror = rows * d + m.indices, m.indices * d + rows
+    at = np.searchsorted(key, mirror)
+    if at.size and at.max() < key.size and np.array_equal(key[at], mirror):
+        return float(np.max(np.abs(m.data - m.data[at].conj())))
+    return float(abs(m - m.conj().T).max())
+
+
+# A factor is (rows, cols, values) of a sparse matrix on the field's n_max + 1
+# levels or on the 2^N atom states; a term c F (x) S of an operator is
+# (c, F, S).  A layout without a field takes the 1 x 1 identity for F.
+def _eye(d: int):
+    return np.arange(d), np.arange(d), np.ones(d, dtype=complex)
+
+
+def _field_eye(layout: HilbertLayout):
+    return _eye(layout.fock_dim if layout.has_field else 1)
+
+
+def _ladder(n_max: int):
+    """a: a|n> = sqrt(n)|n-1>."""
+    n = np.arange(1, n_max + 1)
+    return n - 1, n, np.sqrt(n).astype(complex)
+
+
+def _number(n_max: int):
+    """a^dag a, each entry conj(sqrt n) sqrt n."""
+    _, n, s = _ladder(n_max)
+    return n, n, s.conj() * s
+
+
+def _raising(n_atoms: int):
+    """S_+ = (1/sqrt(N)) sum_j sigma_+^j on the atoms (|e> = 0, atom 1 the leading bit)."""
+    x = np.arange(2**n_atoms)
+    bits = 1 << np.arange(n_atoms)
+    g, bit = np.nonzero(x[:, None] & bits)   # atom `bit` of state g is in |g>
+    return x[g] ^ bits[bit], x[g], np.full(g.size, 1.0 / math.sqrt(n_atoms), dtype=complex)
+
+
+def _sz(n_atoms: int):
+    """S_z = sum_j sigma_z^j (no 1/sqrt(N)): N minus twice the ground atoms."""
+    x = np.arange(2**n_atoms)
+    ground = np.array([bin(c).count("1") for c in x])
+    return x, x, (n_atoms - 2 * ground).astype(complex)
+
+
+def _dag(factor):
+    rows, cols, vals = factor
+    return cols, rows, vals.conj()
+
+
+def _assemble(layout: HilbertLayout, terms, plus_hc=()) -> sp.csr_matrix:
+    """sum of c F (x) S over `terms`, then each of `plus_hc` followed by its
+    adjoint, as one canonical CSR construction.
+
+    Each entry is F[i, k] S[j, l] times c, the product the dense Kronecker
+    construction makes, and the terms that share an entry are summed in that
+    order.  Terms of coefficient 0 are left out, and so are zero sums.
+    """
+    a, d = 2**layout.atom_count, layout.dim
+    keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for hc, (c, F, S) in [(False, t) for t in terms] + [(True, t) for t in plus_hc]:
+        if c == 0:
+            continue
+        r = (F[0][:, None] * a + S[0]).ravel()
+        k = (F[1][:, None] * a + S[1]).ravel()
+        v = (F[2][:, None] * S[2]).ravel() * complex(c)
+        keys += [r * d + k, k * d + r] if hc else [r * d + k]
+        vals += [v, v.conj()] if hc else [v]
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if first.size:
+        key, val = key[first], np.add.reduceat(val, first)
+    live = val != 0
+    rows, cols = np.divmod(key[live], d)
+    return sp.csr_matrix((val[live], cols, np.searchsorted(rows, np.arange(d + 1))),
+                         shape=(d, d))
+
+
+def _collective(layout: HilbertLayout, factor) -> Operator:
+    """1_field (x) factor, dense."""
+    return Operator(layout, _assemble(layout, [(1.0, _field_eye(layout), factor)]).toarray())
 
 
 def collective_raising(layout: HilbertLayout) -> Operator:
     """S_+ = (1/sqrt(N)) sum_j sigma_+^j."""
-    return (1.0 / math.sqrt(layout.atom_count)) * _collective(sigma_plus(), layout)
+    return _collective(layout, _raising(layout.atom_count))
 
 
 def collective_lowering(layout: HilbertLayout) -> Operator:
@@ -145,29 +247,11 @@ def collective_lowering(layout: HilbertLayout) -> Operator:
 
 def collective_sz(layout: HilbertLayout) -> Operator:
     """S_z = sum_j sigma_z^j (no 1/sqrt(N))."""
-    return _collective(sigma_z(), layout)
-
-
-def _field_op(cfg: SystemConfig) -> Operator:
-    layout = cfg.layout()
-    return embed(annihilation(cfg.n_max), layout.field_factor(), layout)
-
-
-def _number_op(cfg: SystemConfig) -> Operator:
-    """a^dag a, from the field factor alone."""
-    a = annihilation(cfg.n_max).matrix
-    return Operator(cfg.layout(), np.kron(a.conj().T @ a, np.eye(2**cfg.n_atoms)))
-
-
-def _coupling(cfg: SystemConfig) -> Operator:
-    """g sqrt(N) a S_+ = g sqrt(N) (a (x) S_+), from the factors."""
-    sp = collective_raising(HilbertLayout(atom_count=cfg.n_atoms)).matrix
-    return cfg.g * math.sqrt(cfg.n_atoms) * Operator(
-        cfg.layout(), np.kron(annihilation(cfg.n_max).matrix, sp))
+    return _collective(layout, _sz(layout.atom_count))
 
 
 def build_generator(cfg: SystemConfig) -> Generator:
-    """The frame's Hamiltonian and jumps, each term built from its factors.
+    """The frame's Hamiltonian and jumps, each assembled once, as CSR, from its factors.
 
     Every field frame: H = (Delta/2) S_z + g sqrt(N) (a S_+ + h.c.).
     lab-rotating and displaced add delta a^dag a and a drive plus its h.c.,
@@ -175,25 +259,33 @@ def build_generator(cfg: SystemConfig) -> Generator:
     (a, kappa); thermal has the jumps (a, n_th + 1) and (a^dag, n_th).
     effective-atomic, the field adiabatically eliminated at delta = 0:
     H = (Delta/2) S_z + Omega S_+ + h.c., jump (S_-, g^2 N / kappa).
+    The field factors a and a^dag a and the collective S_+ and S_z are sparse
+    on their own spaces; nothing dense is made on the product space.
     """
     layout = cfg.layout()
+    n = cfg.n_atoms
+    eye_f, eye_a, raising = _field_eye(layout), _eye(2**n), _raising(n)
+    sz = (0.5 * cfg.delta_atom, eye_f, _sz(n))
+
+    def op(terms, plus_hc=()):
+        return _assemble(layout, terms, plus_hc)
+
     if cfg.frame == "effective-atomic":
         params = derived_params(cfg)
-        sp = collective_raising(layout)
-        half = params.omega_drive * sp
-    else:
-        a = _field_op(cfg)
-        half = _coupling(cfg)
-    h = 0.5 * cfg.delta_atom * collective_sz(layout) + half + half.dag()
-    if cfg.frame == "effective-atomic":
-        return Generator(h, ((sp.dag(), params.gamma_eff),))
+        return Generator(op([sz], [(params.omega_drive, eye_f, raising)]),
+                         [(op([(1.0, eye_f, _dag(raising))]), params.gamma_eff)], layout)
+    a = _ladder(cfg.n_max)
+    half = (cfg.g * math.sqrt(n), a, raising)
+    jump = op([(1.0, a, eye_a)])
     if cfg.frame == "thermal":
-        return Generator(h, ((a, cfg.n_th + 1.0), (a.dag(), cfg.n_th)))
+        return Generator(op([sz], [half]), [(jump, cfg.n_th + 1.0),
+                                            (op([(1.0, _dag(a), eye_a)]), cfg.n_th)], layout)
     if cfg.frame == "lab-rotating":
-        drive = cfg.epsilon * a
+        drive = (cfg.epsilon, a, eye_a)
     else:
-        drive = derived_params(cfg).omega_drive * collective_raising(layout)
-    return Generator(h + cfg.delta * _number_op(cfg) + drive + drive.dag(), ((a, 1.0),))
+        drive = (derived_params(cfg).omega_drive, eye_f, raising)
+    h = op([sz, (cfg.delta, _number(cfg.n_max), eye_a)], [half, drive])
+    return Generator(h, [(jump, 1.0)], layout)
 
 
 def apply_generator(gen: Generator, rho) -> Operator:

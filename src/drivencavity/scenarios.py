@@ -23,6 +23,7 @@ from . import __version__
 from .hilbert import DensityMatrix, StateError, partial_trace
 from .model import (
     ConfigError,
+    Generator,
     SystemConfig,
     build_generator,
     derived_params,
@@ -158,6 +159,14 @@ def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
         raise ScenarioConfigError(f"scenario {cfg.scenario} tabulates two-atom QD and EoF: "
                                   f"n_atoms must be 2, not {cfg.n_atoms}")
     _check_values(cfg)
+    if rules.pair:
+        for token in _tokens(cfg.initial_list):
+            if token.startswith("custom:"):
+                raise ScenarioConfigError(
+                    f"scenario {cfg.scenario} takes no custom amplitudes in initial_list "
+                    f"({token!r}): its tokens are all-e, all-g, g-g, e-g or one e/g letter "
+                    f"per atom (ee, eg, ge, gg)")
+            atoms_pattern(token, 2, "initial_list")
     return cfg
 
 
@@ -179,14 +188,22 @@ def _check_values(cfg: ScenarioConfig):
         raise ScenarioConfigError(f"points_per_decade must be >= 1, not {cfg.points_per_decade}")
     for key in ("sweep_values", "g_list", "nth_list"):
         try:
-            parse_float_list(getattr(cfg, key))
+            values = parse_float_list(getattr(cfg, key))
         except ValueError as exc:
             raise ScenarioConfigError(f"cannot parse {key}={getattr(cfg, key)!r} as "
                                       f"comma-separated floats") from exc
+        if not values and (key != "sweep_values" or cfg.sweep_param):
+            raise ScenarioConfigError(f"{key} has no values")
+    if not _tokens(cfg.initial_list):
+        raise ScenarioConfigError("initial_list has no values")
+
+
+def _tokens(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
 def parse_float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    return [float(tok) for tok in _tokens(raw)]
 
 
 def atoms_pattern(token: str, n_atoms: int, key: str = "initial_atoms"):
@@ -277,11 +294,12 @@ def empty_cavity_field(cfg: SystemConfig):
     return "vacuum"
 
 
-def scenario_steady_state(cfg: SystemConfig, atoms_init,
-                          residual_tol: float = 1e-9) -> DensityMatrix:
+def scenario_steady_state(cfg: SystemConfig, atoms_init, residual_tol: float = 1e-9,
+                          gen: Generator | None = None) -> DensityMatrix:
     """Steady state reached from atoms (x) frame-appropriate field initial state,
-    solved block by block in the collective (Dicke) basis for every N."""
-    gen = build_generator(cfg)
+    solved block by block in the collective (Dicke) basis for every N, under
+    `gen` (built from cfg when not given)."""
+    gen = build_generator(cfg) if gen is None else gen
     rho0 = initial_state(cfg, atoms_init, field=empty_cavity_field(cfg))
     return two_atom_steady_state(gen, rho0, residual_tol=residual_tol).rho_ss
 
@@ -335,8 +353,12 @@ def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
     raise TruncationError("observables not converged in n_max up to 256")
 
 
-def _steady_solver(scfg: ScenarioConfig, atoms_init):
-    return lambda c: scenario_steady_state(c, atoms_init, residual_tol=scfg.residual_tol)
+def _steady_solver(scfg: ScenarioConfig, atoms_init, gens: dict):
+    """config -> its steady state; the generator it is solved with goes to gens[config]."""
+    def solve(c):
+        gens[c] = build_generator(c)
+        return scenario_steady_state(c, atoms_init, scfg.residual_tol, gens[c])
+    return solve
 
 
 def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
@@ -346,15 +368,17 @@ def _steady_point(scfg: ScenarioConfig, sys_cfg: SystemConfig, atoms_init):
     n_max is scfg.n_max when set; otherwise `choose_truncation` chooses it and
     hands back the report it probed there, so each state gets one report.  A
     layout with no field has nothing to truncate.  The residual is recomputed
-    from the unrotated generator, independently of the solve.
+    in the product basis from the generator the state was solved with,
+    independently of the collective-basis solve.
     """
-    solve = _steady_solver(scfg, atoms_init)
+    gens = {}
+    solve = _steady_solver(scfg, atoms_init, gens)
     if scfg.n_max > 0 or not sys_cfg.layout().has_field:
         cfg, rho = sys_cfg, solve(sys_cfg)
         report = _pair_report(cfg, rho)
     else:
         cfg, rho, _, report = choose_truncation(sys_cfg, solve, scfg.truncation_tol)
-    return cfg, rho, report, residual_norm(build_generator(cfg), rho)
+    return cfg, rho, report, residual_norm(gens[cfg], rho)
 
 
 # Numerical failures of one sweep point; they cost that point, not the table.
@@ -430,9 +454,8 @@ def run_fig1(scfg: ScenarioConfig) -> OutputTable:
 
 
 def _initial_code(init: str) -> float:
-    """The number of excited atoms in the two-atom token `init`; NaN for custom amplitudes."""
-    pattern = atoms_pattern(init, 2, "initial_list")
-    return float(pattern.count("e")) if isinstance(pattern, str) else math.nan
+    """The number of excited atoms in the two-atom token `init`."""
+    return float(atoms_pattern(init, 2, "initial_list").count("e"))
 
 
 def _pair_table(scfg: ScenarioConfig, head: list, points: list, unpack) -> OutputTable:
@@ -455,24 +478,21 @@ def _pair_table(scfg: ScenarioConfig, head: list, points: list, unpack) -> Outpu
 
 def run_fig2(scfg: ScenarioConfig) -> OutputTable:
     """Stationary QD/EoF versus drive strength, per coupling and initial state."""
-    initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
-    if scfg.sweep_param == "epsilon" and scfg.sweep_values:
+    if scfg.sweep_param == "epsilon":
         eps_values = parse_float_list(scfg.sweep_values)
     else:
         eps_values = list(log_grid(scfg.eps_lo, scfg.eps_hi, scfg.points_per_decade))
-    g_values = parse_float_list(scfg.sweep_values if scfg.sweep_param == "g" and scfg.sweep_values
-                                else scfg.g_list)
-    points = [(g, init, eps) for g in g_values for init in initials for eps in eps_values]
+    g_values = parse_float_list(scfg.sweep_values if scfg.sweep_param == "g" else scfg.g_list)
+    points = [(g, init, eps) for g in g_values for init in _tokens(scfg.initial_list)
+              for eps in eps_values]
     return _pair_table(scfg, ["g", "initial_code", "epsilon"], points, lambda p: (
         p[1], {"g": p[0], "epsilon": p[2]}, [p[0], _initial_code(p[1]), p[2]]))
 
 
 def run_fig3(scfg: ScenarioConfig) -> OutputTable:
     """Stationary QD/EoF versus thermal occupancy at zero drive."""
-    nth_values = parse_float_list(
-        scfg.sweep_values if scfg.sweep_param == "n_th" and scfg.sweep_values else scfg.nth_list)
-    initials = [tok.strip() for tok in scfg.initial_list.split(",") if tok.strip()]
-    points = [(init, nth) for init in initials for nth in nth_values]
+    nth_values = parse_float_list(scfg.sweep_values if scfg.sweep_param == "n_th" else scfg.nth_list)
+    points = [(init, nth) for init in _tokens(scfg.initial_list) for nth in nth_values]
     return _pair_table(scfg, ["n_th", "initial_code"], points, lambda p: (
         p[0], {"n_th": p[1]}, [p[1], _initial_code(p[0])]))
 
@@ -508,7 +528,7 @@ def run_custom(scfg: ScenarioConfig) -> OutputTable:
         # an automatic truncation is the one the steady state converges at
         cfg = sys_cfg
         if scfg.n_max == 0 and has_field:
-            cfg = choose_truncation(sys_cfg, _steady_solver(scfg, pattern),
+            cfg = choose_truncation(sys_cfg, _steady_solver(scfg, pattern, {}),
                                     scfg.truncation_tol)[0]
         gen, traj = _trajectory(scfg, cfg, pattern)
         rows = [[t] + observables_row(state, residual_norm(gen, state))

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from drivencavity.model import (
     thermal_field_matrix,
 )
 from drivencavity import dynamics
-from drivencavity.scenarios import empty_cavity_field, log_grid
+from drivencavity.scenarios import empty_cavity_field, log_grid, scenario_steady_state
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
@@ -317,6 +318,19 @@ class TestLiouvillianMatrix:
         assert np.max(np.abs(L @ m.ravel() - direct)) < 1e-12
 
     @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
+    def test_evolve_liouvillian_is_the_dense_views_one(self, cfg, monkeypatch):
+        # RK builds L from the CSR operators: the same CSR the dense views give
+        gen = build_generator(cfg)
+        raw, built = dynamics.liouvillian_matrix_raw, []
+        monkeypatch.setattr(dynamics, "liouvillian_matrix_raw",
+                            lambda *a, **kw: built.append(raw(*a, **kw)) or built[-1])
+        evolve(gen, initial_state(cfg, "eg", field=empty_cavity_field(cfg)), [0.0, 0.1])
+        (L,) = built
+        want = raw(*_gen_matrices(gen))
+        for got, exp in zip((L.indptr, L.indices, L.data), (want.indptr, want.indices, want.data)):
+            assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
     def test_sparse_residual_matches_dense_generator(self, cfg):
         gen = build_generator(cfg)
         d = gen.layout.dim
@@ -330,10 +344,9 @@ def _collective_problem(cfg, atoms):
     gen = build_generator(cfg)
     rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
     B, labels = collective_basis(cfg.n_atoms)
-    H = sp.csr_matrix(to_collective_basis(gen.hamiltonian.matrix, B, labels))
-    jumps = [(sp.csr_matrix(to_collective_basis(A.matrix, B, labels)), rate)
-             for A, rate in gen.dissipators]
-    return H, jumps, to_collective_basis(rho0.matrix, B, labels)
+    H = to_collective_basis(gen.H, B, labels)
+    jumps = [(to_collective_basis(A, B, labels), rate) for A, rate in gen.jumps]
+    return H, jumps, to_collective_basis(rho0.matrix, B, labels).toarray()
 
 
 def _starts(n):
@@ -465,6 +478,19 @@ class TestHermitianCoordinates:
 
 
 class TestSteadyState:
+    def test_thermal_solve_holds_few_dense_arrays(self):
+        # the generator and its rotation stay sparse: what is dense is rho0, the
+        # rotated H the solver is handed, and the solution and its rotation back
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=5.0, n_max=128, frame="thermal")
+        scenario_steady_state(cfg, "eg")
+        tracemalloc.start()
+        try:
+            scenario_steady_state(cfg, "eg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 16 * cfg.layout().dim ** 2
+
     def test_driven_cavity_amplitude(self):
         # decoupled driven cavity: <a>_ss = -i eps / (kappa + i delta)
         cfg = SystemConfig(n_atoms=1, g=0.0, epsilon=0.5, delta=0.7, n_max=10,

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from drivencavity.hilbert import (
     DensityMatrix,
     HilbertLayout,
+    LayoutError,
     StateError,
     annihilation,
     embed,
@@ -16,6 +19,7 @@ from drivencavity.hilbert import (
 from drivencavity.model import (
     ConfigError,
     FRAMES,
+    Generator,
     SystemConfig,
     apply_generator,
     atomic_vector,
@@ -270,6 +274,63 @@ class TestBuildFromFactors:
         for (jump, rate), (ref, ref_rate) in zip(gen.dissipators, jumps):
             assert rate == ref_rate
             assert np.array_equal(jump.matrix, ref.matrix)
+
+
+def _assert_same_csr(got, want):
+    assert got.has_canonical_format
+    for g, w in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data)):
+        assert np.array_equal(g, w)
+
+
+class TestGeneratorStorage:
+    CFG = SystemConfig(n_atoms=2, g=0.37, delta_atom=0.3, epsilon=0.7, delta=0.2, n_max=5)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_csr_is_the_csr_of_its_dense_view(self, frame):
+        # no stored zeros, no duplicates, sorted: what scipy makes of the dense view
+        drive = {"thermal": {"n_th": 0.8, "epsilon": 0.0, "delta": 0.0},
+                 "effective-atomic": {"delta": 0.0}}.get(frame, {})
+        gen = build_generator(replace(self.CFG, frame=frame, **drive))
+        _assert_same_csr(gen.H, sp.csr_matrix(gen.hamiltonian.matrix))
+        assert len(gen.jumps) == len(gen.dissipators)
+        for (A, rate), (view, view_rate) in zip(gen.jumps, gen.dissipators):
+            assert rate == view_rate
+            _assert_same_csr(A, sp.csr_matrix(view.matrix))
+
+    def test_dense_views_are_made_on_first_use(self):
+        gen = build_generator(self.CFG)
+        assert "hamiltonian" not in vars(gen) and "dissipators" not in vars(gen)
+        assert gen.hamiltonian is gen.hamiltonian
+        assert "hamiltonian" in vars(gen) and "dissipators" not in vars(gen)
+
+    def test_built_from_operators(self):
+        h, jumps = _embedded_generator(self.CFG)
+        gen = Generator(h, jumps)
+        assert gen.layout == h.layout
+        _assert_same_csr(gen.H, sp.csr_matrix(h.matrix))
+        for (A, rate), (ref, ref_rate) in zip(gen.jumps, jumps):
+            assert rate == ref_rate
+            _assert_same_csr(A, sp.csr_matrix(ref.matrix))
+
+    def test_sparse_input_is_made_canonical(self):
+        # duplicates summed and stored zeros dropped, the caller's matrix untouched
+        layout = HilbertLayout(atom_count=1)
+        h = sp.csr_matrix((np.array([0.5, 0.5, 0.0, 1.0]), np.array([0, 0, 1, 1]),
+                           np.array([0, 3, 4])), shape=(2, 2))
+        gen = Generator(h, (), layout)
+        _assert_same_csr(gen.H, sp.csr_matrix(np.diag([1.0, 1.0]).astype(complex)))
+        assert h.nnz == 4
+
+    def test_rejects_bad_operators(self):
+        h, jumps = _embedded_generator(self.CFG)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Generator(jumps[0][0], jumps)  # the jump a is no Hamiltonian
+        with pytest.raises(ValueError, match="nonnegative"):
+            Generator(h, [(jumps[0][0], -1.0)])
+        with pytest.raises(LayoutError):
+            Generator(h, [(sigma_z(), 1.0)])
+        with pytest.raises(LayoutError):
+            Generator(sp.identity(3, format="csr"), (), h.layout)
 
 
 class TestApplyGenerator:

@@ -272,7 +272,6 @@ class TestScenarioRuns:
         cfg = load_config(None, ["scenario=fig2-sweep", "g_list=0.1", "sweep_param=epsilon",
                                  "sweep_values=1.0", "initial_list=ee,ge,e-g,g-g"])
         assert list(run_scenario(cfg).column("initial_code")) == [2.0, 1.0, 1.0, 0.0]
-        assert math.isnan(scenarios._initial_code("custom:0,1,1,0"))
 
     @pytest.mark.parametrize("args", [
         ["scenario=fig2-sweep", "g_list=0.1", "sweep_param=epsilon", "sweep_values=1.0",
@@ -573,6 +572,34 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
         assert built == []
+
+    @pytest.mark.parametrize("argv, key", [
+        (["fig3-thermal", "--set", "nth_list=,"], "nth_list"),
+        (["fig2-sweep", "--set", "g_list="], "g_list"),
+        (["fig3-thermal", "--set", "initial_list=,"], "initial_list"),
+        (["fig2-sweep", "--set", "sweep_param=epsilon", "--set", "sweep_values=,"], "sweep_values"),
+        (["fig3-thermal", "--set", "sweep_param=n_th", "--set", "sweep_values= "], "sweep_values"),
+    ], ids=["nth_list", "g_list", "initial_list", "sweep_values-eps", "sweep_values-nth"])
+    def test_empty_list_exits_2_before_any_build(self, argv, key, capsys, monkeypatch):
+        # an empty list would run as a table with a header and no rows
+        built = []
+        monkeypatch.setattr(scenarios, "build_generator", built.append)
+        assert cli.main(argv + ["--no-timestamp"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {key} has no values"]
+        assert built == []
+
+    def test_sweep_values_may_stay_empty_without_sweep_param(self):
+        assert load_config(None, ["scenario=fig2-sweep", "sweep_values="]).sweep_values == ""
+
+    @pytest.mark.parametrize("scenario", ["fig2-sweep", "fig3-thermal"])
+    def test_pair_table_refuses_custom_amplitudes(self, scenario):
+        # the list splits on commas, so amplitudes could only arrive one to a token
+        with pytest.raises(ScenarioConfigError) as exc:
+            load_config(None, [f"scenario={scenario}", "initial_list=e-g,custom:0,1,1,0"])
+        message = str(exc.value)
+        assert "custom amplitudes" in message and "'custom:0'" in message
+        assert all(token in message for token in ("all-e", "all-g", "g-g", "e-g", "eg"))
 
     def test_bad_initial_token_rejected_before_any_solve(self, capsys, monkeypatch):
         # the good e-g points would solve first if tokens were read point by point

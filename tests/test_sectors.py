@@ -40,7 +40,7 @@ TWO_ATOM_BASIS, TWO_ATOM_LABELS = collective_basis(2)
 
 
 def to_two_atom_basis(m):
-    return to_collective_basis(m, TWO_ATOM_BASIS, TWO_ATOM_LABELS)
+    return to_collective_basis(m, TWO_ATOM_BASIS, TWO_ATOM_LABELS).toarray()
 
 
 def _singlet_mask(dim):
