@@ -40,6 +40,7 @@ from drivencavity.dynamics import (
     _gen_matrices,
     _hermitian_coordinates,
     _invariant_support,
+    _normalize_kernel_vector,
     _reachable_blocks,
     _unique_fixed_point,
     evolve,
@@ -490,6 +491,46 @@ class TestSteadyState:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * 16 * cfg.layout().dim ** 2
+
+    @pytest.mark.parametrize("n_th, n_max, unknowns", [(3.0, 164, 1477), (5.0, 256, 2305)])
+    def test_trace_constrained_lu_stays_near_nnz(self, n_th, n_max, unknowns, monkeypatch):
+        # fig3's e-g triplet block: COLAMD with partial pivoting took the dense
+        # trace row as an early pivot and filled the LU to 42 and 63 times nnz(M)
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=n_th, n_max=n_max, frame="thermal")
+        H, jumps, rho0 = _collective_problem(cfg, "eg")
+        jumps = [(A, rate) for A, rate in jumps if rate != 0]
+        pairs, blocks, _ = _reachable_blocks(H, jumps, *np.nonzero(rho0))
+        d = H.shape[0]
+        idx = max((b for b in blocks if np.any(pairs[b] % (d + 1) == 0)), key=len)
+        L = liouvillian_matrix_raw(H, jumps, pairs)[idx][:, idx]
+        factors, splu = [], dynamics.spla.splu
+
+        def recording(M, **kwargs):
+            factors.append((M, splu(M, **kwargs)))
+            return factors[-1][1]
+
+        monkeypatch.setattr(dynamics.spla, "splu", recording)
+        _unique_fixed_point(L, np.flatnonzero(pairs[idx] % (d + 1) == 0))
+        (M, lu), = factors
+        assert M.shape[0] == unknowns
+        assert lu.L.nnz + lu.U.nnz <= 4 * M.nnz
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["closed", "missing-partner"])
+    def test_normalize_kernel_vector_equals_the_dense_one(self, missing):
+        d = 7
+        r = np.random.default_rng(29)
+        upper = np.flatnonzero(np.triu(r.random((d, d)) < 0.3, 1))
+        pairs = np.concatenate([upper, upper % d * d + upper // d, np.arange(d) * (d + 1)])
+        if missing:
+            pairs = pairs[1:]  # the partner of the dropped coherence stays
+        pairs = np.sort(pairs)
+        x = r.normal(size=pairs.size) + 1j * r.normal(size=pairs.size)
+        dense = np.zeros(d * d, dtype=complex)
+        dense[pairs] = x
+        dense = dense.reshape(d, d)
+        dense = 0.5 * (dense + dense.conj().T)
+        dense /= dense.ravel()[pairs[pairs % (d + 1) == 0]].sum().real
+        assert np.array_equal(_normalize_kernel_vector(x, pairs, d), dense)
 
     def test_driven_cavity_amplitude(self):
         # decoupled driven cavity: <a>_ss = -i eps / (kappa + i delta)

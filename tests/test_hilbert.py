@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from drivencavity.hilbert import (
     DensityMatrix,
@@ -16,7 +18,9 @@ from drivencavity.hilbert import (
     fock_vector,
     hermitian_spectrum,
     identity,
+    _max_asymmetry,
     min_eigenvalue,
+    nonzero_pattern,
     partial_trace,
     partial_trace_matrix,
     sigma_x,
@@ -326,6 +330,76 @@ class TestMinEigenvalue:
         assert abs(min_eigenvalue(m) + 1e-6) < 1e-12
         with pytest.raises(StateError, match="eigenvalue"):
             DensityMatrix.from_matrix(layout, m)
+
+
+def _dense_min_eigenvalue(m):
+    """`min_eigenvalue` from dense masks of m, the reference its pattern path must equal."""
+    if m.all():
+        return float(np.linalg.eigvalsh(m)[0])
+    diagonal = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        return float(np.min(diagonal.real))
+    nz = m != 0
+    live = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    if live.size < m.shape[0]:
+        return min(0.0, _dense_min_eigenvalue(m[np.ix_(live, live)]))
+    _, labels = connected_components(sp.csr_matrix(nz), directed=False)
+    sizes = np.bincount(labels)[labels]
+    lo = np.inf
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        idx = members[np.argsort(labels[members], kind="stable")].reshape(-1, s)
+        lo = min(lo, float(np.min(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]))))
+    return lo
+
+
+def _sparse_state(kind):
+    """A 12 x 12 state of each shape the pattern path meets, not Hermitian to round-off."""
+    r = np.random.default_rng(13)
+    if kind == "dense":
+        m = _random_block(r, 12, negative=False)
+    elif kind == "diagonal":
+        m = np.diag(r.uniform(0.1, 1.0, 12) + 1e-14j * r.normal(size=12))
+    else:
+        sizes, n_zero = ((3, 1, 4, 2, 2), 0) if kind == "permuted-blocks" else ((3, 1, 4, 2), 2)
+        m = _permuted_direct_sum(r, [_random_block(r, s, negative=False) for s in sizes], n_zero)
+    return m / np.trace(m).real
+
+
+class TestPatternChecks:
+    """A state with a zero entry is checked on its nonzero pattern, with the
+    values of the dense formulas, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["permuted-blocks", "zero-row-and-column", "diagonal",
+                                      "dense"])
+    def test_equal_the_dense_formulas(self, kind):
+        m = _sparse_state(kind)
+        pattern = nonzero_pattern(m)
+        assert (pattern is None) == (kind == "dense")
+        if pattern is not None:
+            assert all(np.array_equal(p, q) for p, q in zip(pattern, np.nonzero(m)))
+        herm = float(np.max(np.abs(m - m.conj().T)))
+        assert herm > 0.0  # round-off asymmetry: the max is compared, not two zeros
+        assert _max_asymmetry(m, pattern) == herm
+        lo = _dense_min_eigenvalue(m)
+        assert min_eigenvalue(m) == lo
+        rho = DensityMatrix.from_matrix(HilbertLayout(atom_count=2, fock_dim=3), m)
+        assert rho.min_eigenvalue == lo
+
+    def test_entry_without_partner_is_rejected(self):
+        m = _sparse_state("permuted-blocks")
+        i, j = np.argwhere((m == 0) & (m.T == 0))[1]
+        m[i, j] = 1e-6
+        with pytest.raises(StateError, match="not Hermitian: max asymmetry 1.000e-06"):
+            DensityMatrix.from_matrix(HilbertLayout(atom_count=2, fock_dim=3), m)
+
+    def test_negative_block_is_rejected(self):
+        r = np.random.default_rng(17)
+        m = _permuted_direct_sum(r, [_random_block(r, 3, negative=True), np.diag([5.0, 1.0])], 7)
+        m /= np.trace(m).real
+        assert np.linalg.eigvalsh(m)[0] < -1e-9
+        with pytest.raises(StateError, match="eigenvalue"):
+            DensityMatrix.from_matrix(HilbertLayout(atom_count=2, fock_dim=3), m)
 
 
 def test_trace_distance_orthogonal_pure_states():

@@ -685,9 +685,9 @@ def _gibbs_pair(n_th: float, singlet_weight: float) -> DensityMatrix:
 def test_fig3_rows_match_gibbs_closed_form(g, delta_atom):
     table = run_scenario(load_config(None, [
         "scenario=fig3-thermal", f"g={g}", f"delta_atom={delta_atom}", "sweep_param=n_th",
-        "sweep_values=0,0.5,2", "initial_list=e-g,g-g"]))
+        "sweep_values=0,0.5,2,3", "initial_list=e-g,g-g"]))
     assert table.failures == []
-    assert len(table.rows) == 6
+    assert len(table.rows) == 8
     weights = {1.0: 0.5, 0.0: 0.0}   # singlet weight of e-g and g-g, by initial_code
     for row in table.rows:
         n_th, code, qd, eof = row[:4]
