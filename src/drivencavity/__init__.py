@@ -1,5 +1,14 @@
 """Driven dissipative cavity QED simulator with atomic quantum-correlation analysis."""
 
+import os
+
+# One BLAS thread unless the caller chose a count: the many small dense products
+# run faster so, and a table's last digits depend on the thread count.  Set
+# before numpy loads, which reads these once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .hilbert import (  # noqa: F401

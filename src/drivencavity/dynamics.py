@@ -11,6 +11,11 @@ stays as the independent dense reference.
 Spectral propagation restricts L to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
+At zero detunings (delta = Delta = 0, as in fig1) a diagonal phase gauge D
+makes iH real, each jump real up to one phase and rho0 real, so complex
+conjugation in that gauge commutes with L and the state stays real symmetric:
+only the k(k+1)/2 diagonal and symmetric coordinates are kept
+(`_real_basis`, which verifies D and otherwise keeps all k^2).
 RK (`evolve`) steps scipy's DOP853 itself and checks each grid state as
 the integrator reaches it, so a bad state stops the integration there.
 
@@ -44,7 +49,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .hilbert import (DensityMatrix, LayoutError, TOL_POS, _sandwich, collective_basis,
                       to_collective_basis)
@@ -54,7 +59,7 @@ SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
 SPECTRAL_MAX_SUPPORT = 64           # largest invariant-support dim k for evolve_spectral (k^2 x k^2 eig)
 _KERNEL_REL_TOL = 1e-10             # relative size of a kernel eigenvalue; 1 / max condition
 _SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
-_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel or gap comes from dense eig
+_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel or gap is found densely
 _COHERENCE_GAP_MIN = 1e-8           # a coherence block with a smaller gap is projected, not dropped
 
 
@@ -83,6 +88,7 @@ class IntegratorStats:
     n_renormalizations: int = 0
     rtol: float = 0.0
     support_dim: int = 0         # evolve_spectral: dim of rho0's invariant subspace
+    coordinates: int = 0         # evolve_spectral: real unknowns of its eig, k(k+1)/2 or k^2
     eigvec_cond: float = 0.0     # evolve_spectral: 1-norm condition estimate of the eigenvectors
 
 
@@ -244,6 +250,60 @@ def _hermitian_coordinates(k: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
 
 
+def _real_basis(gen: Generator, rho0: np.ndarray, V: np.ndarray):
+    """An orthonormal basis D R of range(V), R real and D diagonal phases, on
+    which the restricted generator keeps rho0's part real symmetric; None when
+    no such gauge is found.
+
+    D makes every edge of a breadth-first spanning forest of pattern(H) real
+    in D^dag (iH) D.  Then it is verified, each to _SUPPORT_REL_TOL of the
+    largest entry: D^dag (iH) D is real, each D^dag A D is real up to one
+    phase, D^dag rho0 D is real, and the real d x 2k matrix
+    [Re D^dag V, Im D^dag V] has rank exactly k, so range(D^dag V) is closed
+    under conjugation and R is an orthonormal basis of its real part.  In
+    that gauge X -> conj(X) commutes with the restricted Liouvillian, so
+    X(t) stays real symmetric (Buca & Prosen, NJP 14, 073007, 2012).  A
+    diagonal term of H (delta or Delta nonzero) is real in iH only at 0, and
+    jumps between H's disconnected sectors pick up one phase per sector
+    (the thermal frame): both fail the check.
+    """
+    H = gen.H
+    d, k = V.shape
+    pattern = sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), shape=H.shape)
+    phase = np.ones(d, dtype=complex)
+    seen = np.zeros(d, dtype=bool)
+    for root in range(d):
+        if seen[root]:
+            continue
+        order, pred = breadth_first_order(pattern, root, directed=False)
+        seen[order] = True
+        edge = 1j * np.asarray(H[pred[order[1:]], order[1:]]).ravel()
+        for node, p, h in zip(order[1:], pred[order[1:]], edge):
+            phase[node] = phase[p] * np.conj(h) / abs(h)
+
+    def gauged(m):  # D^dag m D on m's stored entries
+        rows = np.repeat(np.arange(d), np.diff(m.indptr))
+        return m.data * phase[rows].conj() * phase[m.indices]
+
+    def real(x):
+        scale = np.max(np.abs(x), initial=0.0)
+        return np.max(np.abs(x.imag), initial=0.0) <= _SUPPORT_REL_TOL * scale
+
+    if not real(1j * gauged(H)):
+        return None
+    for A, rate in gen.jumps:
+        a = gauged(A)
+        if rate != 0 and a.size and not real(a * np.conj(a[np.argmax(np.abs(a))])):
+            return None
+    if not real(phase.conj()[:, None] * rho0 * phase):
+        return None
+    W = phase.conj()[:, None] * V
+    u, s, _ = np.linalg.svd(np.hstack([W.real, W.imag]), full_matrices=False)
+    if np.any(s[k:] > _SUPPORT_REL_TOL * s[0]):
+        return None
+    return phase[:, None] * u[:, :k]
+
+
 def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     """Propagate by eigendecomposition of the Liouvillian on rho0's invariant subspace.
 
@@ -252,16 +312,19 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     (`_invariant_support`); for all-excited atoms S is the symmetric
     multiplet times the field.  On S the superoperator is written in
     orthonormal Hermitian coordinates (`_hermitian_coordinates`), where it is
-    a real dim(S)^2 x dim(S)^2 matrix; one real eig of it buys the state at
+    a real k^2 x k^2 matrix, k = dim(S); one real eig of it buys the state at
     any later time for the cost of a matrix-vector product, so time grids
     spanning many decades (far beyond what step-by-step integration can
-    afford) come essentially for free.  The coordinates x(t) are real up to
-    round-off; an imaginary part above 1e-6 of max |x(t)| means the
-    eigenbasis is too ill-conditioned and raises EvolutionError.  The
-    1-norm condition estimate of the eigenvector matrix and dim(S) are kept
-    in the stats.  Each state is embedded back as V X V^dag and checked on
-    the full space.  Limited to supports of dimension up to
-    SPECTRAL_MAX_SUPPORT, checked before anything dense is assembled.
+    afford) come essentially for free.  Where `_real_basis` finds a basis of
+    S on which the state stays real symmetric, only the k(k+1)/2 diagonal
+    and symmetric coordinates are kept, and the eig is that size.  The
+    coordinates x(t) are real up to round-off; an imaginary part above 1e-6
+    of max |x(t)| means the eigenbasis is too ill-conditioned and raises
+    EvolutionError.  The 1-norm condition estimate of the eigenvector
+    matrix, dim(S) and the number of coordinates are kept in the stats.
+    Each state is embedded back as V X V^dag and checked on the full space.
+    Limited to supports of dimension up to SPECTRAL_MAX_SUPPORT, checked
+    before anything dense is assembled.
     """
     if rho0.layout != gen.layout:
         raise LayoutError("initial state layout does not match generator layout")
@@ -271,12 +334,17 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
 
     H, dissipators = _gen_matrices(gen)
     V = _invariant_support(H, dissipators, rho0.matrix)
-    Vd = V.conj().T
     k = V.shape[1]
     if k > SPECTRAL_MAX_SUPPORT:
         raise SupportTooLargeError(f"invariant support of dimension {k} exceeds "
                                    f"SPECTRAL_MAX_SUPPORT = {SPECTRAL_MAX_SUPPORT}; use evolve()")
-    T = _hermitian_coordinates(k)
+    real = _real_basis(gen, rho0.matrix, V)
+    if real is None:
+        n = k * k
+    else:  # X(t) is real symmetric: its diagonal and symmetric coordinates
+        V, n = real, k * (k + 1) // 2
+    Vd = V.conj().T
+    T = _hermitian_coordinates(k)[:, :n]
     Td = T.conj().T
     L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators]).toarray()
     L = np.ascontiguousarray((Td @ (T.T @ L.T).T).real)  # Re(T^dag L T); frees the complex L
@@ -288,7 +356,8 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     rcond, _ = gecon(lu[0], np.linalg.norm(vecs, 1))
     coeff = la.lu_solve(lu, (Td @ (Vd @ rho0.matrix @ V).ravel()).real)
 
-    stats = IntegratorStats(support_dim=k, eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
+    stats = IntegratorStats(support_dim=k, coordinates=n,
+                            eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
     states = []
     for t in t_grid:
         x = vecs @ (np.exp(vals * t) * coeff)
@@ -431,14 +500,19 @@ def coherence_block_gap(L) -> float:
 def _kernel_bases(L):
     """Right and left kernel bases (R, Lam) of L: eigenvalues within s = _KERNEL_REL_TOL ||L||_1.
 
-    Dense eig up to _DENSE_KERNEL_MAX rows, else shift-invert ARPACK on one
-    sparse LU of L - s I, k growing until an eigenvalue lies outside the kernel.
+    Up to _DENSE_KERNEL_MAX rows, the leading Schur vectors of L and of L^H
+    with the kernel eigenvalues ordered first: an orthonormal basis of each
+    kernel, where eig's vectors of a repeated eigenvalue can come out
+    parallel.  Above, shift-invert ARPACK on one sparse LU of L - s I, k
+    growing until an eigenvalue lies outside the kernel.
     """
     n = L.shape[0]
     s = _KERNEL_REL_TOL * spla.norm(L, 1)
     if n <= _DENSE_KERNEL_MAX:
-        lam, left, right = la.eig(L.toarray(), left=True, right=True)
-        return right[:, np.abs(lam) <= s], left[:, np.abs(lam) <= s]
+        L = L.toarray()
+        (_, right, k), (_, left, k_left) = (
+            la.schur(M, output="complex", sort=lambda x: abs(x) <= s) for M in (L, L.conj().T))
+        return right[:, :k], left[:, :k_left]
     try:
         lu = spla.splu((L - s * sp.identity(n, dtype=complex, format="csr")).tocsc())
         k = 2

@@ -33,7 +33,8 @@ from drivencavity.model import (
     thermal_field_matrix,
 )
 from drivencavity import dynamics
-from drivencavity.scenarios import empty_cavity_field, log_grid, scenario_steady_state
+from drivencavity.scenarios import (atoms_pattern, empty_cavity_field, load_config, log_grid,
+                                    run_scenario, scenario_steady_state)
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
@@ -41,12 +42,14 @@ from drivencavity.dynamics import (
     _hermitian_coordinates,
     _invariant_support,
     _normalize_kernel_vector,
+    _real_basis,
     _reachable_blocks,
     _unique_fixed_point,
     evolve,
     evolve_spectral,
     liouvillian_matrix_raw,
     propagate,
+    SupportTooLargeError,
     residual_norm,
     steady_state,
     steady_state_raw,
@@ -270,6 +273,75 @@ class TestEvolveSpectral:
         assert max(trace_distance(a, b) for a, b in zip(spectral.states, rk.states)) <= 1e-7
 
 
+def _spectral_against_expm(cfg, atoms, t_grid=(0.0, 1.0, 5.0, 50.0)):
+    """evolve_spectral from `atoms` (x) the empty cavity field, after checking
+    each state against expm of the whole L to 1e-12."""
+    gen = build_generator(cfg)
+    rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
+    L = liouvillian_matrix_raw(*_gen_matrices(gen)).toarray()
+    traj = evolve_spectral(gen, rho0, t_grid)
+    for t, state in zip(t_grid, traj.states):
+        exact = (expm(L * t) @ rho0.matrix.ravel()).reshape(state.matrix.shape)
+        assert np.max(np.abs(state.matrix - exact)) < 1e-12
+    return gen, rho0, traj
+
+
+class TestConjugationReduction:
+    """At delta = Delta = 0 a diagonal phase gauge makes iH and the jumps real:
+    the state stays real symmetric on k(k+1)/2 coordinates instead of k^2."""
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3])
+    @pytest.mark.parametrize("frame", ["displaced", "lab-rotating", "effective-atomic"])
+    def test_reduced_route_matches_expm_and_full_coordinates(self, frame, n_atoms, monkeypatch):
+        cfg = SystemConfig(n_atoms=n_atoms, g=0.3, epsilon=0.6, n_max=2, frame=frame)
+        gen, rho0, traj = _spectral_against_expm(cfg, "e" * n_atoms)
+        k = traj.stats.support_dim
+        assert traj.stats.coordinates == k * (k + 1) // 2
+        monkeypatch.setattr(dynamics, "_real_basis", lambda *args: None)
+        full = evolve_spectral(gen, rho0, traj.times)
+        assert full.stats.coordinates == k * k
+        assert max(np.max(np.abs(a.matrix - b.matrix))
+                   for a, b in zip(traj.states, full.states)) < 1e-12
+
+    @pytest.mark.parametrize("cfg, atoms", [
+        (SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, n_max=2), "ee"),
+        (SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, n_max=2,
+                      frame="lab-rotating"), "ee"),
+        (SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta_atom=0.2, n_max=2), "ee"),
+        (SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta_atom=0.2,
+                      frame="effective-atomic"), "ee"),
+        (SystemConfig(n_atoms=2, g=0.3, n_th=0.7, n_max=2, frame="thermal"), "ee"),
+        (SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, n_max=2), atoms_pattern("custom:0,1,1j,0", 2)),
+    ], ids=["delta", "lab-delta", "Delta", "effective-Delta", "thermal", "complex-start"])
+    def test_fallback_keeps_every_coordinate(self, cfg, atoms):
+        # a diagonal term of H, jumps between H's sectors picking up one phase
+        # per sector (thermal), or a start with no real gauge
+        traj = _spectral_against_expm(cfg, atoms)[2]
+        assert traj.stats.coordinates == traj.stats.support_dim ** 2
+
+    def test_fig1_defaults(self, monkeypatch):
+        # N = 1, 2, 3 at n_max 6: supports of 14, 21 and 28 dimensions
+        stats = []
+
+        def recorded(*args):
+            traj = evolve_spectral(*args)
+            stats.append((traj.stats.support_dim, traj.stats.coordinates))
+            return traj
+
+        monkeypatch.setattr(dynamics, "evolve_spectral", recorded)
+        run_scenario(load_config(None, ("scenario=fig1-purity",)))
+        assert stats == [(14, 105), (21, 231), (28, 406)]
+
+    def test_basis_must_be_closed_under_conjugation(self):
+        # undriven single atom: H = 0 and the jump is real, so every check but
+        # the span's passes; (|e> + i|g>) / sqrt 2 alone has no real basis
+        cfg = SystemConfig(n_atoms=1, g=0.3, frame="effective-atomic")
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "e").matrix
+        assert _real_basis(gen, rho0, np.array([[1.0], [0.0]], dtype=complex)) is not None
+        assert _real_basis(gen, rho0, np.array([[1.0], [1j]]) / math.sqrt(2.0)) is None
+
+
 class TestPropagate:
     # the route follows the dimension k of rho0's invariant support, not the layout
     def test_small_support_of_large_layout_is_spectral(self):
@@ -292,6 +364,21 @@ class TestPropagate:
         # evolve_spectral itself refuses the support before assembling anything dense
         with pytest.raises(ValueError, match="SPECTRAL_MAX_SUPPORT"):
             evolve_spectral(gen, rho0, [0.0, 0.5])
+
+    @pytest.mark.parametrize("initial_atoms", ["all-g", "e-g", "all-e"])
+    def test_benchmark_rk_starts_are_integrated(self, initial_atoms):
+        # the benchmark's rk-evolve starts: support 68 > SPECTRAL_MAX_SUPPORT, so
+        # they stay on the Runge-Kutta route whatever the spectral route learns
+        scfg = load_config(None, ("scenario=custom", "custom_mode=evolve", "n_atoms=2", "g=0.1",
+                                  "epsilon=1", "n_max=16", f"initial_atoms={initial_atoms}"))
+        cfg = scfg.system()
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, atoms_pattern(initial_atoms, 2), field=empty_cavity_field(cfg))
+        assert _invariant_support(*_gen_matrices(gen), rho0.matrix).shape[1] == 68
+        with pytest.raises(SupportTooLargeError):
+            evolve_spectral(gen, rho0, [0.0, 0.5])
+        traj = propagate(gen, rho0, [0.0, 0.5], tol=scfg.integrator_tol)
+        assert traj.stats.n_rhs_evals > 0 and traj.stats.support_dim == 0
 
 
 FRAME_CONFIGS = [
@@ -678,12 +765,14 @@ class TestSteadyState:
 
 @functools.cache
 def _dense_kernel(cfg):
-    """Right and left kernel bases of the generator's dense superoperator (scipy eig)."""
+    """Right and left kernel bases of the generator's dense superoperator: the
+    leading Schur vectors of L and L^H with the eigenvalues below 1e-8 first."""
     L = liouvillian_matrix_raw(*_gen_matrices(build_generator(cfg))).toarray()
-    vals, left, right = la.eig(L, left=True, right=True)
-    kernel = np.abs(vals) < 1e-8
-    assert np.min(np.abs(vals[~kernel])) > 1e-3  # a clear gap: the kernel is unambiguous
-    return right[:, kernel], left[:, kernel]
+    (T, right, k), (_, left, k_left) = (la.schur(M, output="complex", sort=lambda x: abs(x) < 1e-8)
+                                        for M in (L, L.conj().T))
+    assert k == k_left
+    assert np.min(np.abs(np.diag(T)[k:])) > 1e-3  # a clear gap: the kernel is unambiguous
+    return right[:, :k], left[:, :k]
 
 
 _N3 = SystemConfig(n_atoms=3, g=0.1, epsilon=1.0, n_max=3)

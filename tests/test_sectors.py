@@ -73,6 +73,24 @@ def dense_gap(gen):
     return float(np.min(np.abs(np.linalg.eigvals(block))))
 
 
+def dense_projection(gen, rho0):
+    """(rho0 projected onto ker L along range L, kernel dim, smallest |eigenvalue|
+    outside the kernel) from the whole dense L: the reference of the block solves.
+
+    The kernel bases are the leading Schur vectors of L and of L^H with the
+    eigenvalues below 1e-8 ordered first, orthonormal even where eig's
+    vectors of a repeated eigenvalue come out parallel.
+    """
+    L = liouvillian_matrix_raw(*_gen_matrices(gen)).toarray()
+    (T, R, k), (_, Lam, k_left) = (la.schur(M, output="complex", sort=lambda x: abs(x) < 1e-8)
+                                   for M in (L, L.conj().T))
+    assert k == k_left
+    R, Lam = R[:, :k], Lam[:, :k]
+    x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+    d = gen.layout.dim
+    return x.reshape(d, d), k, float(np.min(np.abs(np.diag(T)[k:])))
+
+
 def product_basis_steady_state(gen, rho0, residual_tol=1e-9):
     """(state, route) of `steady_state_raw` on the unrotated matrices: the
     independent reference of the collective-basis solve."""
@@ -121,14 +139,10 @@ class TestCollectiveBasis:
         cfg = SystemConfig(n_atoms=4, g=0.1, epsilon=0.5, frame="effective-atomic")
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, "eggg")
-        vals, left, right = la.eig(liouvillian_matrix_raw(*_gen_matrices(gen)).toarray(),
-                                   left=True, right=True)
-        kernel = np.abs(vals) < 1e-8
-        assert kernel.sum() == 14 and np.min(np.abs(vals[~kernel])) > 1e-3
-        R, Lam = right[:, kernel], left[:, kernel]
-        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+        x, kernel_dim, gap = dense_projection(gen, rho0)
+        assert kernel_dim == 14 and gap > 1e-3
         res = steady_state(gen, rho0, residual_tol=1e-12)
-        assert np.max(np.abs(res.rho_ss.matrix - x.reshape(16, 16))) < 1e-10
+        assert np.max(np.abs(res.rho_ss.matrix - x)) < 1e-10
 
 
 @st.composite
@@ -164,14 +178,8 @@ class TestSteadyStateProperty:
         cfg, atoms = case
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
-        d = cfg.layout().dim
-        vals, left, right = la.eig(liouvillian_matrix_raw(*_gen_matrices(gen)).toarray(),
-                                   left=True, right=True)
-        kernel = np.abs(vals) < 1e-8
-        assert np.min(np.abs(vals[~kernel])) > 1e-4  # the kernel is unambiguous
-        R, Lam = right[:, kernel], left[:, kernel]
-        dense = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
-        dense = dense.reshape(d, d)
+        dense, _, gap = dense_projection(gen, rho0)
+        assert gap > 1e-4  # the kernel is unambiguous
         m = steady_state(gen, rho0).rho_ss.matrix
         assert np.max(np.abs(m - dense)) < 1e-9
         try:
@@ -184,6 +192,28 @@ class TestSteadyStateProperty:
         assert abs(np.trace(m) - 1.0) < 1e-12
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(m)[0] > -1e-9
+
+    @pytest.mark.parametrize("g, atoms", [
+        (0.59375, "ge"),
+        (0.5913, np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2.0)),  # (|eg> + |gg>) / sqrt 2
+        (0.59375, np.array([0.0, 0.0, 1.0, 1.0]) / math.sqrt(2.0)),  # (|ge> + |gg>) / sqrt 2
+        (0.625, "ee"),
+    ], ids=["ge", "eg+gg", "ge+gg", "ee"])
+    def test_repeated_kernel_eigenvalue(self, g, atoms):
+        # undriven two-atom decay has an exactly repeated kernel eigenvalue, for
+        # which eig returned parallel vectors: the product basis's dense kernel
+        # bases went wrong on the first three, the whole-L reference on the last
+        cfg = SystemConfig(n_atoms=2, g=g, n_max=2, frame="effective-atomic")
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, atoms)
+        dense, _, gap = dense_projection(gen, rho0)
+        assert gap > 1e-4
+        m = steady_state(gen, rho0).rho_ss.matrix
+        product, route = product_basis_steady_state(gen, rho0)
+        assert route == "kernel-projection"
+        assert np.max(np.abs(m - dense)) < 1e-9
+        assert np.max(np.abs(product.matrix - dense)) < 1e-9
+        assert product.min_eigenvalue > -1e-9
 
     @pytest.mark.xfail(raises=ConvergenceError, strict=True,
                        reason="ARPACK does not converge on the product basis's kernel")
@@ -264,13 +294,9 @@ class TestCoherenceBlockGap:
         res = steady_state(gen, rho0, residual_tol=1e-12)
         assert sorted(sizes) == [1, 2, 3, 4, 75]
         # every block decision stands: rho0 projected onto ker L along range L
-        vals, left, right = la.eig(liouvillian_matrix_raw(*_gen_matrices(gen)).toarray(),
-                                   left=True, right=True)
-        kernel = np.abs(vals) < 1e-8
-        assert kernel.sum() == res.kernel_dim == 2 and np.min(np.abs(vals[~kernel])) > 1e-4
-        R, Lam = right[:, kernel], left[:, kernel]
-        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
-        assert np.max(np.abs(res.rho_ss.matrix - x.reshape(20, 20))) < 1e-10
+        x, kernel_dim, gap = dense_projection(gen, rho0)
+        assert kernel_dim == res.kernel_dim == 2 and gap > 1e-4
+        assert np.max(np.abs(res.rho_ss.matrix - x)) < 1e-10
 
 
 def _solve(cfg, atoms, field="vacuum", **kw):
