@@ -27,6 +27,9 @@ _EIG_DROP = 1e-12  # eigenvalues below this contribute nothing to entropy
 _DISCORD_GRID_DENSITY = 64
 _DISCORD_REFINE_ROUNDS = 3
 _DISCORD_REFINE_DENSITY = 8
+# the contraction order einsum's optimize=True picks for the post-measurement
+# blocks on both grids (4096 and 64 points), fixed so no path search runs per call
+_BLOCKS_PATH = ["einsum_path", (1, 2), (0, 1)]
 
 
 class XStateError(ValueError):
@@ -169,7 +172,7 @@ def _conditional_entropy(rho_t: np.ndarray, theta: np.ndarray, phi: np.ndarray) 
     """Average post-measurement entropy of A for projective measurements on B."""
     out = None
     for v in _measurement_vectors(theta, phi):
-        blocks = np.einsum("ijkl,nj,nl->nik", rho_t, v.conj(), v, optimize=True)
+        blocks = np.einsum("ijkl,nj,nl->nik", rho_t, v.conj(), v, optimize=_BLOCKS_PATH)
         probs = np.real(blocks[:, 0, 0] + blocks[:, 1, 1])
         term = probs * _entropy_2x2_batch(blocks, probs)
         out = term if out is None else out + term

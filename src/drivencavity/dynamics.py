@@ -29,11 +29,16 @@ One quotient graph of the components of pattern(H + sum A^dag A)
 (`_reachable_blocks`) gives, without building L, the pairs (i, j) L's
 pattern links to the initial state's entries, the blocks L splits into on
 them (a conserved singlet, a weak U(1) charge difference; found without
-symmetry labels) and the largest Hilbert block, which the cap bounds.  L is
-built on those pairs only.  A block with diagonal entries gets one sparse
-LU of its trace-constrained Liouvillian, whose condition estimate tells a
-unique fixed point from a degenerate manifold.  That LU is factored in
-SuperLU's symmetric mode, which eliminates the dense trace row last: on
+symmetry labels) and the largest Hilbert block, which the cap bounds; where
+the whole space exceeds the cap, a block above it is already found on the
+jump links between the components, before the quotient graph is built.  L
+is built on those pairs only, block after block, so each block is a run of
+its CSR rows.  A block with diagonal entries gets one sparse LU of its
+trace-constrained Liouvillian M, the trace row spliced into the block's CSR
+arrays; ||M||_1 times Higham's estimate of ||M^-1||_1 on the factor (the
+estimator LAPACK's gecon runs, about 5 solves) tells a unique fixed point
+from a degenerate manifold.  That LU is factored in SuperLU's symmetric
+mode, which eliminates the dense trace row last: on
 fig3's `e-g` triplet block the factor holds 2.8 times the matrix's nonzeros
 instead of 42 (n_th 3) and 63 (n_th 5) with the default ordering.  A block
 of coherences is dropped once its gap (`coherence_block_gap`) shows it
@@ -400,11 +405,14 @@ def _ragged(counts: np.ndarray):
 
 
 def _kron_on(pairs: np.ndarray, d: int):
-    """kron(X, Y) restricted to the rows and columns `pairs`, sorted vec indices
+    """kron(X, Y) restricted to the rows and columns `pairs`, vec indices
     i d + j that hold every pair their rows reach, for d x d sparse X and Y.
 
-    Row (i, j) holds X[i, k] Y[j, l] at column (k, l), in sorted order: each
-    entry is the one product that `sp.kron` stores there.
+    Row (i, j) holds X[i, k] Y[j, l] at column (k, l), in ascending (k, l):
+    each entry is the one product that `sp.kron` stores there.  `pairs` may
+    come in any order in which the pairs one row reaches keep their sorted
+    order, so that each row's columns ascend: sorted, or grouped by the
+    blocks of L, each block ascending.
     """
     i, j = np.divmod(pairs, d)
     position = np.empty(d * d, dtype=np.int32)  # of each vec index in pairs
@@ -429,12 +437,13 @@ def liouvillian_matrix_raw(H, dissipators, pairs=None) -> sp.csr_matrix:
     """Sparse superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
 
     dX/dt = -i[H, X] + sum_k rate_k (2 A_k X A_k^dag - A_k^dag A_k X - X A_k^dag A_k).
-    H and the jumps may be dense or sparse.  With `pairs`, sorted vec indices
-    i d + j that hold every pair their rows reach, each term is built on
-    those rows and columns only (`_kron_on`) and summed in the same order, so
-    L equals the whole L sliced to `pairs`, entry for entry.  The whole L
-    takes `sp.kron`, which is faster there, above all on the dense operators
-    `evolve_spectral` passes.
+    H and the jumps may be dense or sparse.  With `pairs`, vec indices
+    i d + j that hold every pair their rows reach, in an order that keeps
+    the pairs each row reaches ascending (`_kron_on`: sorted, or block by
+    block), each term is built on those rows and columns only and summed in
+    the same order, so L equals the whole L sliced to `pairs`, entry for
+    entry.  The whole L takes `sp.kron`, which is faster there, above all
+    on the dense operators `evolve_spectral` passes.
     """
     H = sp.csr_matrix(H, dtype=complex)
     kron = sp.kron if pairs is None else _kron_on(pairs, H.shape[0])
@@ -540,14 +549,63 @@ def _kernel_projection(L, x0: np.ndarray):
     return R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ x0), R.shape[1]
 
 
+def _trace_constrained(L, diag: np.ndarray) -> sp.csc_matrix:
+    """M: the CSR L with row diag[0] replaced by the trace row, ones at the
+    columns `diag`, spliced into L's arrays and converted to CSC once."""
+    r = diag[0]
+    lo, hi = L.indptr[r], L.indptr[r + 1]
+    indptr = L.indptr.copy()
+    indptr[r + 1:] += diag.size - (hi - lo)
+    indices = np.concatenate((L.indices[:lo], diag.astype(L.indices.dtype), L.indices[hi:]))
+    data = np.concatenate((L.data[:lo], np.ones(diag.size, dtype=L.dtype), L.data[hi:]))
+    return sp.csr_matrix((data, indices, indptr), shape=L.shape).tocsc()
+
+
+def _inverse_norm_estimate(lu) -> float:
+    """A lower estimate of ||A^-1||_1 from the sparse LU of A: Higham's
+    iteration (ACM TOMS 14, 381, 1988) as LAPACK's zlacn2 runs it for gecon,
+    on `lu.solve` with A and A^H.  Usually 5 solves, at most 11; the largest
+    estimate seen is kept.
+    """
+    n = lu.shape[0]
+    tiny = np.finfo(float).tiny
+
+    def sign(y):  # y / |y|, and 1 where |y| is not above the safe minimum
+        a = np.abs(y)
+        return np.where(a > tiny, y / np.where(a > tiny, a, 1.0), 1.0)
+
+    y = lu.solve(np.full(n, 1.0 / n, dtype=complex))
+    est = np.abs(y).sum()
+    if n == 1:
+        return float(est)
+    j = np.argmax(np.abs(lu.solve(sign(y), trans="H")))
+    for _ in range(4):
+        e = np.zeros(n, dtype=complex)
+        e[j] = 1.0
+        y = lu.solve(e)
+        norm = np.abs(y).sum()
+        if not norm > est:
+            break
+        est = norm
+        z = np.abs(lu.solve(sign(y), trans="H"))
+        j, last = np.argmax(z), j
+        if z[last] == z[j]:
+            break
+    t = np.arange(n)
+    alt = np.where(t % 2, -1.0, 1.0) * (1.0 + t / (n - 1.0))
+    return float(max(est, 2.0 * np.abs(lu.solve(alt.astype(complex))).sum() / (3.0 * n)))
+
+
 def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
     """The x with L x = 0 and unit trace sum(x[diag]), by one sparse LU; raises
-    DegenerateSteadyStateError when L has no unique fixed point.
+    DegenerateSteadyStateError when L has no unique fixed point.  L is a CSR
+    block with sorted indices, and `diag` ascends.
 
-    Trace preservation makes the trace row a left null vector of L, so L with
-    the row of one diagonal entry replaced by it is nonsingular iff the
-    kernel is 1-D.  That is decided from the factor's 1-norm condition
-    estimate, up to 1 / _KERNEL_REL_TOL.
+    Trace preservation makes the trace row a left null vector of L, so M, L
+    with the row of one diagonal entry replaced by it (`_trace_constrained`),
+    is nonsingular iff the kernel is 1-D.  That is decided from
+    ||M||_1 ||M^-1||_1, the second factor by `_inverse_norm_estimate` on M's
+    factor, up to 1 / _KERNEL_REL_TOL.
 
     The trace row is dense, and SuperLU's default (COLAMD on the columns,
     partial pivoting) picks it as an early pivot, which fills the factor: on
@@ -556,11 +614,7 @@ def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
     on M^T + M with diagonal pivots preferred (symmetric mode) eliminates
     the dense row last, and the LU holds 2.8 times nnz(M) on both.
     """
-    n, r = L.shape[0], diag[0]
-    trace_row = sp.csr_matrix((np.ones(diag.size), (np.full(diag.size, r), diag)), shape=(n, n))
-    keep = np.ones(n)
-    keep[r] = 0.0
-    M = (sp.diags(keep) @ L + trace_row).tocsc()
+    M = _trace_constrained(L, diag)
     try:
         # symmetric mode: order M^T + M by minimum degree, so the dense trace
         # row is eliminated last, and pivot on the diagonal unless an entry
@@ -569,26 +623,19 @@ def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # exactly singular: degenerate kernel
         raise DegenerateSteadyStateError(str(exc)) from exc
-
-    def solve(x, trans="N"):
-        y = lu.solve(x, trans=trans)
-        y[np.abs(y) < np.finfo(float).tiny] = 0.0  # onenormest's sign step overflows on subnormals
-        return y
-
-    inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=lambda x: solve(x, "H"),
-                                  dtype=complex)
-    cond = spla.norm(M, 1) * spla.onenormest(inverse)
+    norm = np.add.reduceat(np.abs(M.data), M.indptr[:-1]).max()  # no column of M is empty
+    cond = norm * _inverse_norm_estimate(lu)
     if not cond <= 1.0 / _KERNEL_REL_TOL:
         raise DegenerateSteadyStateError(
             f"trace-constrained Liouvillian has condition estimate {cond:.1e}: "
             "fixed-point manifold is degenerate"
         )
-    b = np.zeros(n, dtype=complex)
-    b[r] = 1.0
+    b = np.zeros(L.shape[0], dtype=complex)
+    b[diag[0]] = 1.0
     return lu.solve(b)
 
 
-def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray):
+def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray, cap=None):
     """(pairs, blocks, largest) of the Liouvillian L of the CSR H and jumps for
     the entries (rows, cols) of rho0, found without building L.
 
@@ -602,8 +649,11 @@ def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray):
     connected blocks on them, one per reached component, as ascending index
     arrays into `pairs` in the order of their first pair; `largest` is the
     largest Hilbert block, the summed sizes of the components a of one
-    reached component's diagonal nodes (a, a).  A jump of rate 0 would link
-    what L does not: the caller leaves it out.
+    reached component's diagonal nodes (a, a).  With a `cap`, a Hilbert
+    block above it raises ConvergenceError: where d exceeds the cap, as soon
+    as `_cap_bound` on the m components does, before the m^2-node quotient
+    graph is built.  A jump of rate 0 would link what L does not: the caller
+    leaves it out.
     """
     d = H.shape[0]
     H = H.tocoo()
@@ -614,10 +664,16 @@ def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray):
         dst.append(A.indices[chain + 1])
     comp = _labels(np.concatenate(src), np.concatenate(dst), d)
     m = comp.max() + 1
-    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    size = np.bincount(comp, minlength=m)
+    # (a, b): A links component b to a, once per jump
+    links = []
     for A, _ in jumps:
         A = A.tocoo()
-        a, b = np.divmod(np.unique(comp[A.row] * m + comp[A.col]), m)
+        links.append(np.divmod(np.unique(comp[A.row] * m + comp[A.col]), m))
+    if cap is not None and d > cap:  # else largest <= d is within the cap
+        _check_cap(_cap_bound(comp[rows[rows == cols]], size, links), cap)
+    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for a, b in links:
         src.append((a[:, None] * m + a).ravel())
         dst.append((b[:, None] * m + b).ravel())
     label = _labels(np.concatenate(src), np.concatenate(dst), m * m)
@@ -627,7 +683,6 @@ def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray):
     a, b = np.divmod(node, m)
     # each reached component pair (a, b) holds size[a] size[b] pairs
     members = np.argsort(comp, kind="stable")
-    size = np.bincount(comp, minlength=m)
     start = np.cumsum(size) - size
     owner, t = _ragged(size[a] * size[b])
     da, db = np.divmod(t, size[b][owner])
@@ -637,8 +692,30 @@ def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray):
     blocks = np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
     blocks.sort(key=lambda idx: idx[0])
     diag = a == b
-    largest = np.bincount(label[node[diag]], size[a[diag]], minlength=1).max()
-    return pairs, blocks, int(largest)
+    largest = int(np.bincount(label[node[diag]], size[a[diag]], minlength=1).max())
+    if cap is not None:
+        _check_cap(largest, cap)
+    return pairs, blocks, largest
+
+
+def _cap_bound(diag_comps: np.ndarray, size: np.ndarray, links: list) -> int:
+    """A lower bound on `_reachable_blocks`' largest Hilbert block: the summed
+    `size` of the components the jumps link, weakly, to one that holds a
+    diagonal entry of rho0 (`diag_comps`); 0 without one.
+
+    A jump linking a to a' links (a, a) to (a', a') in the quotient graph, so
+    the reached diagonal nodes hold at least these; they hold exactly these
+    when every row of rho0 holds its diagonal entry, as in a state.
+    """
+    none = [np.zeros(0, dtype=int)]
+    label = _labels(np.concatenate([a for a, _ in links] + none),
+                    np.concatenate([b for _, b in links] + none), size.size)
+    return int(np.bincount(label, size)[label[diag_comps]].max(initial=0))
+
+
+def _check_cap(largest: int, cap: int):
+    if largest > cap:
+        raise ConvergenceError(f"dimension {largest} too large for the null-space route")
 
 
 def _labels(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -647,10 +724,11 @@ def _labels(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     return connected_components(graph, directed=True, connection="weak")[1]
 
 
-def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, blocks: list, d: int):
+def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, sizes, d: int):
     """(steady vec(rho) on `pairs`, kernel dimension, route) that x0 = vec(rho0)
-    on `pairs` relaxes to; L is the Liouvillian on those vec indices i d + j,
-    a direct sum of the `blocks` (index arrays into `pairs`), each solved alone.
+    on `pairs` relaxes to.  L is the CSR Liouvillian on those vec indices
+    i d + j, in block-major order: the direct sum of diagonal blocks of the
+    given `sizes`, each cut from L's CSR arrays and solved alone.
 
     A block with diagonal entries has a unique fixed point, scaled by x0's
     trace on it, when it has one; a block of coherences only decays when its
@@ -662,24 +740,28 @@ def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, blocks: list, d: int):
     x = np.zeros_like(x0)
     kernel_dim, route = 0, "nullspace"
     gaps = {}  # coherence-block gap by the block's sorted vec indices
-    for idx in blocks:
-        block = L[idx][:, idx]
-        vec = pairs[idx]
+    stops = np.cumsum(sizes)
+    for lo, hi in zip(stops - sizes, stops):
+        vec = pairs[lo:hi]
         diag = np.flatnonzero(vec % (d + 1) == 0)
+        gap = None if diag.size else gaps.get(np.sort(vec % d * d + vec // d).tobytes())
+        if gap is not None and gap >= _COHERENCE_GAP_MIN:
+            continue
+        p = L.indptr[lo:hi + 1]
+        block = sp.csr_matrix((L.data[p[0]:p[-1]], L.indices[p[0]:p[-1]] - lo, p - p[0]),
+                              shape=(hi - lo,) * 2)
         if diag.size:
             try:
-                x[idx] = x0[idx[diag]].sum().real * _unique_fixed_point(block, diag)
+                x[lo:hi] = x0[lo:hi][diag].sum().real * _unique_fixed_point(block, diag)
                 kernel_dim += 1
                 continue
             except DegenerateSteadyStateError:
                 pass
-        else:
-            gap = gaps.get(np.sort(vec % d * d + vec // d).tobytes())
-            if gap is None:
-                gap = gaps[vec.tobytes()] = coherence_block_gap(block)
+        elif gap is None:
+            gap = gaps[vec.tobytes()] = coherence_block_gap(block)
             if gap >= _COHERENCE_GAP_MIN:
                 continue
-        x[idx], k = _kernel_projection(block, x0[idx])
+        x[lo:hi], k = _kernel_projection(block, x0[lo:hi])
         kernel_dim += k
         route = "kernel-projection"
     return x, kernel_dim, route
@@ -694,10 +776,11 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
     (`_reachable_blocks`) gives the pairs (i, j) that L's pattern links to
     vec(rho0), L's blocks on them and the largest Hilbert block they span.
     A Hilbert block above SPARSE_NULLSPACE_MAX_DIM states fails before any
-    superoperator is built; otherwise L is built on the pairs only and
-    `_solve_blocks` solves each block.  kernel_dim is summed over the
-    blocks, and the route is 'kernel-projection' when any block was
-    projected.  The candidate must have a residual within residual_tol.
+    superoperator is built; otherwise L is built on the pairs only, block
+    after block, and `_solve_blocks` solves each block.  kernel_dim is
+    summed over the blocks, and the route is 'kernel-projection' when any
+    block was projected.  The candidate must have a residual within
+    residual_tol.
     """
     H = sp.csr_matrix(H, dtype=complex)
     dim = H.shape[0]
@@ -705,13 +788,14 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
     rho0 = sp.coo_matrix(rho0, dtype=complex)
     live = rho0.data != 0
     rows, cols = rho0.row[live], rho0.col[live]
-    pairs, blocks, largest = _reachable_blocks(H, jumps, rows, cols)
-    if largest > SPARSE_NULLSPACE_MAX_DIM:
-        raise ConvergenceError(f"dimension {largest} too large for the null-space route")
-    L = liouvillian_matrix_raw(H, jumps, pairs)
+    pairs, blocks, _ = _reachable_blocks(H, jumps, rows, cols, SPARSE_NULLSPACE_MAX_DIM)
     x0 = np.zeros(pairs.size, dtype=complex)
     x0[np.searchsorted(pairs, rows * dim + cols)] = rho0.data[live]
-    x, kernel_dim, route = _solve_blocks(L, x0, pairs, blocks, dim)
+    # block-major: each block is a run of L's rows whose columns stay in it
+    order = np.concatenate(blocks)
+    pairs, x0 = pairs[order], x0[order]
+    L = liouvillian_matrix_raw(H, jumps, pairs)
+    x, kernel_dim, route = _solve_blocks(L, x0, pairs, [b.size for b in blocks], dim)
     m = _normalize_kernel_vector(x, pairs, dim)
     res = float(np.max(np.abs(L @ m.ravel()[pairs])))
     if res > residual_tol:

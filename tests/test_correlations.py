@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from drivencavity import correlations
 from drivencavity.hilbert import DensityMatrix, HilbertLayout
 from drivencavity.correlations import (
     CorrelationReport,
@@ -196,6 +197,23 @@ class TestBruteForceDiscord:
         m = np.kron(np.diag([0.6, 0.4]), np.diag([0.8, 0.2])).astype(complex)
         rho = DensityMatrix.from_matrix(LAY2, m)
         assert quantum_discord_bruteforce(rho) < 1e-9
+
+    def test_fixed_contraction_path_is_the_searched_one(self, monkeypatch):
+        # the fixed path gives optimize=True's result bit for bit, on the coarse
+        # grid (4096 points), the refinement grid (64) and the discord itself
+        states = [random_x_state(balanced=False), random_pure_two_qubit(), werner(0.3)]
+        fixed = [quantum_discord_bruteforce(rho) for rho in states]
+        for n in (correlations._DISCORD_GRID_DENSITY, correlations._DISCORD_REFINE_DENSITY):
+            theta, phi = rng.uniform(0.0, np.pi, n * n), rng.uniform(0.0, 2.0 * np.pi, n * n)
+            for rho in states:
+                rho_t = rho.matrix.reshape(2, 2, 2, 2)
+                got = correlations._conditional_entropy(rho_t, theta, phi)
+                with monkeypatch.context() as m:
+                    m.setattr(correlations, "_BLOCKS_PATH", True)
+                    want = correlations._conditional_entropy(rho_t, theta, phi)
+                assert np.array_equal(got, want)
+        monkeypatch.setattr(correlations, "_BLOCKS_PATH", True)
+        assert [quantum_discord_bruteforce(rho) for rho in states] == fixed
 
 
 class TestEntanglement:

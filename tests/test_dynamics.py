@@ -43,7 +43,10 @@ from drivencavity.dynamics import (
     _invariant_support,
     _normalize_kernel_vector,
     _real_basis,
+    _cap_bound,
+    _inverse_norm_estimate,
     _reachable_blocks,
+    _trace_constrained,
     _unique_fixed_point,
     evolve,
     evolve_spectral,
@@ -479,15 +482,23 @@ def _assert_blocks_exact(H, jumps, rho0):
 
 
 def _assert_restriction_exact(H, jumps, rho0):
-    pairs = _assert_blocks_exact(H, jumps, rho0)[0]
+    """L on the sorted pairs, and on the pairs block by block (the order the
+    solver builds it in), is the whole L sliced to them, entry for entry."""
+    pairs, blocks, _ = _assert_blocks_exact(H, jumps, rho0)
     full = liouvillian_matrix_raw(H, jumps)  # sp.kron on the whole space
-    restricted = liouvillian_matrix_raw(H, jumps, pairs)
-    sliced = full[pairs][:, pairs]
-    # the same entries, stored in the same order: products sum the same way
-    assert restricted.has_canonical_format and sliced.has_canonical_format
-    for got, want in zip((restricted.indptr, restricted.indices, restricted.data),
-                         (sliced.indptr, sliced.indices, sliced.data)):
-        assert np.array_equal(got, want)
+    ordered = pairs[np.concatenate(blocks)]
+    for vec in (pairs, ordered):
+        restricted = liouvillian_matrix_raw(H, jumps, vec)
+        sliced = full[vec][:, vec]
+        # the same entries, stored in the same order: products sum the same way
+        assert restricted.has_canonical_format and sliced.has_canonical_format
+        for got, want in zip((restricted.indptr, restricted.indices, restricted.data),
+                             (sliced.indptr, sliced.indices, sliced.data)):
+            assert np.array_equal(got, want)
+    # block-major order: every row's columns lie in its own block
+    owner = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
+    rows = np.repeat(np.arange(ordered.size), np.diff(restricted.indptr))
+    assert np.array_equal(owner[restricted.indices], owner[rows])
     return pairs
 
 
@@ -536,6 +547,52 @@ class TestReachablePairs:
         v[[1, 5]] = 0.6, 0.8j
         pairs = _assert_restriction_exact(H, [(sp.csr_matrix(A), 0.7)], np.outer(v, v.conj()))
         assert {1 * 6 + 5, 2 * 6 + 5} <= set(pairs) and 3 * 6 + 3 not in set(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_problems())
+    def test_cap_bound_is_the_largest_block_for_a_state(self, problem):
+        # a lower bound in general; equal when every row of rho0 holds its
+        # diagonal entry, as in these positive semidefinite rho0
+        H, jumps, rho0 = problem
+        bounds = []
+        with pytest.MonkeyPatch.context() as m:
+            # at cap 0 the bound is always taken; recorded, then passed as 0
+            # so that the largest block, found after it, raises instead
+            m.setattr(dynamics, "_cap_bound", lambda *a: bounds.append(_cap_bound(*a)) or 0)
+            with pytest.raises(ConvergenceError, match="too large"):
+                _reachable_blocks(H, [(A, r) for A, r in jumps if r != 0], *np.nonzero(rho0),
+                                  cap=0)
+        largest = _whole_space_blocks(H, jumps, rho0)[2]
+        assert bounds == [largest]
+
+    def test_cap_bound_is_a_lower_bound_without_diagonal_entries(self):
+        # A = |0><0| + |0><1|: A^dag A joins states 0 and 1 into one component,
+        # so the coherence rho0 = |0><1| + |1><0| lies in its diagonal node; with
+        # no diagonal entry in rho0 the bound reads 0, below the block of 2
+        H = sp.csr_matrix(np.diag([0.3, -0.2]).astype(complex))
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+        rows, cols = np.array([0, 1]), np.array([1, 0])
+        comp, size = np.zeros(2, dtype=int), np.array([2])
+        links = [(np.zeros(1, dtype=int), np.zeros(1, dtype=int))]
+        assert _cap_bound(comp[rows[rows == cols]], size, links) == 0
+        assert _reachable_blocks(H, [(A, 1.0)], rows, cols)[2] == 2
+
+    def test_blocks_above_the_cap_fail_before_the_quotient_graph(self, monkeypatch):
+        # fig3's n_th = 5 points: the triplet block of 771 states exceeds the
+        # cap, found on the m components; no m^2-node graph is built
+        shapes = []
+
+        def counting(graph, *args, **kwargs):
+            shapes.append(graph.shape[0])
+            return connected_components(graph, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "connected_components", counting)
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=5.0, n_max=256, frame="thermal")
+        H, jumps, rho0 = _collective_problem(cfg, "eg")
+        assert H.shape[0] > dynamics.SPARSE_NULLSPACE_MAX_DIM
+        with pytest.raises(ConvergenceError, match="dimension 771 too large"):
+            steady_state_raw(H, jumps, rho0)
+        assert len(shapes) == 2 and shapes[0] == H.shape[0] and shapes[1] ** 2 < H.shape[0] ** 2
 
     @pytest.mark.parametrize("atoms, unknowns, whole", [("eg", 1860, 219024), ("gg", 1045, 123201)])
     def test_thermal_unknowns_follow_the_touched_blocks(self, atoms, unknowns, whole):
@@ -761,6 +818,88 @@ class TestSteadyState:
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, n_max=8, frame="thermal")
         steady_state(build_generator(cfg), initial_state(cfg, "eg", field="thermal"))
         assert len(calls) == 2
+
+
+def _old_trace_constrained(L, diag):
+    """The oracle of `_trace_constrained`: M as it was once formed, L with row
+    diag[0] zeroed by a diagonal product, plus the trace row."""
+    n, r = L.shape[0], diag[0]
+    trace_row = sp.csr_matrix((np.ones(diag.size), (np.full(diag.size, r), diag)), shape=(n, n))
+    keep = np.ones(n)
+    keep[r] = 0.0
+    return (sp.diags(keep) @ L + trace_row).tocsc()
+
+
+@functools.cache
+def _trace_constrained_solves(cfg, atoms):
+    """((L, diag, M), ...) and ((M, estimate), ...) of the trace-constrained
+    solves `scenario_steady_state(cfg, atoms)` makes, recorded in the solver."""
+    built, estimates, factored = [], [], {}
+    splice, splu, estimate = (dynamics._trace_constrained, dynamics.spla.splu,
+                              dynamics._inverse_norm_estimate)
+
+    def splicing(L, diag):
+        built.append((L, diag, splice(L, diag)))
+        return built[-1][2]
+
+    def factoring(M, **kwargs):
+        lu = splu(M, **kwargs)
+        factored[id(lu)] = M
+        return lu
+
+    def estimating(lu):
+        estimates.append((factored[id(lu)], estimate(lu)))
+        return estimates[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_trace_constrained", splicing)
+        m.setattr(dynamics.spla, "splu", factoring)
+        m.setattr(dynamics, "_inverse_norm_estimate", estimating)
+        scenario_steady_state(cfg, atoms)
+    return tuple(built), tuple(estimates)
+
+
+_SOLVE_CASES = [
+    (SystemConfig(n_atoms=2, g=0.1, epsilon=0.1, n_max=8), "eg"),
+    (SystemConfig(n_atoms=2, g=0.1, epsilon=0.001, n_max=4), "gg"),
+    (SystemConfig(n_atoms=2, g=0.1, n_th=2.0, n_max=64, frame="thermal"), "gg"),
+    (SystemConfig(n_atoms=2, g=0.1, n_th=0.5, n_max=22, frame="thermal"), "eg"),
+] + [(replace(cfg, n_atoms=3), "egg") for cfg in FRAME_CONFIGS]
+
+
+class TestTraceConstrainedSolve:
+    """M is spliced from L's CSR arrays, and its condition is certified by
+    Higham's estimate of ||M^-1||_1 on the factor."""
+
+    @pytest.mark.parametrize("cfg, atoms", _SOLVE_CASES,
+                             ids=lambda v: getattr(v, "frame", v))
+    def test_spliced_matrix_is_the_old_formula(self, cfg, atoms):
+        built, _ = _trace_constrained_solves(cfg, atoms)
+        assert built
+        for L, diag, M in built:
+            want = _old_trace_constrained(L, diag)
+            # the same CSC arrays: SuperLU factors the same matrix the same way
+            for got, exp in zip((M.indptr, M.indices, M.data), (want.indptr, want.indices, want.data)):
+                assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("cfg, atoms", _SOLVE_CASES,
+                             ids=lambda v: getattr(v, "frame", v))
+    def test_estimate_brackets_the_exact_inverse_norm(self, cfg, atoms):
+        _, estimates = _trace_constrained_solves(cfg, atoms)
+        assert estimates  # blocks of 5 to 729 unknowns over the cases
+        for M, est in estimates:
+            exact = np.abs(np.linalg.inv(M.toarray())).sum(axis=0).max()
+            assert exact / 10 <= est <= exact * (1 + 1e-8)
+
+    def test_one_unknown(self):
+        lu = dynamics.spla.splu(sp.csc_matrix(np.array([[4.0 + 0j]])))
+        assert _inverse_norm_estimate(lu) == 0.25
+
+    def test_diagonal_is_exact(self):
+        # ||D^-1||_1 is the largest |1 / d_i|: the first column step finds it
+        d = np.array([3.0, -0.5j, 2.0, 0.01 + 0.01j, 7.0])
+        lu = dynamics.spla.splu(sp.diags(d, format="csc"))
+        assert _inverse_norm_estimate(lu) == pytest.approx(np.max(1.0 / np.abs(d)), rel=1e-15)
 
 
 @functools.cache
