@@ -14,20 +14,14 @@ __version__ = "0.1.0"
 from .hilbert import (  # noqa: F401
     DensityMatrix,
     HilbertLayout,
-    Operator,
     annihilation,
-    displacement,
-    embed,
-    hermitian_spectrum,
     partial_trace,
-    tensor,
     trace_distance,
 )
 from .model import (  # noqa: F401
     DerivedParams,
     Generator,
     SystemConfig,
-    apply_generator,
     build_generator,
     derived_params,
     initial_state,

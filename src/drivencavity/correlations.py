@@ -300,7 +300,7 @@ def field_statistics(rho_field: DensityMatrix) -> FieldStats:
     layout = rho_field.layout
     if layout.atom_count != 0 or not layout.has_field:
         raise LayoutError("field_statistics expects a field-only state")
-    a = annihilation(layout.fock_dim - 1).matrix
+    a = annihilation(layout.fock_dim - 1)
     num = a.conj().T @ a
     m = rho_field.matrix
     n_bar = float(np.real(np.trace(num @ m)))

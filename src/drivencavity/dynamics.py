@@ -2,12 +2,11 @@
 
 A generator keeps its H and jumps as CSR (`model.Generator`); RK, the
 steady-state solver and `residual_norm` read those, and spectral
-propagation reads the dense views.  The Lindblad formula is applied in two
-ways here.  `liouvillian_matrix_raw` builds the sparse superoperator once
-per call for the Runge-Kutta right-hand side, the null-space LU and the
-kernel projection; `residual_norm` applies the generator to a state with
-sparse-times-dense products and no superoperator.  `model.apply_generator`
-stays as the independent dense reference.
+propagation densifies them.  The Lindblad formula is applied in two ways
+here.  `liouvillian_matrix_raw` builds the sparse superoperator once per
+call for the Runge-Kutta right-hand side, the null-space LU and the kernel
+projection; `residual_norm` applies the generator to a state with
+sparse-times-dense products and no superoperator.
 Spectral propagation restricts L to the initial state's invariant subspace
 and writes it in orthonormal Hermitian coordinates, where it is real;
 `propagate` takes that route while the subspace is small, and RK otherwise.
@@ -112,14 +111,9 @@ class SteadyStateResult:
     method: str
 
 
-def _gen_matrices(gen: Generator):
-    """The generator's dense views: H and (jump, rate) pairs as arrays."""
-    return gen.hamiltonian.matrix, [(j.matrix, r) for j, r in gen.dissipators]
-
-
 def residual_norm(gen: Generator, rho) -> float:
     """Entrywise max of d(rho)/dt, from the generator's CSR H and jumps times
-    the dense state (`model.apply_generator` is the dense reference).
+    the dense state.
 
     Only sparse-times-dense products: m H = (H^T m^T)^T, A m A^dag =
     A (A m^dag)^dag, A^dag X = conj(A^T conj(X)), m A^dag A = (A^T conj(A m^dag))^T.
@@ -337,7 +331,7 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing 1-D sequence")
 
-    H, dissipators = _gen_matrices(gen)
+    H, dissipators = gen.H.toarray(), [(A.toarray(), rate) for A, rate in gen.jumps]
     V = _invariant_support(H, dissipators, rho0.matrix)
     k = V.shape[1]
     if k > SPECTRAL_MAX_SUPPORT:
@@ -494,7 +488,7 @@ def coherence_block_gap(L) -> float:
     largest-magnitude eigenvalue mu of L's inverse, from one sparse LU and
     ARPACK, and 0.0 when the factor is exactly singular.  A block of
     coherences with a strictly positive gap decays, so it holds nothing in
-    the steady state.
+    the steady state.  ARPACK's failure raises ConvergenceError.
     """
     if L.shape[0] <= _DENSE_KERNEL_MAX:
         return float(np.min(np.abs(la.eigvals(L.toarray()))))
@@ -502,7 +496,10 @@ def coherence_block_gap(L) -> float:
         lu = spla.splu(L.tocsc())
     except RuntimeError:  # exactly singular: a zero mode
         return 0.0
-    mu, _ = inverse_modes(lu, 1)
+    try:
+        mu, _ = inverse_modes(lu, 1)
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"coherence gap search failed: {exc}") from exc
     return float(1.0 / np.abs(mu[0]))
 
 

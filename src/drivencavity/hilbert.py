@@ -1,10 +1,11 @@
-"""Operators and states on finite tensor-product Hilbert spaces.
+"""Layouts and states on finite tensor-product Hilbert spaces.
 
 Spaces are composed of an optional bosonic (Fock-truncated) factor followed
 by a number of two-level atoms.  The factor order is fixed: field first,
-then atoms 1..N.  Operators and states are dense complex arrays; a
-Lindblad generator (`model.Generator`) keeps its operators as CSR, and
-`to_collective_basis` rotates CSR or dense matrices into CSR.
+then atoms 1..N.  An operator is a plain matrix: a Lindblad generator
+(`model.Generator`) keeps its operators as CSR, states and the ladder
+operator are dense complex arrays, and `to_collective_basis` rotates CSR or
+dense matrices into CSR.
 
 In the collective (Dicke) basis of the atoms (`collective_basis`) every
 operator built from S_+/-, S_z is block diagonal (Shammah et al., PRA 98,
@@ -13,13 +14,11 @@ operator built from S_+/-, S_z is block diagonal (Shammah et al., PRA 98,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
 TOL_HERM = 1e-10
@@ -28,11 +27,7 @@ TOL_POS = 1e-9
 
 
 class LayoutError(ValueError):
-    """Operator layouts do not compose or do not match."""
-
-
-class HermiticityError(ValueError):
-    """A matrix that must be Hermitian is not."""
+    """A layout is invalid, or a matrix does not match its layout."""
 
 
 class StateError(ValueError):
@@ -96,128 +91,15 @@ def _as_matrix(entries, dim: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Square complex matrix tagged with its Hilbert-space layout."""
-
-    layout: HilbertLayout
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.layout.dim))
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    def dag(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def is_hermitian(self, tol: float = TOL_HERM) -> bool:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) <= tol
-
-    def _check_same_layout(self, other: "Operator"):
-        if self.layout != other.layout:
-            raise LayoutError(f"layout mismatch: {self.layout} vs {other.layout}")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same_layout(other)
-        return Operator(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_layout(other)
-        return Operator(self.layout, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.layout, -self.matrix)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.layout, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_layout(other)
-        return Operator(self.layout, self.matrix @ other.matrix)
-
-
-def identity(layout: HilbertLayout) -> Operator:
-    return Operator(layout, np.eye(layout.dim))
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; the field factor, if present, must come from `a`."""
-    if b.layout.has_field:
-        raise LayoutError("field factor must come first; cannot tensor a field factor on the right")
-    combined = HilbertLayout(a.layout.atom_count + b.layout.atom_count, a.layout.fock_dim)
-    return Operator(combined, np.kron(a.matrix, b.matrix))
-
-
-def embed(local: Operator, site: int, layout: HilbertLayout) -> Operator:
-    """Place a single-factor operator at `site`, identities everywhere else."""
-    factors = layout.factors
-    if not 0 <= site < len(factors):
-        raise LayoutError(f"site {site} out of range for {len(factors)} factors")
-    if local.layout.n_factors != 1:
-        raise LayoutError("embed expects a single-factor operator")
-    if local.dim != factors[site]:
-        raise LayoutError(
-            f"local dimension {local.dim} does not match factor dimension {factors[site]}"
-        )
-    m = np.eye(1, dtype=complex)
-    for k, d in enumerate(factors):
-        m = np.kron(m, local.matrix if k == site else np.eye(d))
-    return Operator(layout, m)
-
-
-def qubit_operator(m) -> Operator:
-    """Single-atom operator in the |e>, |g> basis (|e> = index 0)."""
-    return Operator(HilbertLayout(atom_count=1), m)
-
-
-def sigma_x() -> Operator:
-    return qubit_operator([[0, 1], [1, 0]])
-
-
-def sigma_z() -> Operator:
-    return qubit_operator([[1, 0], [0, -1]])
-
-
-def sigma_plus() -> Operator:
-    """|e><g|."""
-    return qubit_operator([[0, 1], [0, 0]])
-
-
-def sigma_minus() -> Operator:
-    """|g><e|."""
-    return qubit_operator([[0, 0], [1, 0]])
-
-
-def annihilation(n_max: int) -> Operator:
-    """Truncated ladder operator: a|n> = sqrt(n)|n-1>, n = 0..n_max."""
+def annihilation(n_max: int) -> np.ndarray:
+    """Truncated ladder operator: a|n> = sqrt(n)|n-1>, n = 0..n_max, dense."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     dim = n_max + 1
     m = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     m[n - 1, n] = np.sqrt(n)
-    return Operator(HilbertLayout(atom_count=0, fock_dim=dim), m)
-
-
-def displacement(alpha: complex, n_max: int) -> Operator:
-    """exp(alpha a^dag - alpha* a) on the truncated Fock space."""
-    if abs(alpha) ** 2 > 0.25 * n_max:
-        warnings.warn(
-            f"|alpha|^2 = {abs(alpha)**2:.3g} is not small against n_max = {n_max}; "
-            "the truncated displacement is no longer close to unitary",
-            stacklevel=2,
-        )
-    a = annihilation(n_max)
-    gen = alpha * a.dag().matrix - np.conj(alpha) * a.matrix
-    return Operator(a.layout, expm(gen))
+    return m
 
 
 def fock_vector(fock_dim: int, n: int) -> np.ndarray:
@@ -248,10 +130,12 @@ def collective_basis(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     J- steps.  Columns are normalised only at the end, so for two atoms B is
     |T+>, |T0>, |T->, |S> entry for entry.
     """
-    layout = HilbertLayout(atom_count=n_atoms)
-    lower = sum(embed(sigma_minus(), layout.atom_factor(j), layout).matrix.real
-                for j in range(1, n_atoms + 1))
-    excited = n_atoms - np.array([bin(c).count("1") for c in range(2 ** n_atoms)])  # |e> = 0
+    states = np.arange(2 ** n_atoms)
+    lower = np.zeros((states.size, states.size))   # J-: each atom's |e> = 0 bit set to |g> = 1
+    for bit in 1 << np.arange(n_atoms):
+        excited_here = states[states & bit == 0]
+        lower[excited_here | bit, excited_here] = 1.0
+    excited = n_atoms - np.array([bin(c).count("1") for c in states])
     found, sizes = [], []   # unnormalised columns; 2J + 1 per multiplet
     for c in np.argsort(-excited, kind="stable"):
         v = np.eye(excited.size)[c]
@@ -381,12 +265,14 @@ class DensityMatrix:
     dense dim^2 passes.
     """
 
-    op: Operator
+    layout: HilbertLayout
+    matrix: np.ndarray  # a read-only copy of the entries given
     pos_tol: float = field(default=TOL_POS, compare=False)
     min_eigenvalue: float = field(init=False, compare=False)  # from the positivity check
 
     def __post_init__(self):
-        m = self.op.matrix
+        m = _as_matrix(self.matrix, self.layout.dim)
+        object.__setattr__(self, "matrix", m)
         pattern = nonzero_pattern(m)
         herm = _max_asymmetry(m, pattern)
         if herm > TOL_HERM:
@@ -399,17 +285,9 @@ class DensityMatrix:
             raise StateError(f"density matrix has eigenvalue {lo:.3e} below -{self.pos_tol:.1e}")
         object.__setattr__(self, "min_eigenvalue", lo)
 
-    @property
-    def layout(self) -> HilbertLayout:
-        return self.op.layout
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
     @classmethod
     def from_matrix(cls, layout: HilbertLayout, m, pos_tol: float = TOL_POS) -> "DensityMatrix":
-        return cls(Operator(layout, m), pos_tol=pos_tol)
+        return cls(layout, m, pos_tol=pos_tol)
 
     @classmethod
     def pure(cls, layout: HilbertLayout, vec) -> "DensityMatrix":
@@ -417,7 +295,7 @@ class DensityMatrix:
         if v.size != layout.dim:
             raise LayoutError(f"vector length {v.size} does not match layout dimension {layout.dim}")
         v = v / np.linalg.norm(v)
-        return cls(Operator(layout, np.outer(v, v.conj())))
+        return cls(layout, np.outer(v, v.conj()))
 
 
 def _kept_layout(layout: HilbertLayout, keep: tuple[int, ...]) -> HilbertLayout:
@@ -447,13 +325,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reduced = partial_trace_matrix(rho.matrix, rho.layout, keep_t)
     return DensityMatrix.from_matrix(_kept_layout(rho.layout, keep_t), reduced,
                                      pos_tol=rho.pos_tol)
-
-
-def hermitian_spectrum(op: Operator) -> np.ndarray:
-    """Real eigenvalues, ascending.  Raises on non-Hermitian input."""
-    if not op.is_hermitian():
-        raise HermiticityError("operator is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(op.matrix)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,13 +18,13 @@ from .hilbert import (
     DensityMatrix,
     HilbertLayout,
     LayoutError,
-    Operator,
     TOL_HERM,
     coherent_vector,
     fock_vector,
 )
 
 FRAMES = ("lab-rotating", "displaced", "effective-atomic", "thermal")
+PHYSICAL_KEYS = ("g", "epsilon", "delta", "delta_atom", "n_th")  # each must be finite
 
 
 class ConfigError(ValueError):
@@ -53,6 +52,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ConfigError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        for key in PHYSICAL_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.g < 0 or self.epsilon < 0 or self.n_th < 0:
             raise ConfigError("g, epsilon and n_th must be nonnegative")
         if self.n_max < 1:
@@ -100,50 +102,36 @@ def derived_params(cfg: SystemConfig) -> DerivedParams:
 
 
 class Generator:
-    """One Liouvillian: a Hamiltonian plus (jump operator, rate) pairs.
+    """One Liouvillian: a Hamiltonian plus (jump operator, rate) pairs on `layout`.
 
-    Stored once, as canonical CSR matrices on `layout`: `H` and `jumps`, with
-    sorted indices, no duplicates and no stored zeros, so `H` is the
-    `scipy.sparse.csr_matrix` of its dense view entry for entry.  The
-    operators may be given as `Operator`s or as sparse matrices on `layout`.
-    `hamiltonian` and `dissipators` are dense `Operator` views, made on first
-    use.
+    Stored once, as canonical CSR matrices: `H` and `jumps`, with sorted
+    indices, no duplicates and no stored zeros, so `H` is the
+    `scipy.sparse.csr_matrix` of `H.toarray()` entry for entry.  The
+    operators may be given as sparse matrices or as arrays.
     """
 
-    def __init__(self, hamiltonian, dissipators=(), layout: HilbertLayout | None = None):
-        self.layout = hamiltonian.layout if layout is None else layout
+    def __init__(self, H, jumps, layout: HilbertLayout):
+        self.layout = layout
 
         def canonical(op):
-            if isinstance(op, Operator):
-                if op.layout != self.layout:
-                    raise LayoutError("jump operator layout differs from Hamiltonian layout")
-                op = op.matrix
             m = op if isinstance(op, sp.csr_matrix) and op.dtype == complex else sp.csr_matrix(
                 op, dtype=complex)
-            if m.shape != (self.layout.dim,) * 2:
+            if m.shape != (layout.dim,) * 2:
                 raise LayoutError(f"operator shape {m.shape} does not match layout "
-                                  f"dimension {self.layout.dim}")
+                                  f"dimension {layout.dim}")
             if not (m.has_canonical_format and m.data.all()):
                 m = m.copy()
                 m.sum_duplicates()
                 m.eliminate_zeros()
             return m
 
-        self.H = canonical(hamiltonian)
-        self.jumps = tuple((canonical(jump), rate) for jump, rate in dissipators)
+        self.H = canonical(H)
+        self.jumps = tuple((canonical(jump), rate) for jump, rate in jumps)
         if _asymmetry(self.H) > TOL_HERM:
             raise ValueError("generator Hamiltonian is not Hermitian")
         for _, rate in self.jumps:
             if rate < 0:
                 raise ValueError(f"dissipator rate must be nonnegative, got {rate}")
-
-    @cached_property
-    def hamiltonian(self) -> Operator:
-        return Operator(self.layout, self.H.toarray())
-
-    @cached_property
-    def dissipators(self) -> tuple[tuple[Operator, float], ...]:
-        return tuple((Operator(self.layout, jump.toarray()), rate) for jump, rate in self.jumps)
 
 
 def _asymmetry(m: sp.csr_matrix) -> float:
@@ -231,25 +219,6 @@ def _assemble(layout: HilbertLayout, terms, plus_hc=()) -> sp.csr_matrix:
                          shape=(d, d))
 
 
-def _collective(layout: HilbertLayout, factor) -> Operator:
-    """1_field (x) factor, dense."""
-    return Operator(layout, _assemble(layout, [(1.0, _field_eye(layout), factor)]).toarray())
-
-
-def collective_raising(layout: HilbertLayout) -> Operator:
-    """S_+ = (1/sqrt(N)) sum_j sigma_+^j."""
-    return _collective(layout, _raising(layout.atom_count))
-
-
-def collective_lowering(layout: HilbertLayout) -> Operator:
-    return collective_raising(layout).dag()
-
-
-def collective_sz(layout: HilbertLayout) -> Operator:
-    """S_z = sum_j sigma_z^j (no 1/sqrt(N))."""
-    return _collective(layout, _sz(layout.atom_count))
-
-
 def build_generator(cfg: SystemConfig) -> Generator:
     """The frame's Hamiltonian and jumps, each assembled once, as CSR, from its factors.
 
@@ -286,22 +255,6 @@ def build_generator(cfg: SystemConfig) -> Generator:
         drive = (derived_params(cfg).omega_drive, eye_f, raising)
     h = op([sz, (cfg.delta, _number(cfg.n_max), eye_a)], [half, drive])
     return Generator(h, [(jump, 1.0)], layout)
-
-
-def apply_generator(gen: Generator, rho) -> Operator:
-    """d(rho)/dt = -i[H, rho] + sum_k rate_k (2 A rho A^dag - A^dag A rho - rho A^dag A)."""
-    m = rho.matrix if isinstance(rho, (DensityMatrix, Operator)) else np.asarray(rho, dtype=complex)
-    layout = gen.layout
-    if m.shape != (layout.dim, layout.dim):
-        raise LayoutError(f"state shape {m.shape} does not match generator dimension {layout.dim}")
-    h = gen.hamiltonian.matrix
-    out = -1j * (h @ m - m @ h)
-    for jump, rate in gen.dissipators:
-        A = jump.matrix
-        Ad = A.conj().T
-        AdA = Ad @ A
-        out = out + rate * (2.0 * (A @ m @ Ad) - AdA @ m - m @ AdA)
-    return Operator(layout, out)
 
 
 def atomic_vector(pattern: str) -> np.ndarray:

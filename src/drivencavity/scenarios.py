@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .hilbert import DensityMatrix, StateError, partial_trace
 from .model import (
+    PHYSICAL_KEYS,
     ConfigError,
     Generator,
     SystemConfig,
@@ -172,6 +173,9 @@ def load_config(path: str | None = None, overrides=()) -> ScenarioConfig:
 
 def _check_values(cfg: ScenarioConfig):
     """Refuse a value no scenario can run with, so it fails before any point does."""
+    for key in PHYSICAL_KEYS:
+        if not math.isfinite(getattr(cfg, key)):
+            raise ScenarioConfigError(f"{key} must be finite, not {getattr(cfg, key)}")
     if cfg.custom_mode not in ("steady", "evolve"):
         raise ScenarioConfigError(f"unknown custom_mode {cfg.custom_mode!r}, "
                                   f"expected 'steady' or 'evolve'")
@@ -192,6 +196,9 @@ def _check_values(cfg: ScenarioConfig):
         except ValueError as exc:
             raise ScenarioConfigError(f"cannot parse {key}={getattr(cfg, key)!r} as "
                                       f"comma-separated floats") from exc
+        if not all(map(math.isfinite, values)):
+            raise ScenarioConfigError(f"{key}={getattr(cfg, key)!r} holds a value that is "
+                                      f"not finite")
         if not values and (key != "sweep_values" or cfg.sweep_param):
             raise ScenarioConfigError(f"{key} has no values")
     if not _tokens(cfg.initial_list):

@@ -1,0 +1,81 @@
+"""Dense plain-array references for the tests.
+
+Operators are built factor by factor with identities (`embed`), and the
+Lindblad formula is applied with dense products (`apply_generator`): an
+assembly independent of the package's sparse construction from factors.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import expm
+
+from drivencavity.hilbert import HilbertLayout, annihilation
+
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)    # |e><g|, |e> = index 0
+SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |g><e|
+
+
+def dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().T
+
+
+def embed(local: np.ndarray, site: int, layout: HilbertLayout) -> np.ndarray:
+    """`local` on factor `site` of `layout`, identities on every other factor."""
+    m = np.eye(1, dtype=complex)
+    for k, d in enumerate(layout.factors):
+        m = np.kron(m, local if k == site else np.eye(d))
+    return m
+
+
+def field_annihilation(layout: HilbertLayout) -> np.ndarray:
+    """a on the field factor of `layout`."""
+    return embed(annihilation(layout.fock_dim - 1), layout.field_factor(), layout)
+
+
+def number_operator(layout: HilbertLayout) -> np.ndarray:
+    """a^dag a on the field factor of `layout`."""
+    a = annihilation(layout.fock_dim - 1)
+    return embed(dag(a) @ a, layout.field_factor(), layout)
+
+
+def _atom_sum(local: np.ndarray, layout: HilbertLayout) -> np.ndarray:
+    return sum(embed(local, layout.atom_factor(j), layout)
+               for j in range(1, layout.atom_count + 1))
+
+
+def collective_raising(layout: HilbertLayout) -> np.ndarray:
+    """S_+ = (1/sqrt(N)) sum_j sigma_+^j."""
+    return (1.0 / math.sqrt(layout.atom_count)) * _atom_sum(SIGMA_PLUS, layout)
+
+
+def collective_lowering(layout: HilbertLayout) -> np.ndarray:
+    return dag(collective_raising(layout))
+
+
+def collective_sz(layout: HilbertLayout) -> np.ndarray:
+    """S_z = sum_j sigma_z^j (no 1/sqrt(N))."""
+    return _atom_sum(SIGMA_Z, layout)
+
+
+def displacement(alpha: complex, n_max: int) -> np.ndarray:
+    """exp(alpha a^dag - alpha* a) on the truncated Fock space."""
+    a = annihilation(n_max)
+    return expm(alpha * dag(a) - np.conj(alpha) * a)
+
+
+def dense_generator(gen):
+    """The generator's H and (jump, rate) pairs as dense arrays."""
+    return gen.H.toarray(), [(A.toarray(), rate) for A, rate in gen.jumps]
+
+
+def apply_generator(gen, rho) -> np.ndarray:
+    """d(rho)/dt = -i[H, rho] + sum_k rate_k (2 A rho A^dag - A^dag A rho - rho A^dag A)."""
+    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    h, jumps = dense_generator(gen)
+    out = -1j * (h @ m - m @ h)
+    for A, rate in jumps:
+        AdA = dag(A) @ A
+        out = out + rate * (2.0 * (A @ m @ dag(A)) - AdA @ m - m @ AdA)
+    return out

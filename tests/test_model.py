@@ -10,26 +10,35 @@ from drivencavity.hilbert import (
     HilbertLayout,
     LayoutError,
     StateError,
-    annihilation,
-    embed,
     fock_vector,
-    sigma_plus,
-    sigma_z,
 )
 from drivencavity.model import (
     ConfigError,
     FRAMES,
+    PHYSICAL_KEYS,
     Generator,
     SystemConfig,
-    apply_generator,
+    _assemble,
+    _dag,
+    _field_eye,
+    _raising,
+    _sz,
     atomic_vector,
     build_generator,
-    collective_lowering,
-    collective_raising,
-    collective_sz,
     derived_params,
     initial_state,
     thermal_field_matrix,
+)
+from reference import (
+    SIGMA_PLUS,
+    SIGMA_Z,
+    apply_generator,
+    collective_lowering,
+    dag,
+    dense_generator,
+    embed,
+    field_annihilation,
+    number_operator,
 )
 
 rng = np.random.default_rng(11)
@@ -45,6 +54,15 @@ class TestSystemConfig:
             SystemConfig(n_atoms=1, g=0.1, n_max=0)
         with pytest.raises(ConfigError):
             SystemConfig(n_atoms=1, g=0.1, frame="heisenberg")
+
+    @pytest.mark.parametrize("key", PHYSICAL_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_physics(self, key, value):
+        # NaN passes every comparison test, such as g < 0
+        kw = dict(n_atoms=2, g=0.1, frame="thermal" if key == "n_th" else "displaced")
+        kw[key] = value
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            SystemConfig(**kw)
 
     def test_thermal_frame_must_be_undriven(self):
         with pytest.raises(ConfigError):
@@ -97,15 +115,22 @@ class TestDerivedParams:
         assert np.isclose(hi[0] / hi[1], 2.0)
 
 
+def _collective(layout, factor):
+    """1_field (x) factor, the generator's collective operator from its factor, dense."""
+    return _assemble(layout, [(1.0, _field_eye(layout), factor)]).toarray()
+
+
 class TestCollectiveOperators:
+    """The generator's atomic factors S_+, S_- = S_+^dag and S_z."""
+
     def test_raising_matrix_single_atom(self):
         lay = HilbertLayout(atom_count=1)
-        sp = collective_raising(lay)
-        assert np.allclose(sp.matrix, [[0, 1], [0, 0]])
+        sp = _collective(lay, _raising(1))
+        assert np.allclose(sp, [[0, 1], [0, 0]])
 
     def test_normalization_two_atoms(self):
         lay = HilbertLayout(atom_count=2)
-        sp = collective_raising(lay).matrix
+        sp = _collective(lay, _raising(2))
         gg = atomic_vector("gg")
         sym = sp @ gg
         # S+|gg> = (|eg> + |ge>)/sqrt(2)
@@ -115,22 +140,22 @@ class TestCollectiveOperators:
     def test_singlet_is_dark(self):
         lay = HilbertLayout(atom_count=2)
         singlet = (atomic_vector("eg") - atomic_vector("ge")) / math.sqrt(2)
-        assert np.max(np.abs(collective_raising(lay).matrix @ singlet)) < 1e-14
-        assert np.max(np.abs(collective_lowering(lay).matrix @ singlet)) < 1e-14
+        assert np.max(np.abs(_collective(lay, _raising(2)) @ singlet)) < 1e-14
+        assert np.max(np.abs(_collective(lay, _dag(_raising(2))) @ singlet)) < 1e-14
 
     def test_sz_eigenvalues(self):
         lay = HilbertLayout(atom_count=2)
-        sz = collective_sz(lay).matrix
+        sz = _collective(lay, _sz(2))
         assert np.allclose(np.diag(sz), [2, 0, 0, -2])
 
     def test_lowering_is_adjoint(self):
         lay = HilbertLayout(atom_count=3, fock_dim=2)
-        assert np.allclose(collective_lowering(lay).matrix,
-                           collective_raising(lay).matrix.conj().T)
+        assert np.allclose(_collective(lay, _dag(_raising(3))),
+                           _collective(lay, _raising(3)).conj().T)
 
 
 def _hermitian(gen):
-    h = gen.hamiltonian.matrix
+    h = gen.H.toarray()
     return np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
@@ -144,15 +169,15 @@ class TestRotatingFrameBuilder:
         cfg = SystemConfig(n_atoms=1, g=0.0, epsilon=0.5, n_max=3, frame="lab-rotating")
         gen = build_generator(cfg)
         lay = cfg.layout()
-        a = embed(annihilation(cfg.n_max), lay.field_factor(), lay)
-        expected = 0.5 * (a + a.dag())
-        assert np.allclose(gen.hamiltonian.matrix, expected.matrix)
-        assert len(gen.dissipators) == 1
-        assert gen.dissipators[0][1] == 1.0
+        a = field_annihilation(lay)
+        expected = 0.5 * (a + dag(a))
+        assert np.allclose(gen.H.toarray(), expected)
+        assert len(gen.jumps) == 1
+        assert gen.jumps[0][1] == 1.0
 
     def test_no_direct_atom_atom_coupling(self):
         cfg = SystemConfig(n_atoms=2, g=0.3, epsilon=0.7, n_max=2, frame="lab-rotating")
-        h = build_generator(cfg).hamiltonian.matrix
+        h = build_generator(cfg).H.toarray()
         lay = cfg.layout()
         # <0, e, g| H |0, g, e> = 0: atoms talk only through the field
         eg = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("eg"))
@@ -168,7 +193,7 @@ class TestDisplacedBuilder:
     def test_no_linear_field_drive_left(self):
         # after displacement the drive lives on the atoms: <1,gg|H|0,gg> = 0
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=5.0, n_max=3)
-        h = build_generator(cfg).hamiltonian.matrix
+        h = build_generator(cfg).H.toarray()
         lay = cfg.layout()
         v0 = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("gg"))
         v1 = np.kron(fock_vector(lay.factors[0], 1), atomic_vector("gg"))
@@ -176,7 +201,7 @@ class TestDisplacedBuilder:
 
     def test_semiclassical_drive_amplitude(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=5.0, n_max=3)
-        h = build_generator(cfg).hamiltonian.matrix
+        h = build_generator(cfg).H.toarray()
         lay = cfg.layout()
         omega = derived_params(cfg).omega_drive
         v_gg = np.kron(fock_vector(lay.factors[0], 0), atomic_vector("gg"))
@@ -186,8 +211,8 @@ class TestDisplacedBuilder:
 
     def test_zero_drive_matches_rotating_frame(self):
         base = dict(n_atoms=2, g=0.2, epsilon=0.0, delta=0.1, delta_atom=0.2, n_max=3)
-        h_disp = build_generator(SystemConfig(frame="displaced", **base)).hamiltonian.matrix
-        h_lab = build_generator(SystemConfig(frame="lab-rotating", **base)).hamiltonian.matrix
+        h_disp = build_generator(SystemConfig(frame="displaced", **base)).H.toarray()
+        h_lab = build_generator(SystemConfig(frame="lab-rotating", **base)).H.toarray()
         assert np.allclose(h_disp, h_lab)
 
 
@@ -200,14 +225,14 @@ class TestEffectiveAtomicBuilder:
     def test_collective_decay_rate(self):
         cfg = SystemConfig(n_atoms=3, g=0.02, epsilon=1.0, frame="effective-atomic")
         gen = build_generator(cfg)
-        (jump, rate), = gen.dissipators
+        (jump, rate), = gen.jumps
         assert np.isclose(rate, 0.02**2 * 3)
         lay = gen.layout
-        assert np.allclose(jump.matrix, collective_lowering(lay).matrix)
+        assert np.allclose(jump.toarray(), collective_lowering(lay))
 
     def test_rabi_matrix_element(self):
         cfg = SystemConfig(n_atoms=1, g=0.01, epsilon=10.0, frame="effective-atomic")
-        h = build_generator(cfg).hamiltonian.matrix
+        h = build_generator(cfg).H.toarray()
         omega = derived_params(cfg).omega_drive
         assert abs(h[0, 1] - omega) < 1e-14
 
@@ -216,16 +241,16 @@ class TestThermalBuilder:
     def test_two_dissipators_with_detailed_balance_rates(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=2.0, n_max=4, frame="thermal")
         gen = build_generator(cfg)
-        rates = [r for _, r in gen.dissipators]
+        rates = [r for _, r in gen.jumps]
         assert rates == [3.0, 2.0]
 
     def test_zero_temperature_matches_undriven_resonant_lab_frame(self):
         base = dict(n_atoms=2, g=0.15, n_max=3)
         gen_th = build_generator(SystemConfig(frame="thermal", n_th=0.0, **base))
         gen_lab = build_generator(SystemConfig(frame="lab-rotating", epsilon=0.0, **base))
-        assert np.allclose(gen_th.hamiltonian.matrix, gen_lab.hamiltonian.matrix)
-        assert np.isclose(gen_th.dissipators[0][1], 1.0)
-        assert np.isclose(gen_th.dissipators[1][1], 0.0)
+        assert np.allclose(gen_th.H.toarray(), gen_lab.H.toarray())
+        assert np.isclose(gen_th.jumps[0][1], 1.0)
+        assert np.isclose(gen_th.jumps[1][1], 0.0)
 
 
 def _embedded_generator(cfg):
@@ -238,24 +263,24 @@ def _embedded_generator(cfg):
         ops = [embed(local, lay.atom_factor(j), lay) for j in range(1, n + 1)]
         return sum(ops[1:], ops[0])
 
-    sp = (1.0 / math.sqrt(n)) * summed(sigma_plus())
-    sz = summed(sigma_z())
+    sp = (1.0 / math.sqrt(n)) * summed(SIGMA_PLUS)
+    sz = summed(SIGMA_Z)
     if cfg.frame == "effective-atomic":
         p = derived_params(cfg)
         half = p.omega_drive * sp
-        return 0.5 * cfg.delta_atom * sz + half + half.dag(), [(sp.dag(), p.gamma_eff)]
-    a = embed(annihilation(cfg.n_max), lay.field_factor(), lay)
+        return 0.5 * cfg.delta_atom * sz + half + dag(half), [(dag(sp), p.gamma_eff)]
+    a = field_annihilation(lay)
     jc = cfg.g * math.sqrt(n) * (sp @ a)
     if cfg.frame == "thermal":
-        h = 0.5 * cfg.delta_atom * sz + jc + jc.dag()
-        return h, [(a, cfg.n_th + 1.0), (a.dag(), cfg.n_th)]
+        h = 0.5 * cfg.delta_atom * sz + jc + dag(jc)
+        return h, [(a, cfg.n_th + 1.0), (dag(a), cfg.n_th)]
     if cfg.frame == "lab-rotating":
         half = jc + cfg.epsilon * a
-        h = cfg.delta * (a.dag() @ a) + 0.5 * cfg.delta_atom * sz + half + half.dag()
+        h = cfg.delta * (dag(a) @ a) + 0.5 * cfg.delta_atom * sz + half + dag(half)
         return h, [(a, 1.0)]
     jc = cfg.g * math.sqrt(n) * (a @ sp)
     sc = derived_params(cfg).omega_drive * sp
-    h = cfg.delta * (a.dag() @ a) + 0.5 * cfg.delta_atom * sz + jc + jc.dag() + sc + sc.dag()
+    h = cfg.delta * (dag(a) @ a) + 0.5 * cfg.delta_atom * sz + jc + dag(jc) + sc + dag(sc)
     return h, [(a, 1.0)]
 
 
@@ -269,11 +294,12 @@ class TestBuildFromFactors:
                            **drive)
         gen = build_generator(cfg)
         h, jumps = _embedded_generator(cfg)
-        assert np.array_equal(gen.hamiltonian.matrix, h.matrix)
-        assert len(gen.dissipators) == len(jumps)
-        for (jump, rate), (ref, ref_rate) in zip(gen.dissipators, jumps):
+        dense_h, dense_jumps = dense_generator(gen)
+        assert np.array_equal(dense_h, h)
+        assert len(dense_jumps) == len(jumps)
+        for (jump, rate), (ref, ref_rate) in zip(dense_jumps, jumps):
             assert rate == ref_rate
-            assert np.array_equal(jump.matrix, ref.matrix)
+            assert np.array_equal(jump, ref)
 
 
 def _assert_same_csr(got, want):
@@ -291,26 +317,19 @@ class TestGeneratorStorage:
         drive = {"thermal": {"n_th": 0.8, "epsilon": 0.0, "delta": 0.0},
                  "effective-atomic": {"delta": 0.0}}.get(frame, {})
         gen = build_generator(replace(self.CFG, frame=frame, **drive))
-        _assert_same_csr(gen.H, sp.csr_matrix(gen.hamiltonian.matrix))
-        assert len(gen.jumps) == len(gen.dissipators)
-        for (A, rate), (view, view_rate) in zip(gen.jumps, gen.dissipators):
-            assert rate == view_rate
-            _assert_same_csr(A, sp.csr_matrix(view.matrix))
-
-    def test_dense_views_are_made_on_first_use(self):
-        gen = build_generator(self.CFG)
-        assert "hamiltonian" not in vars(gen) and "dissipators" not in vars(gen)
-        assert gen.hamiltonian is gen.hamiltonian
-        assert "hamiltonian" in vars(gen) and "dissipators" not in vars(gen)
+        _assert_same_csr(gen.H, sp.csr_matrix(gen.H.toarray()))
+        for A, _ in gen.jumps:
+            _assert_same_csr(A, sp.csr_matrix(A.toarray()))
 
     def test_built_from_operators(self):
+        # dense arrays in, the CSR of each out
         h, jumps = _embedded_generator(self.CFG)
-        gen = Generator(h, jumps)
-        assert gen.layout == h.layout
-        _assert_same_csr(gen.H, sp.csr_matrix(h.matrix))
+        gen = Generator(h, jumps, self.CFG.layout())
+        assert gen.layout == self.CFG.layout()
+        _assert_same_csr(gen.H, sp.csr_matrix(h))
         for (A, rate), (ref, ref_rate) in zip(gen.jumps, jumps):
             assert rate == ref_rate
-            _assert_same_csr(A, sp.csr_matrix(ref.matrix))
+            _assert_same_csr(A, sp.csr_matrix(ref))
 
     def test_sparse_input_is_made_canonical(self):
         # duplicates summed and stored zeros dropped, the caller's matrix untouched
@@ -323,14 +342,15 @@ class TestGeneratorStorage:
 
     def test_rejects_bad_operators(self):
         h, jumps = _embedded_generator(self.CFG)
+        layout = self.CFG.layout()
         with pytest.raises(ValueError, match="not Hermitian"):
-            Generator(jumps[0][0], jumps)  # the jump a is no Hamiltonian
+            Generator(jumps[0][0], jumps, layout)  # the jump a is no Hamiltonian
         with pytest.raises(ValueError, match="nonnegative"):
-            Generator(h, [(jumps[0][0], -1.0)])
+            Generator(h, [(jumps[0][0], -1.0)], layout)
         with pytest.raises(LayoutError):
-            Generator(h, [(sigma_z(), 1.0)])
+            Generator(h, [(SIGMA_Z, 1.0)], layout)
         with pytest.raises(LayoutError):
-            Generator(sp.identity(3, format="csr"), (), h.layout)
+            Generator(sp.identity(3, format="csr"), (), layout)
 
 
 class TestApplyGenerator:
@@ -343,7 +363,7 @@ class TestApplyGenerator:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             m = a @ a.conj().T
             m /= np.trace(m)
-            worst = max(worst, abs(np.trace(apply_generator(gen, m).matrix)))
+            worst = max(worst, abs(np.trace(apply_generator(gen, m))))
         assert worst < 1e-12
 
     def test_hermiticity_preserving(self):
@@ -353,14 +373,14 @@ class TestApplyGenerator:
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = a @ a.conj().T
         m /= np.trace(m)
-        out = apply_generator(gen, m).matrix
+        out = apply_generator(gen, m)
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_vacuum_ground_state_is_stationary_undriven(self):
         cfg = SystemConfig(n_atoms=2, g=0.5, epsilon=0.0, n_max=3)
         gen = build_generator(cfg)
         rho = initial_state(cfg, "gg")
-        out = apply_generator(gen, rho).matrix
+        out = apply_generator(gen, rho)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_photon_decay_rate(self):
@@ -369,9 +389,7 @@ class TestApplyGenerator:
         gen = build_generator(cfg)
         rho = initial_state(cfg, "g", field=3)
         lay = cfg.layout()
-        nop = embed(annihilation(cfg.n_max).dag() @ annihilation(cfg.n_max),
-                    lay.field_factor(), lay).matrix
-        ndot = np.trace(nop @ apply_generator(gen, rho).matrix)
+        ndot = np.trace(number_operator(lay) @ apply_generator(gen, rho))
         assert abs(ndot - (-2.0 * 3.0)) < 1e-12
 
 
@@ -398,9 +416,7 @@ class TestInitialState:
         cfg = SystemConfig(n_atoms=1, g=0.1, n_max=30)
         rho = initial_state(cfg, "g", field=1.5 + 0.0j)
         lay = cfg.layout()
-        nop = embed(annihilation(cfg.n_max).dag() @ annihilation(cfg.n_max),
-                    lay.field_factor(), lay).matrix
-        assert abs(np.trace(nop @ rho.matrix) - 1.5**2) < 1e-8
+        assert abs(np.trace(number_operator(lay) @ rho.matrix) - 1.5**2) < 1e-8
 
     @pytest.mark.parametrize("cfg", [
         SystemConfig(n_atoms=2, g=0.1, n_th=0.5, n_max=3, frame="thermal"),

@@ -7,7 +7,7 @@ import pytest
 from drivencavity.correlations import XStateError, correlation_report
 from drivencavity.dynamics import EvolutionError
 from drivencavity.hilbert import DensityMatrix, HilbertLayout
-from drivencavity.model import SystemConfig, initial_state
+from drivencavity.model import ConfigError, SystemConfig, initial_state
 from drivencavity.scenarios import (
     OutputTable,
     ScenarioConfigError,
@@ -451,6 +451,33 @@ class TestCli:
         assert len(rows) == 1 and float(rows[0].split(",")[2]) == 0.5
         assert "1 sweep point(s) failed" in capsys.readouterr().err
 
+    def test_failed_gap_search_costs_one_point(self, tmp_path, capsys, monkeypatch):
+        # ARPACK stops on the first point's 75-unknown coherence block: that
+        # point gets its FAILED line, the second keeps its row, and sim exits 1
+        eigs, calls = dynamics.spla.eigs, []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise dynamics.spla.ArpackNoConvergence("No convergence", [], [])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.spla, "eigs", first_fails)
+        out = tmp_path / "fig2.csv"
+        code = cli.main([
+            "fig2-sweep", "--set", "g_list=0.1", "--set", "sweep_param=epsilon",
+            "--set", "sweep_values=1,2", "--set", "initial_list=e-g", "--set", "n_max=4",
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert ("# FAILED point (0.1, 'e-g', 1.0): coherence gap search failed: "
+                "ARPACK error -1: No convergence") in lines
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 1 and float(rows[0].split(",")[2]) == 2.0
+        assert len(calls) > 1
+        assert "1 sweep point(s) failed" in capsys.readouterr().err
+
     def test_failed_custom_run_is_a_failed_point(self, tmp_path, monkeypatch):
         def failing(rho):
             raise XStateError("X block has eigenvalue -1.000e-06")
@@ -572,6 +599,31 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
         assert built == []
+
+    @pytest.mark.parametrize("argv, key", [
+        (["custom", "--set", "n_max=4", "--set", "epsilon=inf"], "epsilon"),
+        (["custom", "--set", "n_max=4", "--set", "g=nan"], "g"),
+        (["custom", "--set", "n_max=4", "--set", "delta=nan"], "delta"),
+        (["custom", "--set", "n_max=4", "--set", "delta_atom=-inf"], "delta_atom"),
+        (["custom", "--set", "n_max=4", "--set", "frame=thermal", "--set", "epsilon=0",
+          "--set", "n_th=nan"], "n_th"),
+        (["fig2-sweep", "--set", "g_list=nan"], "g_list"),
+        (["fig2-sweep", "--set", "g_list=0.1", "--set", "sweep_param=epsilon",
+          "--set", "sweep_values=1,nan"], "sweep_values"),
+        (["fig3-thermal", "--set", "nth_list=0.5,inf"], "nth_list"),
+    ], ids=["epsilon-inf", "g-nan", "delta-nan", "delta_atom-inf", "n_th-nan", "g_list-nan",
+            "sweep_values-nan", "nth_list-inf"])
+    def test_non_finite_physics_exits_2_before_any_build(self, argv, key, capsys, monkeypatch):
+        # NaN passes every comparison, so each value is tested for finiteness:
+        # one error line naming the key, and no point has built its generator
+        built = []
+        monkeypatch.setattr(scenarios, "build_generator", built.append)
+        assert cli.main(argv + ["--no-timestamp"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}")
+        assert built == []
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            load_config(None, [f"scenario={argv[0]}"] + argv[2::2])
 
     @pytest.mark.parametrize("argv, key", [
         (["fig3-thermal", "--set", "nth_list=,"], "nth_list"),
