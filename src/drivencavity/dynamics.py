@@ -32,17 +32,17 @@ symmetry labels) and the largest Hilbert block, which the cap bounds; where
 the whole space exceeds the cap, a block above it is already found on the
 jump links between the components, before the quotient graph is built.  L
 is built on those pairs only, block after block, so each block is a run of
-its CSR rows.  A block with diagonal entries gets one sparse LU of its
-trace-constrained Liouvillian M, the trace row spliced into the block's CSR
-arrays; ||M||_1 times Higham's estimate of ||M^-1||_1 on the factor (the
-estimator LAPACK's gecon runs, about 5 solves) tells a unique fixed point
-from a degenerate manifold.  That LU is factored in SuperLU's symmetric
-mode, which eliminates the dense trace row last: on
-fig3's `e-g` triplet block the factor holds 2.8 times the matrix's nonzeros
-instead of 42 (n_th 3) and 63 (n_th 5) with the default ordering.  A block
-of coherences is dropped once its gap (`coherence_block_gap`) shows it
-decays.  Otherwise the initial state's part is projected onto the block's
-kernel along its range, which is the state it relaxes to.
+its CSR rows.  Every block has one certificate: one sparse LU (`_factor`,
+SuperLU's symmetric mode) and ||A||_1 times Higham's estimate of ||A^-1||_1
+on it (LAPACK gecon's estimator, about 5 solves) below 1 / _KERNEL_REL_TOL.
+A block with diagonal entries factors its trace-constrained Liouvillian M,
+the trace row spliced into its CSR arrays, and passes with a unique fixed
+point; a block of coherences factors itself, and passes with no zero mode,
+so it decays and is dropped (`coherence_block_gap`).  The symmetric mode
+eliminates the dense trace row last: on fig3's `e-g` triplet block the
+factor holds 2.8 times the matrix's nonzeros instead of 42 (n_th 3) and 63
+(n_th 5).  A block that fails is projected onto its kernel along its range,
+the state it relaxes to; only that route runs an eigensolver.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
 SPECTRAL_MAX_SUPPORT = 64           # largest invariant-support dim k for evolve_spectral (k^2 x k^2 eig)
 _KERNEL_REL_TOL = 1e-10             # relative size of a kernel eigenvalue; 1 / max condition
 _SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
-_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel or gap is found densely
-_COHERENCE_GAP_MIN = 1e-8           # a coherence block with a smaller gap is projected, not dropped
+_DENSE_KERNEL_MAX = 64              # up to this many rows a kernel is found densely
 
 
 class EvolutionError(RuntimeError):
@@ -469,38 +468,20 @@ def _normalize_kernel_vector(x: np.ndarray, pairs: np.ndarray, dim: int) -> np.n
     return m.reshape(dim, dim)
 
 
-def inverse_modes(lu, k: int, trans: str = "N"):
-    """The k largest-|mu| eigenpairs of the inverse of the matrix lu factors (ARPACK, fixed start).
-
-    For lu = LU(L - s I), L has the eigenvalue s + 1/mu with trans "N" (right
-    vectors) and s + 1/conj(mu) with trans "H" (left vectors).
-    """
-    inverse = spla.LinearOperator(lu.shape, matvec=lambda x: lu.solve(x, trans=trans),
-                                  dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(lu.shape[0]).astype(complex)
-    return spla.eigs(inverse, k=k, which="LM", v0=v0)
-
-
 def coherence_block_gap(L) -> float:
-    """Smallest |eigenvalue| of the sparse Liouvillian block L.
+    """1 / ||L^-1||_1 of the sparse Liouvillian block L, by
+    `_inverse_norm_estimate` (a lower estimate, usually exact) on its
+    `_factor`; 0.0 when the factor is exactly singular.
 
-    Dense eigvals up to _DENSE_KERNEL_MAX rows; above, 1/|mu| for the
-    largest-magnitude eigenvalue mu of L's inverse, from one sparse LU and
-    ARPACK, and 0.0 when the factor is exactly singular.  A block of
-    coherences with a strictly positive gap decays, so it holds nothing in
-    the steady state.  ARPACK's failure raises ConvergenceError.
+    Every eigenvalue lambda of L has |lambda| >= 1 / ||L^-1||_1, so a block of
+    coherences with a gap above _KERNEL_REL_TOL ||L||_1, the condition bound
+    of a unique fixed point, has no zero mode: it decays.
     """
-    if L.shape[0] <= _DENSE_KERNEL_MAX:
-        return float(np.min(np.abs(la.eigvals(L.toarray()))))
     try:
-        lu = spla.splu(L.tocsc())
+        lu = _factor(L.tocsc())
     except RuntimeError:  # exactly singular: a zero mode
         return 0.0
-    try:
-        mu, _ = inverse_modes(lu, 1)
-    except spla.ArpackError as exc:
-        raise ConvergenceError(f"coherence gap search failed: {exc}") from exc
-    return float(1.0 / np.abs(mu[0]))
+    return 1.0 / _inverse_norm_estimate(lu)
 
 
 def _kernel_bases(L):
@@ -519,14 +500,23 @@ def _kernel_bases(L):
         (_, right, k), (_, left, k_left) = (
             la.schur(M, output="complex", sort=lambda x: abs(x) <= s) for M in (L, L.conj().T))
         return right[:, :k], left[:, :k_left]
+
+    def modes(k, trans="N"):
+        # the k largest |mu| of (L - s I)^-1 from a fixed start: L has the eigenvalue
+        # s + 1/mu with trans "N" (right vectors), s + 1/conj(mu) with "H" (left)
+        inverse = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(x, trans=trans),
+                                      dtype=complex)
+        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+        return spla.eigs(inverse, k=k, which="LM", v0=v0)
+
     try:
         lu = spla.splu((L - s * sp.identity(n, dtype=complex, format="csr")).tocsc())
         k = 2
         while k <= n - 2:  # ARPACK computes at most n - 2 modes
-            mu, right = inverse_modes(lu, k)
+            mu, right = modes(k)
             kernel = np.abs(s + 1.0 / mu) <= s
             if not kernel.all():
-                mu_left, left = inverse_modes(lu, k, trans="H")
+                mu_left, left = modes(k, trans="H")
                 return right[:, kernel], left[:, np.abs(s + 1.0 / mu_left.conj()) <= s]
             k *= 2
     except RuntimeError as exc:  # L - s I exactly singular, or ARPACK did not converge
@@ -593,6 +583,14 @@ def _inverse_norm_estimate(lu) -> float:
     return float(max(est, 2.0 * np.abs(lu.solve(alt.astype(complex))).sum() / (3.0 * n)))
 
 
+def _factor(A: sp.csc_matrix):
+    """SuperLU's LU of A in symmetric mode: A^T + A ordered by minimum degree,
+    so a dense row is eliminated last, and diagonal pivots unless an entry
+    below is 100 times larger.  RuntimeError when A is exactly singular."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                     options={"SymmetricMode": True})
+
+
 def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
     """The x with L x = 0 and unit trace sum(x[diag]), by one sparse LU; raises
     DegenerateSteadyStateError when L has no unique fixed point.  L is a CSR
@@ -608,16 +606,12 @@ def _unique_fixed_point(L, diag: np.ndarray) -> np.ndarray:
     partial pivoting) picks it as an early pivot, which fills the factor: on
     fig3's `e-g` triplet block (1 477 unknowns at n_th 3, n_max 164; 2 305 at
     n_th 5, n_max 256) the LU holds 42 and 63 times nnz(M).  Minimum degree
-    on M^T + M with diagonal pivots preferred (symmetric mode) eliminates
-    the dense row last, and the LU holds 2.8 times nnz(M) on both.
+    on M^T + M with diagonal pivots preferred (symmetric mode, `_factor`)
+    eliminates the dense row last, and the LU holds 2.8 times nnz(M) on both.
     """
     M = _trace_constrained(L, diag)
     try:
-        # symmetric mode: order M^T + M by minimum degree, so the dense trace
-        # row is eliminated last, and pivot on the diagonal unless an entry
-        # below it is 100 times larger
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                       options={"SymmetricMode": True})
+        lu = _factor(M)
     except RuntimeError as exc:  # exactly singular: degenerate kernel
         raise DegenerateSteadyStateError(str(exc)) from exc
     norm = np.add.reduceat(np.abs(M.data), M.indptr[:-1]).max()  # no column of M is empty
@@ -728,21 +722,22 @@ def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, sizes, d: int):
     given `sizes`, each cut from L's CSR arrays and solved alone.
 
     A block with diagonal entries has a unique fixed point, scaled by x0's
-    trace on it, when it has one; a block of coherences only decays when its
-    gap is at least _COHERENCE_GAP_MIN.  Any other block is projected onto
-    its kernel.  The index transpose i d + j -> j d + i maps a coherence
-    block onto its Hermitian partner, whose spectrum is the complex
-    conjugate, so the partner's gap is reused.
+    trace on it, when it has one; a block of coherences decays when its gap
+    (`coherence_block_gap`) exceeds _KERNEL_REL_TOL ||L_block||_1, strictly:
+    an uncoupled coherence's all-zero block (gap 0, norm 0) is kept.  Any
+    other block is projected onto its kernel.  The index transpose i d + j ->
+    j d + i maps a coherence block onto its Hermitian partner, whose spectrum
+    is the complex conjugate, so the partner's verdict is reused.
     """
     x = np.zeros_like(x0)
     kernel_dim, route = 0, "nullspace"
-    gaps = {}  # coherence-block gap by the block's sorted vec indices
+    verdicts = {}  # whether a coherence block decays, by the block's sorted vec indices
     stops = np.cumsum(sizes)
     for lo, hi in zip(stops - sizes, stops):
         vec = pairs[lo:hi]
         diag = np.flatnonzero(vec % (d + 1) == 0)
-        gap = None if diag.size else gaps.get(np.sort(vec % d * d + vec // d).tobytes())
-        if gap is not None and gap >= _COHERENCE_GAP_MIN:
+        decays = None if diag.size else verdicts.get(np.sort(vec % d * d + vec // d).tobytes())
+        if decays:
             continue
         p = L.indptr[lo:hi + 1]
         block = sp.csr_matrix((L.data[p[0]:p[-1]], L.indices[p[0]:p[-1]] - lo, p - p[0]),
@@ -754,9 +749,10 @@ def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, sizes, d: int):
                 continue
             except DegenerateSteadyStateError:
                 pass
-        elif gap is None:
-            gap = gaps[vec.tobytes()] = coherence_block_gap(block)
-            if gap >= _COHERENCE_GAP_MIN:
+        elif decays is None:
+            norm = np.bincount(block.indices, np.abs(block.data), minlength=1).max()
+            decays = verdicts[vec.tobytes()] = coherence_block_gap(block) > _KERNEL_REL_TOL * norm
+            if decays:
                 continue
         x[lo:hi], k = _kernel_projection(block, x0[lo:hi])
         kernel_dim += k

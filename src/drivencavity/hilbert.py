@@ -69,18 +69,6 @@ class HilbertLayout:
             d *= f
         return d
 
-    def field_factor(self) -> int:
-        """Index of the field factor."""
-        if not self.has_field:
-            raise LayoutError("layout has no field factor")
-        return 0
-
-    def atom_factor(self, j: int) -> int:
-        """Factor index of atom j (atoms are numbered 1..N)."""
-        if not 1 <= j <= self.atom_count:
-            raise LayoutError(f"atom index {j} out of range 1..{self.atom_count}")
-        return j - 1 + (1 if self.has_field else 0)
-
 
 def _as_matrix(entries, dim: int) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
@@ -274,14 +262,15 @@ class DensityMatrix:
         m = _as_matrix(self.matrix, self.layout.dim)
         object.__setattr__(self, "matrix", m)
         pattern = nonzero_pattern(m)
+        # negated comparisons: a NaN fails each check
         herm = _max_asymmetry(m, pattern)
-        if herm > TOL_HERM:
+        if not herm <= TOL_HERM:
             raise StateError(f"density matrix not Hermitian: max asymmetry {herm:.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > TOL_TRACE:
+        if not abs(tr - 1.0) <= TOL_TRACE:
             raise StateError(f"density matrix trace {tr} deviates from 1")
         lo = _min_eigenvalue(m, pattern)
-        if lo < -self.pos_tol:
+        if not lo >= -self.pos_tol:
             raise StateError(f"density matrix has eigenvalue {lo:.3e} below -{self.pos_tol:.1e}")
         object.__setattr__(self, "min_eigenvalue", lo)
 

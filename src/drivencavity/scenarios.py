@@ -184,8 +184,8 @@ def _check_values(cfg: ScenarioConfig):
             raise ScenarioConfigError(f"a log grid needs 0 < {lo} < {hi} < inf, not "
                                       f"{lo} = {getattr(cfg, lo)}, {hi} = {getattr(cfg, hi)}")
     for key in ("integrator_tol", "residual_tol", "truncation_tol"):
-        if not getattr(cfg, key) > 0:
-            raise ScenarioConfigError(f"{key} must be positive, not {getattr(cfg, key)}")
+        if not 0 < getattr(cfg, key) < math.inf:
+            raise ScenarioConfigError(f"{key} must be finite and positive, not {getattr(cfg, key)}")
     if cfg.n_max < 0:
         raise ScenarioConfigError(f"n_max must be >= 0 (0 = choose automatically), not {cfg.n_max}")
     if cfg.points_per_decade < 1:

@@ -31,17 +31,17 @@ def embed(local: np.ndarray, site: int, layout: HilbertLayout) -> np.ndarray:
 
 def field_annihilation(layout: HilbertLayout) -> np.ndarray:
     """a on the field factor of `layout`."""
-    return embed(annihilation(layout.fock_dim - 1), layout.field_factor(), layout)
+    return embed(annihilation(layout.fock_dim - 1), 0, layout)
 
 
 def number_operator(layout: HilbertLayout) -> np.ndarray:
     """a^dag a on the field factor of `layout`."""
     a = annihilation(layout.fock_dim - 1)
-    return embed(dag(a) @ a, layout.field_factor(), layout)
+    return embed(dag(a) @ a, 0, layout)
 
 
 def _atom_sum(local: np.ndarray, layout: HilbertLayout) -> np.ndarray:
-    return sum(embed(local, layout.atom_factor(j), layout)
+    return sum(embed(local, j - 1 + layout.has_field, layout)  # after the field, if any
                for j in range(1, layout.atom_count + 1))
 
 

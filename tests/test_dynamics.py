@@ -841,7 +841,9 @@ def _old_trace_constrained(L, diag):
 @functools.cache
 def _trace_constrained_solves(cfg, atoms):
     """((L, diag, M), ...) and ((M, estimate), ...) of the trace-constrained
-    solves `scenario_steady_state(cfg, atoms)` makes, recorded in the solver."""
+    solves `scenario_steady_state(cfg, atoms)` makes, recorded in the solver.
+    Only factors of a spliced M count: coherence blocks share the factor and
+    the estimator, and are not trace-constrained solves."""
     built, estimates, factored = [], [], {}
     splice, splu, estimate = (dynamics._trace_constrained, dynamics.spla.splu,
                               dynamics._inverse_norm_estimate)
@@ -852,12 +854,14 @@ def _trace_constrained_solves(cfg, atoms):
 
     def factoring(M, **kwargs):
         lu = splu(M, **kwargs)
-        factored[id(lu)] = M
+        factored[id(lu)] = M if built and M is built[-1][2] else None
         return lu
 
     def estimating(lu):
-        estimates.append((factored[id(lu)], estimate(lu)))
-        return estimates[-1][1]
+        est = estimate(lu)
+        if factored[id(lu)] is not None:
+            estimates.append((factored[id(lu)], est))
+        return est
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "_trace_constrained", splicing)

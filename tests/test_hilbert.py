@@ -35,15 +35,10 @@ class TestLayout:
         lay = HilbertLayout(atom_count=2, fock_dim=5)
         assert lay.factors == (5, 2, 2)
         assert lay.dim == 20
-        assert lay.field_factor() == 0
-        assert lay.atom_factor(1) == 1
-        assert lay.atom_factor(2) == 2
 
     def test_atoms_only(self):
         lay = HilbertLayout(atom_count=3)
         assert lay.factors == (2, 2, 2)
-        with pytest.raises(LayoutError):
-            lay.field_factor()
 
     def test_invalid(self):
         with pytest.raises(LayoutError):
@@ -149,6 +144,17 @@ class TestDensityMatrix:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(StateError):
             DensityMatrix.from_matrix(HilbertLayout(atom_count=1), m)
+
+    @pytest.mark.parametrize("m", [
+        np.full((2, 2), np.nan),
+        np.array([[0.5, np.nan], [0.0, 0.5]]),
+        np.diag([0.5, 0.5, np.nan, 0.0]),
+    ], ids=["all-nan", "one-nan-off-diagonal", "one-nan-diagonal"])
+    def test_rejects_nan(self, m):
+        # a NaN fails every comparison: each check is written to fail on it
+        lay = HilbertLayout(atom_count=1 if m.shape[0] == 2 else 2)
+        with pytest.raises(StateError):
+            DensityMatrix.from_matrix(lay, m)
 
     def test_random_states_accepted(self):
         for _ in range(20):

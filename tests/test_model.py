@@ -260,7 +260,7 @@ def _embedded_generator(cfg):
     n = cfg.n_atoms
 
     def summed(local):
-        ops = [embed(local, lay.atom_factor(j), lay) for j in range(1, n + 1)]
+        ops = [embed(local, j - 1 + lay.has_field, lay) for j in range(1, n + 1)]
         return sum(ops[1:], ops[0])
 
     sp = (1.0 / math.sqrt(n)) * summed(SIGMA_PLUS)

@@ -451,32 +451,36 @@ class TestCli:
         assert len(rows) == 1 and float(rows[0].split(",")[2]) == 0.5
         assert "1 sweep point(s) failed" in capsys.readouterr().err
 
-    def test_failed_gap_search_costs_one_point(self, tmp_path, capsys, monkeypatch):
-        # ARPACK stops on the first point's 75-unknown coherence block: that
-        # point gets its FAILED line, the second keeps its row, and sim exits 1
-        eigs, calls = dynamics.spla.eigs, []
+    def test_steady_tables_run_no_eigensolver(self, tmp_path, monkeypatch):
+        # every block, the 75-unknown coherence block of the fig2 points too, is
+        # decided by one sparse LU and a norm estimate: with the eigensolvers
+        # raising, each table is the one written without the patch
+        argvs = {
+            "fig2": ["fig2-sweep", "--set", "g_list=0.1", "--set", "sweep_param=epsilon",
+                     "--set", "sweep_values=1,2", "--set", "initial_list=e-g",
+                     "--set", "n_max=4"],
+            "fig3": ["fig3-thermal", "--set", "nth_list=1", "--set", "initial_list=e-g"],
+        }
 
-        def first_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise dynamics.spla.ArpackNoConvergence("No convergence", [], [])
-            return eigs(*args, **kwargs)
+        def tables(tag):
+            out = {}
+            for name, argv in argvs.items():
+                path = tmp_path / f"{name}-{tag}.csv"
+                assert cli.main(argv + ["--out", str(path), "--no-timestamp"]) == 0
+                out[name] = path.read_text()
+            return out
 
-        monkeypatch.setattr(dynamics.spla, "eigs", first_fails)
-        out = tmp_path / "fig2.csv"
-        code = cli.main([
-            "fig2-sweep", "--set", "g_list=0.1", "--set", "sweep_param=epsilon",
-            "--set", "sweep_values=1,2", "--set", "initial_list=e-g", "--set", "n_max=4",
-            "--out", str(out), "--no-timestamp",
-        ])
-        assert code == 1
-        lines = out.read_text().splitlines()
-        assert ("# FAILED point (0.1, 'e-g', 1.0): coherence gap search failed: "
-                "ARPACK error -1: No convergence") in lines
-        rows = [line for line in lines if not line.startswith("#")][1:]
-        assert len(rows) == 1 and float(rows[0].split(",")[2]) == 2.0
-        assert len(calls) > 1
-        assert "1 sweep point(s) failed" in capsys.readouterr().err
+        plain = tables("plain")
+
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("an eigensolver ran on the steady path")
+
+        for module, name in ((dynamics.spla, "eigs"), (dynamics.la, "eigvals"),
+                             (dynamics.la, "schur")):
+            monkeypatch.setattr(module, name, no_eigensolver)
+        patched = tables("patched")
+        assert patched == plain
+        assert not any("FAILED" in text for text in patched.values())
 
     def test_failed_custom_run_is_a_failed_point(self, tmp_path, monkeypatch):
         def failing(rho):
@@ -587,9 +591,16 @@ class TestCli:
         (["fig1-purity", "--set", "points_per_decade=0"], "points_per_decade"),
         (["custom", "--set", "initial_atoms=custom:1,abc,0,0", "--set", "n_max=4"],
          "initial_atoms"),
+        # an infinite tolerance turns its check off
+        (["custom", "--set", "n_max=4", "--set", "residual_tol=inf"], "residual_tol"),
+        (["fig3-thermal", "--set", "truncation_tol=inf", "--set", "nth_list=1",
+          "--set", "initial_list=e-g"], "truncation_tol"),
+        (["custom", "--set", "custom_mode=evolve", "--set", "integrator_tol=inf",
+          "--set", "n_max=16", "--set", "g=0.1", "--set", "t_hi=10"], "integrator_tol"),
     ], ids=["t_lo-zero", "t-descending", "t_hi-inf", "eps_lo-zero", "truncation_tol-zero",
             "integrator_tol-zero", "residual_tol-zero", "sweep_values-text", "nth_list-text",
-            "n_max-negative", "points_per_decade-zero", "custom-amplitudes"])
+            "n_max-negative", "points_per_decade-zero", "custom-amplitudes", "residual_tol-inf",
+            "truncation_tol-inf", "integrator_tol-inf"])
     def test_bad_value_exits_2_before_any_build(self, argv, key, capsys, monkeypatch):
         # one error line naming the key, and no point has built its generator
         built = []
