@@ -22,8 +22,10 @@ One steady-state solver, no time integration, block by block, always from
 an initial state: where the kernel is degenerate the steady state depends
 on it.  `steady_state` works in the collective basis |J, M, copy> of the
 atoms (`hilbert.collective_basis`), where a generator built from S_+/-, S_z
-is block diagonal; it rotates the CSR operators and rho0 there as CSR, and
-`steady_state_raw` solves whatever matrices it is given.
+is block diagonal; it rotates the CSR operators and rho0 there as CSR,
+`steady_state_raw` solves whatever matrices it is given, and the CSR
+solution is rotated back block by block: no dim^2 array is made but the
+rotated H the benchmark's tracer sizes the solve by.
 One quotient graph of the components of pattern(H + sum A^dag A)
 (`_reachable_blocks`) gives, without building L, the pairs (i, j) L's
 pattern links to the initial state's entries, the blocks L splits into on
@@ -55,8 +57,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .hilbert import (DensityMatrix, LayoutError, TOL_POS, _sandwich, collective_basis,
-                      to_collective_basis)
+from .hilbert import (DensityMatrix, LayoutError, TOL_POS, collective_basis, dense_if_full,
+                      from_collective_basis, to_array, to_collective_basis)
 from .model import Generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
@@ -111,14 +113,26 @@ class SteadyStateResult:
 
 
 def residual_norm(gen: Generator, rho) -> float:
-    """Entrywise max of d(rho)/dt, from the generator's CSR H and jumps times
-    the dense state.
+    """Entrywise max of d(rho)/dt, from the generator's CSR H and jumps and
+    the state, an array or a sparse matrix.
 
-    Only sparse-times-dense products: m H = (H^T m^T)^T, A m A^dag =
-    A (A m^dag)^dag, A^dag X = conj(A^T conj(X)), m A^dag A = (A^T conj(A m^dag))^T.
+    A sparse state takes sparse products, and d(rho)/dt has the pattern they
+    reach; one with every entry stored is read as its array
+    (`dense_if_full`).  An array takes sparse-times-dense products only:
+    m H = (H^T m^T)^T, A m A^dag = A (A m^dag)^dag, A^dag X = conj(A^T conj(X)),
+    m A^dag A = (A^T conj(A m^dag))^T.
     """
-    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    m = dense_if_full(getattr(rho, "matrix", rho))
     H = gen.H
+    if sp.issparse(m):
+        m = sp.csr_matrix(m, dtype=complex)
+        out = -1j * (H @ m - m @ H)
+        for A, rate in gen.jumps:
+            Ad = A.conj().T
+            Am = A @ m
+            out = out + rate * (2.0 * (Am @ Ad) - Ad @ Am - (m @ Ad) @ A)
+        return float(abs(out).max())
+    m = np.asarray(m, dtype=complex)
     out = -1j * (H @ m - (H.T @ m.T).T)
     for A, rate in gen.jumps:
         At = A.T
@@ -169,12 +183,13 @@ def evolve(gen: Generator, rho0: DensityMatrix, t_grid, tol: float = 1e-9) -> Tr
             stats.n_renormalizations += 1
         states.append(DensityMatrix.from_matrix(gen.layout, m, pos_tol=pos_floor))
 
-    check(rho0.matrix)
+    m0 = to_array(rho0.matrix)
+    check(m0)
     if t_grid.size > 1:
         from scipy.integrate import DOP853  # only RK needs it, and it loads scipy.optimize
 
         L = liouvillian_matrix_raw(gen.H, gen.jumps)
-        solver = DOP853(lambda _, y, L=L: L @ y, float(t_grid[0]), rho0.matrix.ravel(),
+        solver = DOP853(lambda _, y, L=L: L @ y, float(t_grid[0]), m0.ravel(),
                         float(t_grid[-1]), rtol=tol, atol=tol * 1e-3)
         del L
         try:
@@ -331,12 +346,13 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
         raise ValueError("t_grid must be a strictly increasing 1-D sequence")
 
     H, dissipators = gen.H.toarray(), [(A.toarray(), rate) for A, rate in gen.jumps]
-    V = _invariant_support(H, dissipators, rho0.matrix)
+    m0 = to_array(rho0.matrix)
+    V = _invariant_support(H, dissipators, m0)
     k = V.shape[1]
     if k > SPECTRAL_MAX_SUPPORT:
         raise SupportTooLargeError(f"invariant support of dimension {k} exceeds "
                                    f"SPECTRAL_MAX_SUPPORT = {SPECTRAL_MAX_SUPPORT}; use evolve()")
-    real = _real_basis(gen, rho0.matrix, V)
+    real = _real_basis(gen, m0, V)
     if real is None:
         n = k * k
     else:  # X(t) is real symmetric: its diagonal and symmetric coordinates
@@ -352,7 +368,7 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     lu = la.lu_factor(vecs)
     gecon, = la.get_lapack_funcs(("gecon",), (lu[0],))
     rcond, _ = gecon(lu[0], np.linalg.norm(vecs, 1))
-    coeff = la.lu_solve(lu, (Td @ (Vd @ rho0.matrix @ V).ravel()).real)
+    coeff = la.lu_solve(lu, (Td @ (Vd @ m0 @ V).ravel()).real)
 
     stats = IntegratorStats(support_dim=k, coordinates=n,
                             eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
@@ -449,12 +465,13 @@ def liouvillian_matrix_raw(H, dissipators, pairs=None) -> sp.csr_matrix:
     return L.tocsr()
 
 
-def _normalize_kernel_vector(x: np.ndarray, pairs: np.ndarray, dim: int) -> np.ndarray:
-    """The dim x dim matrix with x at the vec indices `pairs`, made Hermitian
-    and of unit trace; the trace sums the diagonal entries among `pairs`.
+def _normalize_kernel_vector(x: np.ndarray, pairs: np.ndarray, dim: int):
+    """(m, m's entries at `pairs`): m is the dim x dim matrix with x at the vec
+    indices `pairs`, made Hermitian and of unit trace, as canonical CSR; the
+    trace sums the diagonal entries among `pairs`.
 
     Worked on `pairs` and their transposes, a partner outside `pairs` read as
-    0, then scattered once: entry for entry 0.5 (m + m^dag) / tr of the dense m.
+    0: entry for entry 0.5 (m + m^dag) / tr of the dense m.
     """
     idx = np.union1d(pairs, pairs % dim * dim + pairs // dim)
     v = np.zeros(idx.size, dtype=complex)
@@ -463,9 +480,11 @@ def _normalize_kernel_vector(x: np.ndarray, pairs: np.ndarray, dim: int) -> np.n
     tr = v[idx % (dim + 1) == 0].sum().real
     if abs(tr) < 1e-10:
         raise DegenerateSteadyStateError("kernel vector is traceless; fixed point not unique")
-    m = np.zeros(dim * dim, dtype=complex)
-    m[idx] = v / tr
-    return m.reshape(dim, dim)
+    v = v / tr
+    live = v != 0
+    rows, cols = np.divmod(idx[live], dim)
+    m = sp.csr_matrix((v[live], cols, np.searchsorted(rows, np.arange(dim + 1))), shape=(dim, dim))
+    return m, v[np.searchsorted(idx, pairs)]
 
 
 def coherence_block_gap(L) -> float:
@@ -762,7 +781,7 @@ def _solve_blocks(L, x0: np.ndarray, pairs: np.ndarray, sizes, d: int):
 
 def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
     """Steady state that rho0 relaxes to, on raw matrices.  Returns
-    (rho_matrix, residual, kernel_dim, route).
+    (rho as canonical CSR, residual, kernel_dim, route).
 
     H, the jumps and rho0 may each be dense or sparse.  Jumps of rate 0 add
     nothing to L and are left out.  One quotient graph
@@ -789,8 +808,8 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
     pairs, x0 = pairs[order], x0[order]
     L = liouvillian_matrix_raw(H, jumps, pairs)
     x, kernel_dim, route = _solve_blocks(L, x0, pairs, [b.size for b in blocks], dim)
-    m = _normalize_kernel_vector(x, pairs, dim)
-    res = float(np.max(np.abs(L @ m.ravel()[pairs])))
+    m, on_pairs = _normalize_kernel_vector(x, pairs, dim)
+    res = float(np.max(np.abs(L @ on_pairs)))
     if res > residual_tol:
         raise ConvergenceError(f"{route} candidate has residual {res:.3e} > {residual_tol:.1e}")
     return m, res, kernel_dim, route
@@ -798,9 +817,10 @@ def steady_state_raw(H, dissipators, rho0, residual_tol: float = 1e-9):
 
 def steady_state(gen: Generator, rho0: DensityMatrix,
                  residual_tol: float = 1e-9) -> SteadyStateResult:
-    """Steady state that rho0 relaxes to: the generator's CSR H and jumps and
-    rho0 are rotated into `collective_basis` as CSR, solved there by
-    `steady_state_raw` and the solution rotated back.
+    """Steady state that rho0 relaxes to, as a CSR state: the generator's CSR
+    H and jumps and rho0 are rotated into `collective_basis` as CSR, solved
+    there by `steady_state_raw`, and the CSR solution is rotated back block by
+    block (`from_collective_basis`).
 
     A generator that acts on the atoms one by one does not split there, and is
     solved exactly.
@@ -814,6 +834,6 @@ def steady_state(gen: Generator, rho0: DensityMatrix,
         to_collective_basis(gen.H, B, labels).toarray(),
         [(to_collective_basis(jump, B, labels), rate) for jump, rate in gen.jumps],
         to_collective_basis(rho0.matrix, B, labels), residual_tol=residual_tol)
-    m = _sandwich(B, m, B.conj().T)
-    rho = DensityMatrix.from_matrix(layout, m, pos_tol=max(TOL_POS, 100.0 * residual_tol))
+    rho = DensityMatrix.from_matrix(layout, from_collective_basis(m, B),
+                                    pos_tol=max(TOL_POS, 100.0 * residual_tol))
     return SteadyStateResult(rho_ss=rho, residual=res, kernel_dim=kernel_dim, method=route)

@@ -3,9 +3,11 @@
 Spaces are composed of an optional bosonic (Fock-truncated) factor followed
 by a number of two-level atoms.  The factor order is fixed: field first,
 then atoms 1..N.  An operator is a plain matrix: a Lindblad generator
-(`model.Generator`) keeps its operators as CSR, states and the ladder
-operator are dense complex arrays, and `to_collective_basis` rotates CSR or
-dense matrices into CSR.
+(`model.Generator`) keeps its operators as CSR, and the ladder operator is a
+dense complex array.  A state is held in the form it is made in: a product
+initial state and a steady state as canonical CSR, a propagated state and a
+reduced (pair, field or atom-only) state as an array.  `to_collective_basis`
+and `from_collective_basis` rotate a matrix block by block, as CSR.
 
 In the collective (Dicke) basis of the atoms (`collective_basis`) every
 operator built from S_+/-, S_z is block diagonal (Shammah et al., PRA 98,
@@ -70,12 +72,25 @@ class HilbertLayout:
         return d
 
 
-def _as_matrix(entries, dim: int) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+def _as_matrix(entries, dim: int):
+    """A read-only copy of entries: an array, or a sparse matrix as canonical
+    CSR (sorted indices, no duplicates, no stored zeros)."""
+    if sp.issparse(entries):
+        m = entries.tocsr()
+        m = sp.csr_matrix((m.data.astype(complex), m.indices.copy(), m.indptr.copy()),
+                          shape=m.shape)
+    else:
+        m = np.array(entries, dtype=complex)
     if m.shape != (dim, dim):
         raise LayoutError(f"matrix shape {m.shape} does not match layout dimension {dim}")
-    m = m.copy()
-    m.flags.writeable = False
+    if sp.issparse(m):
+        m.sum_duplicates()
+        if not m.data.all():
+            m.eliminate_zeros()
+        for a in (m.data, m.indices, m.indptr):
+            a.flags.writeable = False
+    else:
+        m.flags.writeable = False
     return m
 
 
@@ -141,15 +156,64 @@ def collective_basis(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return B, labels
 
 
-def _sandwich(left: np.ndarray, M: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(1_field (x) left) M (1_field (x) right) for square atomic factors."""
-    a = left.shape[0]
-    nf = M.shape[0] // a
-    return ((left @ M.reshape(nf, a, -1)).reshape(-1, nf, a) @ right).reshape(M.shape)
+def to_array(m) -> np.ndarray:
+    """The entries of m as a dense array: a sparse m densified, an array as given."""
+    return m.toarray() if sp.issparse(m) else m
+
+
+def dense_if_full(m):
+    """m as it is read fastest: a sparse m with every entry stored as its
+    array, which is no larger; anything else as given."""
+    return m.toarray() if sp.issparse(m) and m.nnz == m.shape[0] * m.shape[1] else m
+
+
+def _blocks(M, a: int, diagonal: bool = False):
+    """(keys, X) of the square M, sparse or dense, cut into a x a blocks: the
+    blocks that hold a stored entry, stacked in X (k x a x a) by ascending
+    key I nb + J of block row I and block column J (nb = dim / a).  With
+    `diagonal`, only the blocks with I = J."""
+    M = M if sp.isspmatrix_csr(M) else sp.csr_matrix(M)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    d = M.shape[0]
+    nb = d // a
+    rb, ri = np.divmod(np.repeat(np.arange(d), np.diff(M.indptr)), a)
+    cb, ci = np.divmod(M.indices, a)
+    v = M.data
+    if diagonal:
+        on = rb == cb
+        rb, ri, cb, ci, v = rb[on], ri[on], cb[on], ci[on], v[on]
+    keys, block = np.unique(rb * nb + cb, return_inverse=True)
+    X = np.zeros((keys.size, a, a), dtype=complex)
+    X[block, ri, ci] = v
+    return keys, X
+
+
+def _from_blocks(keys, X: np.ndarray, nb: int, drop=None) -> sp.csr_matrix:
+    """The canonical CSR matrix of nb x nb blocks that holds the stacked blocks
+    X at the ascending keys I nb + J (`_blocks`) and zeros elsewhere.  Exact
+    zeros are not stored, nor the entries for which drop(row, col, value)
+    holds.
+
+    X's entries run block by block, each row by row, so a stable sort by row
+    alone leaves each row's columns ascending.
+    """
+    a = X.shape[1]
+    d = nb * a
+    i, j = np.divmod(np.arange(a * a), a)
+    row, col = (keys // nb * a)[:, None] + i, (keys % nb * a)[:, None] + j
+    order = np.argsort(row.ravel(), kind="stable")
+    row, col, val = row.ravel()[order], col.ravel()[order], X.reshape(-1)[order]
+    keep = val != 0
+    if drop is not None:
+        keep &= ~drop(row, col, val)
+    return sp.csr_matrix((val[keep], col[keep], np.searchsorted(row[keep], np.arange(d + 1))),
+                         shape=(d, d))
 
 
 def to_collective_basis(M, B: np.ndarray, labels: np.ndarray) -> sp.csr_matrix:
-    """W^dag M W for W = 1_field (x) B, from `collective_basis`, as CSR; M dense or sparse.
+    """W^dag M W for W = 1_field (x) B, from `collective_basis`, as CSR; M sparse or dense.
 
     M is cut into its a x a blocks (a = 2^N), one per pair of field levels,
     and each block that holds an entry becomes B^dag M_block B.  Entries
@@ -157,25 +221,23 @@ def to_collective_basis(M, B: np.ndarray, labels: np.ndarray) -> sp.csr_matrix:
     round-off of the rotation and set to exactly zero, so they do not merge
     the blocks; larger ones are kept.
     """
-    a, d = B.shape[0], M.shape[0]
-    if sp.issparse(M):
-        M = sp.csr_matrix(M)
-        r, c, v = np.repeat(np.arange(d), np.diff(M.indptr)), M.indices, M.data
-    else:
-        r, c = np.nonzero(M)
-        v = M[r, c]
-    blocks, block = np.unique(r // a * d + c // a, return_inverse=True)
-    rotated = np.zeros((blocks.size, a, a), dtype=complex)
-    np.add.at(rotated, (block, r % a, c % a), v)
-    rotated = B.conj().T @ rotated @ B
-    i, j = np.divmod(np.arange(a * a), a)
-    row, col = (blocks // d * a)[:, None] + i, (blocks % d * a)[:, None] + j
-    order = np.argsort((row * d + col).ravel(), kind="stable")
-    row, col, val = row.ravel()[order], col.ravel()[order], rotated.ravel()[order]
-    small = np.abs(val) <= 1e-12 * max(1.0, np.abs(v).max(initial=0.0))
-    keep = (val != 0) & ~(small & (labels[row % a] != labels[col % a]))
-    return sp.csr_matrix((val[keep], col[keep], np.searchsorted(row[keep], np.arange(d + 1))),
-                         shape=M.shape)
+    a = B.shape[0]
+    keys, X = _blocks(M, a)
+    floor = 1e-12 * max(1.0, np.abs(X).max(initial=0.0))
+
+    def drop(row, col, val):
+        return (np.abs(val) <= floor) & (labels[row % a] != labels[col % a])
+
+    return _from_blocks(keys, B.conj().T @ X @ B, M.shape[0] // a, drop)
+
+
+def from_collective_basis(M, B: np.ndarray) -> sp.csr_matrix:
+    """W M W^dag for W = 1_field (x) B, the inverse of `to_collective_basis`,
+    as CSR: each a x a block of M that holds an entry becomes B M_block B^dag,
+    the products the dense (1_field (x) B) M (1_field (x) B^dag) forms for it,
+    entry for entry."""
+    keys, X = _blocks(M, B.shape[0])
+    return _from_blocks(keys, B @ X @ B.conj().T, M.shape[0] // B.shape[0])
 
 
 def nonzero_pattern(m: np.ndarray):
@@ -186,8 +248,18 @@ def nonzero_pattern(m: np.ndarray):
     return np.divmod(np.flatnonzero(m != 0), m.shape[1])  # faster than np.nonzero on complex
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian m, from the blocks of its exact-zero pattern.
+def _entries(m):
+    """(rows, cols, values) of the nonzero entries of m, a dense array or a
+    canonical CSR matrix, in row-major order; None when m has no zero entry."""
+    if sp.issparse(m):
+        return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    pattern = nonzero_pattern(m)
+    return None if pattern is None else (*pattern, m[pattern])
+
+
+def min_eigenvalue(m) -> float:
+    """Smallest eigenvalue of the Hermitian m, dense or canonical CSR, from the
+    blocks of its exact-zero pattern.
 
     A matrix with no zero entry gets one `eigvalsh`, a diagonal one its
     diagonal's minimum.  Otherwise an index whose row and column are both all
@@ -195,81 +267,111 @@ def min_eigenvalue(m: np.ndarray) -> float:
     of the pattern (m != 0) | (m != 0).T of the rest gets its own `eigvalsh`,
     batched over components of equal size: a permuted direct sum has the
     union of its blocks' spectra.  The symmetric pattern also holds the lower
-    triangle that `eigvalsh` reads.  The pattern is read once
-    (`nonzero_pattern`); the dropped indices and the components come from it,
-    with no further dense pass over m.
+    triangle that `eigvalsh` reads.  The entries are read once (`_entries`);
+    each component's block is scattered from them, with no dense pass over m.
     """
-    return _min_eigenvalue(m, nonzero_pattern(m))
+    m = dense_if_full(m)
+    return _min_eigenvalue(m, _entries(m))
 
 
-def _min_eigenvalue(m: np.ndarray, pattern) -> float:
-    """`min_eigenvalue` of m, whose `nonzero_pattern` is `pattern`."""
-    if pattern is None or pattern[0].size == m.size:
+def _min_eigenvalue(m, entries) -> float:
+    """`min_eigenvalue` of m, whose `_entries` are `entries`."""
+    if entries is None:
         return float(np.linalg.eigvalsh(m)[0])
-    rows, cols = pattern
-    if np.array_equal(rows, cols):
-        return float(np.min(np.diagonal(m).real))
-    n = m.shape[0]
+    return _pattern_min_eigenvalue(m.shape[0], *entries)
+
+
+def _pattern_min_eigenvalue(n: int, rows, cols, vals) -> float:
+    """`min_eigenvalue` of the n x n matrix with the nonzero entries vals at
+    (rows, cols), row-major, and zeros elsewhere."""
+    if rows.size == n * n:
+        full = np.zeros((n, n), dtype=complex)
+        full[rows, cols] = vals
+        return float(np.linalg.eigvalsh(full)[0])
+    if np.array_equal(rows, cols):  # a zero diagonal entry is an eigenvalue 0
+        return float(np.min(vals.real, initial=0.0 if rows.size < n else np.inf))
     live = np.flatnonzero(np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n))
     if live.size < n:
         position = np.empty(n, dtype=rows.dtype)
         position[live] = np.arange(live.size)
-        return min(0.0, _min_eigenvalue(m[np.ix_(live, live)], (position[rows], position[cols])))
-    # an undirected search takes every entry as an edge both ways
-    _, labels = connected_components(
-        sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=m.shape),
-        directed=False)
+        return min(0.0, _pattern_min_eigenvalue(live.size, position[rows], position[cols], vals))
+    # an undirected search takes every entry as an edge both ways; the entries
+    # are row-major, so the pattern's CSR arrays are at hand
+    pattern = sp.csr_matrix((np.ones(rows.size), cols,
+                             np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    _, labels = connected_components(pattern, directed=False)
     sizes = np.bincount(labels)[labels]
+    component, position = np.empty(n, dtype=int), np.empty(n, dtype=int)
     lo = np.inf
     for s in np.unique(sizes):
         members = np.flatnonzero(sizes == s)
         idx = members[np.argsort(labels[members], kind="stable")].reshape(-1, s)
-        lo = min(lo, float(np.min(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]))))
+        component[idx] = np.arange(idx.shape[0])[:, None]
+        position[idx] = np.arange(s)
+        sel = sizes[rows] == s  # an entry lies in its row's component
+        blocks = np.zeros((idx.shape[0], s, s), dtype=complex)
+        blocks[component[rows[sel]], position[rows[sel]], position[cols[sel]]] = vals[sel]
+        lo = min(lo, float(np.min(np.linalg.eigvalsh(blocks))))
     return lo
 
 
-def _max_asymmetry(m: np.ndarray, pattern) -> float:
-    """max |m - m^dag| of m, whose `nonzero_pattern` is `pattern`.
+def max_asymmetry(m) -> float:
+    """max |m - m^dag| of m, dense or canonical CSR.
 
-    With a pattern, the max runs over the nonzero entries only: where m_ij
-    is zero and m_ji is not, the term at (j, i) has the same modulus.
+    With a zero entry, the max runs over the nonzero entries only, each
+    against its mirror entry found by its row-major key: where m_ij is zero
+    and m_ji is not, the term at (j, i) has the same modulus.
     """
-    if pattern is None:
+    m = dense_if_full(m)
+    return _max_asymmetry(m, _entries(m))
+
+
+def _max_asymmetry(m, entries) -> float:
+    """`max_asymmetry` of m, whose `_entries` are `entries`."""
+    if entries is None:
         return float(np.max(np.abs(m - m.conj().T)))
-    rows, cols = pattern
-    return float(np.max(np.abs(m[rows, cols] - m[cols, rows].conj()), initial=0.0))
+    rows, cols, vals = entries
+    n = m.shape[0]
+    if not vals.size:
+        return 0.0
+    key, mirror = rows * n + cols, cols * n + rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    partner = np.where(key[at] == mirror, vals[at], 0.0)
+    return float(np.max(np.abs(vals - partner.conj())))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state.
+    """Hermitian, unit-trace, positive-semidefinite state, held as a dense
+    array or as a canonical CSR matrix, in the form it is made in.
 
-    Checked when made.  A matrix with no zero entry is checked densely; any
-    other is read through its nonzero pattern (`nonzero_pattern`): the
-    Hermiticity asymmetry is the max of |m_ij - conj(m_ji)| over the nonzero
-    entries, which is the dense max exactly, and the positivity check
-    (`min_eigenvalue`) finds its components from the same pattern.  A thermal
-    state that is 0.6 % nonzero then costs the pattern's read, not about six
-    dense dim^2 passes.
+    Checked when made.  An array with no zero entry is checked densely; any
+    other state is read through its nonzero entries (`_entries`), read
+    once: the Hermiticity asymmetry is the max of |m_ij - conj(m_ji)| over
+    them (`max_asymmetry`), which is the dense max exactly, the trace sums
+    the diagonal, and the positivity check (`min_eigenvalue`) finds its
+    components from the same entries.  A CSR state costs its stored entries,
+    not a dim^2 pass; an array that is 0.6 % nonzero costs the pattern's read.
     """
 
     layout: HilbertLayout
-    matrix: np.ndarray  # a read-only copy of the entries given
+    matrix: np.ndarray | sp.csr_matrix  # a read-only copy of the entries given
     pos_tol: float = field(default=TOL_POS, compare=False)
     min_eigenvalue: float = field(init=False, compare=False)  # from the positivity check
 
     def __post_init__(self):
         m = _as_matrix(self.matrix, self.layout.dim)
         object.__setattr__(self, "matrix", m)
-        pattern = nonzero_pattern(m)
+        m = dense_if_full(m)
+        entries = _entries(m)
         # negated comparisons: a NaN fails each check
-        herm = _max_asymmetry(m, pattern)
+        herm = _max_asymmetry(m, entries)
         if not herm <= TOL_HERM:
             raise StateError(f"density matrix not Hermitian: max asymmetry {herm:.3e}")
-        tr = np.trace(m)
+        tr = m.diagonal().sum()
         if not abs(tr - 1.0) <= TOL_TRACE:
             raise StateError(f"density matrix trace {tr} deviates from 1")
-        lo = _min_eigenvalue(m, pattern)
+        lo = _min_eigenvalue(m, entries)
         if not lo >= -self.pos_tol:
             raise StateError(f"density matrix has eigenvalue {lo:.3e} below -{self.pos_tol:.1e}")
         object.__setattr__(self, "min_eigenvalue", lo)
@@ -293,30 +395,47 @@ def _kept_layout(layout: HilbertLayout, keep: tuple[int, ...]) -> HilbertLayout:
     return HilbertLayout(atoms, layout.fock_dim if has_field else 0)
 
 
-def partial_trace_matrix(m: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
-    factors = layout.factors
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state on the kept factors (factor indices, order preserved), as an array.
+
+    Worked on rho's a x a atom blocks (a = 2^N), one per pair of field
+    levels: a CSR state's blocks that hold an entry, an array's every block
+    (its diagonal ones when the field is traced).  The traced atoms are
+    contracted in each block, the highest first, and a traced field then
+    sums the diagonal blocks in field order: the sums the dense contraction
+    of factor after factor, highest first, forms, entry for entry.
+    """
+    layout = rho.layout
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep:
         raise LayoutError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= len(factors):
-        raise LayoutError(f"keep set {keep} out of range for {len(factors)} factors")
-    t = m.reshape(factors + factors)
-    # contract each traced factor's row index with its column index, highest first
-    for k in reversed([i for i in range(len(factors)) if i not in keep]):
-        t = np.trace(t, axis1=k, axis2=t.ndim // 2 + k)
-    d = int(np.sqrt(t.size))
-    return t.reshape(d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept factors (factor indices, order preserved)."""
-    keep_t = tuple(sorted(set(int(k) for k in keep)))
-    reduced = partial_trace_matrix(rho.matrix, rho.layout, keep_t)
-    return DensityMatrix.from_matrix(_kept_layout(rho.layout, keep_t), reduced,
-                                     pos_tol=rho.pos_tol)
+    if keep[0] < 0 or keep[-1] >= layout.n_factors:
+        raise LayoutError(f"keep set {keep} out of range for {layout.n_factors} factors")
+    f, a = int(layout.has_field), 2 ** layout.atom_count
+    nb = layout.dim // a
+    trace_field = f and 0 not in keep
+    m = dense_if_full(rho.matrix)
+    if sp.issparse(m):
+        keys, X = _blocks(m, a, diagonal=trace_field)
+    elif trace_field:
+        X = m.reshape(nb, a, nb, a)[np.arange(nb), :, np.arange(nb), :]
+    else:
+        keys, X = np.arange(nb * nb), m.reshape(nb, a, nb, a).swapaxes(1, 2).reshape(-1, a, a)
+    t = X.reshape((X.shape[0],) + (2,) * (2 * layout.atom_count))
+    for j in reversed([k - f for k in range(f, layout.n_factors) if k not in keep]):
+        t = np.trace(t, axis1=1 + j, axis2=1 + (t.ndim - 1) // 2 + j)
+    s = 2 ** ((t.ndim - 1) // 2)  # the kept atoms' dimension
+    t = t.reshape(t.shape[0], s, s)
+    if trace_field:
+        reduced = np.add.reduce(t, axis=0)
+    else:
+        reduced = np.zeros((nb, s, nb, s), dtype=complex)
+        reduced[keys // nb, :, keys % nb, :] = t
+        reduced = reduced.reshape(nb * s, nb * s)
+    return DensityMatrix.from_matrix(_kept_layout(layout, keep), reduced, pos_tol=rho.pos_tol)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) * trace norm of the difference."""
-    diff = rho.matrix - sigma.matrix
+    diff = to_array(rho.matrix) - to_array(sigma.matrix)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

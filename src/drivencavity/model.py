@@ -21,6 +21,7 @@ from .hilbert import (
     TOL_HERM,
     coherent_vector,
     fock_vector,
+    max_asymmetry,
 )
 
 FRAMES = ("lab-rotating", "displaced", "effective-atomic", "thermal")
@@ -127,23 +128,11 @@ class Generator:
 
         self.H = canonical(H)
         self.jumps = tuple((canonical(jump), rate) for jump, rate in jumps)
-        if _asymmetry(self.H) > TOL_HERM:
+        if max_asymmetry(self.H) > TOL_HERM:
             raise ValueError("generator Hamiltonian is not Hermitian")
         for _, rate in self.jumps:
             if rate < 0:
                 raise ValueError(f"dissipator rate must be nonnegative, got {rate}")
-
-
-def _asymmetry(m: sp.csr_matrix) -> float:
-    """max |m - m^dag| of a canonical CSR m: each entry against its mirror
-    entry, found by its sorted row-major key, when the pattern is symmetric."""
-    d = m.shape[0]
-    rows = np.repeat(np.arange(d), np.diff(m.indptr))
-    key, mirror = rows * d + m.indices, m.indices * d + rows
-    at = np.searchsorted(key, mirror)
-    if at.size and at.max() < key.size and np.array_equal(key[at], mirror):
-        return float(np.max(np.abs(m.data - m.data[at].conj())))
-    return float(abs(m - m.conj().T).max())
 
 
 # A factor is (rows, cols, values) of a sparse matrix on the field's n_max + 1
@@ -269,12 +258,11 @@ def atomic_vector(pattern: str) -> np.ndarray:
     return v
 
 
-def thermal_field_matrix(n_th: float, n_max: int) -> np.ndarray:
+def thermal_populations(n_th: float, n_max: int) -> np.ndarray:
     """Geometric photon-number distribution, renormalized on the truncation."""
     n = np.arange(n_max + 1)
     p = (n_th / (n_th + 1.0)) ** n / (n_th + 1.0)
-    p = p / p.sum()
-    return np.diag(p).astype(complex)
+    return p / p.sum()
 
 
 def initial_state(cfg: SystemConfig, atoms, field="vacuum") -> DensityMatrix:
@@ -282,7 +270,10 @@ def initial_state(cfg: SystemConfig, atoms, field="vacuum") -> DensityMatrix:
 
     `field` may be 'vacuum', 'thermal', an integer Fock label, a complex
     coherent amplitude, or an explicit vector/matrix.  Ignored for the
-    atoms-only frame.
+    atoms-only frame, whose state is an array.  With a field the state is
+    the Kronecker product of the field's and the atoms' nonzero entries as
+    CSR (`_kron_csr`): each entry the product `np.kron` forms there, and no
+    dim^2 array is made.
     """
     layout = cfg.layout()
     av = atomic_vector(atoms) if isinstance(atoms, str) else np.asarray(atoms, dtype=complex)
@@ -294,22 +285,47 @@ def initial_state(cfg: SystemConfig, atoms, field="vacuum") -> DensityMatrix:
         return DensityMatrix.from_matrix(layout, rho_at)
 
     dim_f = cfg.n_max + 1
-    if isinstance(field, str) and field == "vacuum":
-        fv = fock_vector(dim_f, 0)
-        rho_f = np.outer(fv, fv.conj())
-    elif isinstance(field, str) and field == "thermal":
-        rho_f = thermal_field_matrix(cfg.n_th, cfg.n_max)
-    elif isinstance(field, (int, np.integer)):
-        fv = fock_vector(dim_f, int(field))
-        rho_f = np.outer(fv, fv.conj())
-    elif isinstance(field, (float, complex)):
-        fv = coherent_vector(complex(field), dim_f)
-        rho_f = np.outer(fv, fv.conj())
+    if isinstance(field, str) and field == "thermal":
+        n = np.arange(dim_f)
+        field_entries = n, n, thermal_populations(cfg.n_th, cfg.n_max).astype(complex)
     else:
-        fm = np.asarray(field, dtype=complex)
-        if fm.ndim == 1:
-            fm = fm / np.linalg.norm(fm)
-            rho_f = np.outer(fm, fm.conj())
+        if isinstance(field, str) and field == "vacuum":
+            fv = fock_vector(dim_f, 0)
+            rho_f = np.outer(fv, fv.conj())
+        elif isinstance(field, (int, np.integer)):
+            fv = fock_vector(dim_f, int(field))
+            rho_f = np.outer(fv, fv.conj())
+        elif isinstance(field, (float, complex)):
+            fv = coherent_vector(complex(field), dim_f)
+            rho_f = np.outer(fv, fv.conj())
         else:
-            rho_f = fm
-    return DensityMatrix.from_matrix(layout, np.kron(rho_f, rho_at))
+            fm = np.asarray(field, dtype=complex)
+            if fm.ndim == 1:
+                fm = fm / np.linalg.norm(fm)
+                rho_f = np.outer(fm, fm.conj())
+            else:
+                rho_f = fm
+        field_entries = _nonzero_entries(rho_f)
+    return DensityMatrix.from_matrix(
+        layout, _kron_csr(field_entries, _nonzero_entries(rho_at), dim_f, rho_at.shape[0]))
+
+
+def _nonzero_entries(m: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of the array m."""
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def _kron_csr(F, S, nf: int, a: int) -> sp.csr_matrix:
+    """kron of an nf x nf and an a x a matrix, each given by its nonzero
+    entries (rows, cols, values), as canonical CSR: each entry F[i, k] S[j, l],
+    the product `np.kron` forms there."""
+    (fr, fc, fv), (sr, sc, sv) = F, S
+    d = nf * a
+    key = ((fr[:, None] * a + sr) * d + fc[:, None] * a + sc).ravel()
+    val = (fv[:, None] * sv).ravel()
+    order = np.argsort(key)
+    key, val = key[order], val[order]
+    live = val != 0  # a product may underflow
+    rows, cols = np.divmod(key[live], d)
+    return sp.csr_matrix((val[live], cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))

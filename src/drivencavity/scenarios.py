@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .hilbert import DensityMatrix, StateError, partial_trace
@@ -45,7 +46,8 @@ class ScenarioConfigError(ConfigError):
 
 
 class TruncationError(RuntimeError):
-    """Observables failed to converge in the Fock truncation by n_max = 256."""
+    """Observables failed to converge in the Fock truncation by the largest
+    n_max probed (at most 512); the message names it."""
 
 
 @dataclass
@@ -312,11 +314,12 @@ def scenario_steady_state(cfg: SystemConfig, atoms_init, residual_tol: float = 1
 
 
 def atomic_reduction(rho: DensityMatrix) -> DensityMatrix:
+    """The atoms' state as an array, as the correlation functions read it: the
+    field traced out, if there is one; an atoms-only array is its own."""
     layout = rho.layout
-    if not layout.has_field:
-        return rho
-    keep = tuple(range(1, layout.n_factors))
-    return partial_trace(rho, keep=keep)
+    if layout.has_field or sp.issparse(rho.matrix):
+        return partial_trace(rho, keep=tuple(range(int(layout.has_field), layout.n_factors)))
+    return rho
 
 
 def _pair_report(cfg: SystemConfig, rho: DensityMatrix):
@@ -338,8 +341,10 @@ def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
     by < tol, the state `solve(config)` gave there, its probe observables, the
     pair's CorrelationReport they come from or None).
 
-    Probing doubles n_max up to 256 from 4, or in the thermal frame from
-    where the thermal occupancy tail drops below 10 tol.
+    Probing starts at n_max 4, or in the thermal frame where the thermal
+    occupancy tail drops below 10 tol, and doubles n_max while it is at most
+    256, so the largest n_max probed is at most 512.  TruncationError names
+    the largest one probed.
     """
     n = 4
     if cfg.frame == "thermal":
@@ -357,7 +362,7 @@ def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
         if np.max(np.abs(doubled[2] - chosen[2])) < tol:
             return chosen
         n, chosen = 2 * n, doubled
-    raise TruncationError("observables not converged in n_max up to 256")
+    raise TruncationError(f"observables not converged in n_max up to {n}")
 
 
 def _steady_solver(scfg: ScenarioConfig, atoms_init, gens: dict):

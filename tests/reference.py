@@ -3,6 +3,9 @@
 Operators are built factor by factor with identities (`embed`), and the
 Lindblad formula is applied with dense products (`apply_generator`): an
 assembly independent of the package's sparse construction from factors.
+The dense formulas the package's block-wise and diagonal ones must equal
+entry for entry live here too: `dense_sandwich`, `dense_partial_trace`,
+`dense_field_statistics`.
 """
 
 import math
@@ -10,7 +13,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from drivencavity.hilbert import HilbertLayout, annihilation
+from drivencavity.hilbert import HilbertLayout, annihilation, to_array
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)    # |e><g|, |e> = index 0
@@ -72,10 +75,43 @@ def dense_generator(gen):
 
 def apply_generator(gen, rho) -> np.ndarray:
     """d(rho)/dt = -i[H, rho] + sum_k rate_k (2 A rho A^dag - A^dag A rho - rho A^dag A)."""
-    m = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    m = np.asarray(as_dense(rho), dtype=complex)
     h, jumps = dense_generator(gen)
     out = -1j * (h @ m - m @ h)
     for A, rate in jumps:
         AdA = dag(A) @ A
         out = out + rate * (2.0 * (A @ m @ dag(A)) - AdA @ m - m @ AdA)
     return out
+
+
+def dense_field_statistics(m: np.ndarray):
+    """(n_bar, <n^2>, <a^dag^2 a^2>) of the field state m from dense matrix
+    chains, as `correlations.field_statistics` once formed them."""
+    a = annihilation(m.shape[0] - 1)
+    num = dag(a) @ a
+    return (float(np.real(np.trace(num @ m))), float(np.real(np.trace(num @ num @ m))),
+            float(np.real(np.trace(dag(a) @ dag(a) @ a @ a @ m))))
+
+
+def dense_partial_trace(m: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
+    """The reduced matrix on the kept factors of `layout`, by contracting each
+    traced factor's row index with its column index on the whole dense m,
+    highest first."""
+    factors = layout.factors
+    t = m.reshape(factors + factors)
+    for k in reversed([i for i in range(len(factors)) if i not in keep]):
+        t = np.trace(t, axis1=k, axis2=t.ndim // 2 + k)
+    d = int(np.sqrt(t.size))
+    return t.reshape(d, d)
+
+
+def dense_sandwich(left: np.ndarray, M: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(1_field (x) left) M (1_field (x) right) for square atomic factors, on the dense M."""
+    a = left.shape[0]
+    nf = M.shape[0] // a
+    return ((left @ M.reshape(nf, a, -1)).reshape(-1, nf, a) @ right).reshape(M.shape)
+
+
+def as_dense(rho) -> np.ndarray:
+    """The entries of a state (or of a matrix) as a dense array."""
+    return to_array(getattr(rho, "matrix", rho))

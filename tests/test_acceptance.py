@@ -33,7 +33,7 @@ from drivencavity.correlations import (
     x_structure,
 )
 from drivencavity.scenarios import atomic_reduction, scenario_steady_state
-from reference import field_annihilation, number_operator
+from reference import as_dense, field_annihilation, number_operator
 
 rng = np.random.default_rng(2024)
 
@@ -222,7 +222,7 @@ def test_criterion_7_analytic_dynamics():
                          frame="lab-rotating")
     rho_ss = scenario_steady_state(cfg_d, "g", residual_tol=1e-11)
     lay_d = cfg_d.layout()
-    a_ss = np.trace(field_annihilation(lay_d) @ rho_ss.matrix)
+    a_ss = np.trace(field_annihilation(lay_d) @ as_dense(rho_ss))
     err_amp = abs(a_ss - (-1j * 0.7 / (1.0 + 0.4j)))
 
     ok = err_decay < 1e-6 and err_rabi < 1e-6 and err_amp < 1e-6

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from drivencavity import correlations
-from drivencavity.hilbert import DensityMatrix, HilbertLayout
+from drivencavity.dynamics import steady_state
+from drivencavity.hilbert import DensityMatrix, HilbertLayout, partial_trace
+from drivencavity.model import SystemConfig, build_generator, initial_state
 from drivencavity.correlations import (
     CorrelationReport,
     XStateError,
@@ -22,6 +24,7 @@ from drivencavity.correlations import (
     x_structure,
     XStateElements,
 )
+from reference import dense_field_statistics
 
 rng = np.random.default_rng(41)
 LAY2 = HilbertLayout(atom_count=2)
@@ -313,6 +316,23 @@ class TestFieldStatistics:
         assert abs(st.n_bar - alpha**2) < 1e-4
         assert abs(st.g2 - 1.0) < 1e-4
         assert abs(st.mandel_q) < 1e-4
+
+    @pytest.mark.parametrize("cfg, field", [
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=2.0, n_max=30), -2.0j),
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=1.5, n_max=40, frame="lab-rotating"), 1.5),
+        (SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=164, frame="thermal"), "thermal"),
+    ], ids=["displaced", "lab", "thermal"])
+    def test_diagonal_moments_equal_the_dense_chains(self, cfg, field):
+        # the initial and the steady field states, O(n_max) against O(n_max^3)
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field=field)
+        for rho in (rho0, steady_state(gen, rho0).rho_ss):
+            field_state = partial_trace(rho, keep=(0,))
+            n_bar, n_sq, aa = dense_field_statistics(field_state.matrix)
+            st = field_statistics(field_state)
+            assert st.n_bar == n_bar and n_bar > 1e-9
+            assert st.g2 == aa / n_bar**2
+            assert st.mandel_q == (n_sq - n_bar**2 - n_bar) / n_bar
 
     def test_vacuum_has_undefined_ratios(self):
         st = field_statistics(self.field(diag=[1.0, 0.0, 0.0]))

@@ -14,11 +14,14 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
+from drivencavity.correlations import field_statistics
 from drivencavity.hilbert import (
     DensityMatrix,
     StateError,
     annihilation,
     collective_basis,
+    from_collective_basis,
+    partial_trace,
     to_collective_basis,
     trace_distance,
 )
@@ -28,11 +31,11 @@ from drivencavity.model import (
     build_generator,
     derived_params,
     initial_state,
-    thermal_field_matrix,
+    thermal_populations,
 )
 from drivencavity import dynamics
-from drivencavity.scenarios import (atoms_pattern, empty_cavity_field, load_config, log_grid,
-                                    run_scenario, scenario_steady_state)
+from drivencavity.scenarios import (atomic_reduction, atoms_pattern, empty_cavity_field,
+                                    load_config, log_grid, run_scenario, scenario_steady_state)
 from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
@@ -55,7 +58,8 @@ from drivencavity.dynamics import (
     steady_state,
     steady_state_raw,
 )
-from reference import apply_generator, dense_generator, field_annihilation, number_operator
+from reference import (apply_generator, as_dense, dense_generator, dense_partial_trace,
+                       dense_sandwich, field_annihilation, number_operator)
 
 rng = np.random.default_rng(23)
 
@@ -104,7 +108,7 @@ class TestEvolve:
         traj = evolve(gen, rho0, t, tol=1e-9)
         L = liouvillian_matrix_raw(*dense_generator(gen)).toarray()
         d = gen.layout.dim
-        exact = [DensityMatrix.from_matrix(cfg.layout(), (expm(L * tk) @ rho0.matrix.ravel())
+        exact = [DensityMatrix.from_matrix(cfg.layout(), (expm(L * tk) @ as_dense(rho0).ravel())
                                            .reshape(d, d)) for tk in t]
         assert np.allclose(mean_photons(cfg, traj.states), mean_photons(cfg, exact), atol=1e-6)
 
@@ -149,7 +153,7 @@ class TestEvolve:
         tol = 1e-8
         traj = evolve(gen, rho0, t, tol=tol)
         L = liouvillian_matrix_raw(*dense_generator(gen))
-        ref = functools.partial(solve_ivp, lambda _, y: L @ y, (t[0], t[-1]), rho0.matrix.ravel(),
+        ref = functools.partial(solve_ivp, lambda _, y: L @ y, (t[0], t[-1]), as_dense(rho0).ravel(),
                                 method="DOP853", t_eval=t, rtol=tol, atol=tol * 1e-3)
         steps = ref(dense_output=True).sol.ts  # the same steps, with an interpolant on each
         ref = ref()
@@ -231,7 +235,7 @@ class TestEvolveSpectral:
             rho0 = DensityMatrix.from_matrix(cfg.layout(), m / np.trace(m).real)
         else:
             rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
-        V = _invariant_support(*dense_generator(gen), rho0.matrix)
+        V = _invariant_support(*dense_generator(gen), as_dense(rho0))
         assert V.shape[1] == support_dim
         assert np.max(np.abs(V.conj().T @ V - np.eye(support_dim))) < 1e-12
         L = liouvillian_matrix_raw(*dense_generator(gen)).toarray()
@@ -240,7 +244,7 @@ class TestEvolveSpectral:
         assert traj.stats.support_dim == support_dim
         assert 1.0 <= traj.stats.eigvec_cond < np.inf
         for t, state in zip(t_grid, traj.states):
-            exact = (expm(L * t) @ rho0.matrix.ravel()).reshape(state.matrix.shape)
+            exact = (expm(L * t) @ as_dense(rho0).ravel()).reshape(state.matrix.shape)
             assert np.max(np.abs(state.matrix - exact)) < 1e-12
 
     @pytest.mark.parametrize("n_max", [12, 16])
@@ -250,7 +254,7 @@ class TestEvolveSpectral:
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=n_max)
         h, diss = dense_generator(build_generator(cfg))
         rho0 = initial_state(cfg, "gg", field=empty_cavity_field(cfg))
-        V = _invariant_support(h, diss, rho0.matrix)
+        V = _invariant_support(h, diss, as_dense(rho0))
         d, k = V.shape
         assert k <= d
         assert np.max(np.abs(V.conj().T @ V - np.eye(k))) < 1e-12
@@ -276,7 +280,7 @@ def _spectral_against_expm(cfg, atoms, t_grid=(0.0, 1.0, 5.0, 50.0)):
     L = liouvillian_matrix_raw(*dense_generator(gen)).toarray()
     traj = evolve_spectral(gen, rho0, t_grid)
     for t, state in zip(t_grid, traj.states):
-        exact = (expm(L * t) @ rho0.matrix.ravel()).reshape(state.matrix.shape)
+        exact = (expm(L * t) @ as_dense(rho0).ravel()).reshape(state.matrix.shape)
         assert np.max(np.abs(state.matrix - exact)) < 1e-12
     return gen, rho0, traj
 
@@ -353,7 +357,7 @@ class TestPropagate:
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=16)
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, "eg", field=empty_cavity_field(cfg))
-        assert _invariant_support(*dense_generator(gen), rho0.matrix).shape[1] == 68
+        assert _invariant_support(*dense_generator(gen), as_dense(rho0)).shape[1] == 68
         traj = propagate(gen, rho0, [0.0, 0.5], tol=1e-9)
         assert traj.stats.n_rhs_evals > 0
         # evolve_spectral itself refuses the support before assembling anything dense
@@ -369,7 +373,7 @@ class TestPropagate:
         cfg = scfg.system()
         gen = build_generator(cfg)
         rho0 = initial_state(cfg, atoms_pattern(initial_atoms, 2), field=empty_cavity_field(cfg))
-        assert _invariant_support(*dense_generator(gen), rho0.matrix).shape[1] == 68
+        assert _invariant_support(*dense_generator(gen), as_dense(rho0)).shape[1] == 68
         with pytest.raises(SupportTooLargeError):
             evolve_spectral(gen, rho0, [0.0, 0.5])
         traj = propagate(gen, rho0, [0.0, 0.5], tol=scfg.integrator_tol)
@@ -632,8 +636,8 @@ class TestHermitianCoordinates:
 
 class TestSteadyState:
     def test_thermal_solve_holds_few_dense_arrays(self):
-        # the generator and its rotation stay sparse: what is dense is rho0, the
-        # rotated H the solver is handed, and the solution and its rotation back
+        # the generator, rho0, the solution and its rotation back stay sparse:
+        # the one dense array is the rotated H the solver is handed
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=5.0, n_max=128, frame="thermal")
         scenario_steady_state(cfg, "eg")
         tracemalloc.start()
@@ -642,7 +646,7 @@ class TestSteadyState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 16 * cfg.layout().dim ** 2
+        assert peak <= 3 * 16 * cfg.layout().dim ** 2
 
     @pytest.mark.parametrize("n_th, n_max, unknowns", [(3.0, 164, 1477), (5.0, 256, 2305)])
     def test_trace_constrained_lu_stays_near_nnz(self, n_th, n_max, unknowns, monkeypatch):
@@ -682,7 +686,9 @@ class TestSteadyState:
         dense = dense.reshape(d, d)
         dense = 0.5 * (dense + dense.conj().T)
         dense /= dense.ravel()[pairs[pairs % (d + 1) == 0]].sum().real
-        assert np.array_equal(_normalize_kernel_vector(x, pairs, d), dense)
+        m, on_pairs = _normalize_kernel_vector(x, pairs, d)
+        assert np.array_equal(m.toarray(), dense)
+        assert np.array_equal(on_pairs, dense.ravel()[pairs])
 
     def test_driven_cavity_amplitude(self):
         # decoupled driven cavity: <a>_ss = -i eps / (kappa + i delta)
@@ -692,7 +698,7 @@ class TestSteadyState:
         res = steady_state(gen, rho0=initial_state(cfg, "g"), residual_tol=1e-10)
         lay = cfg.layout()
         a = field_annihilation(lay)
-        a_ss = np.trace(a @ res.rho_ss.matrix)
+        a_ss = np.trace(a @ as_dense(res.rho_ss))
         expected = -1j * 0.5 / (1.0 + 0.7j)
         assert abs(a_ss - expected) < 1e-6
         assert res.residual < 1e-10
@@ -705,10 +711,11 @@ class TestSteadyState:
         vacuum = np.diag(np.eye(n_max + 1)[0]).astype(complex)
         m, res, kernel_dim, used = steady_state_raw(
             h, [(a, n_th + 1.0), (a.conj().T, n_th)], vacuum, residual_tol=1e-9)
+        m = m.toarray()
         assert used == "nullspace" and kernel_dim == 1
         n_ss = np.sum(np.arange(n_max + 1) * np.diag(m).real)
         assert abs(n_ss - n_th) < 1e-8
-        assert np.max(np.abs(m - thermal_field_matrix(n_th, n_max))) < 1e-9
+        assert np.max(np.abs(m - np.diag(thermal_populations(n_th, n_max)))) < 1e-9
 
     def test_nullspace_matches_long_time_integration(self):
         cfg = SystemConfig(n_atoms=1, g=0.3, n_th=0.5, n_max=10, frame="thermal")
@@ -787,7 +794,7 @@ class TestSteadyState:
         # every diagonal entry lies in the block of the unique fixed point
         m, res, _, used = steady_state_raw(h, diss, np.eye(d) / d, residual_tol=1e-10)
         assert used == "nullspace"
-        assert np.max(np.abs(m - dense)) < 1e-12
+        assert np.max(np.abs(m.toarray() - dense)) < 1e-12
 
     def test_residual_norm_zero_on_fixed_point(self):
         cfg = SystemConfig(n_atoms=1, g=0.2, epsilon=0.4, n_max=6)
@@ -811,7 +818,7 @@ class TestSteadyState:
         assert [rate for _, rate in gen.jumps] == [0.0]
         rho0 = initial_state(cfg, "eg")
         res = steady_state(gen, rho0)
-        assert np.max(np.abs(res.rho_ss.matrix - rho0.matrix)) < 1e-15
+        assert np.max(np.abs(as_dense(res.rho_ss) - rho0.matrix)) < 1e-15
 
     def test_one_solve_makes_two_graph_passes(self, monkeypatch):
         # the state components and the quotient graph over their pairs; the
@@ -947,13 +954,13 @@ class TestKernelProjection:
         assert route == "kernel-projection"
         R, Lam = _dense_kernel(cfg)
         assert product_kernel_dim == R.shape[1] == kernel_dim
-        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+        x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ as_dense(rho0).ravel())
         d = cfg.layout().dim
-        assert np.max(np.abs(m - x.reshape(d, d))) < 1e-10
+        assert np.max(np.abs(m.toarray() - x.reshape(d, d))) < 1e-10
         # the collective basis splits the kernel over the blocks rho0 touches
         collective = steady_state(gen, rho0, residual_tol=1e-12)
         assert collective.kernel_dim <= kernel_dim
-        assert np.max(np.abs(collective.rho_ss.matrix - x.reshape(d, d))) < 1e-10
+        assert np.max(np.abs(as_dense(collective.rho_ss) - x.reshape(d, d))) < 1e-10
 
     @pytest.mark.parametrize("cfg, atoms", [(_N3, "egg"), (_DETUNED_DARK, "eg")],
                              ids=["N3-egg", "thermal-detuned"])
@@ -962,5 +969,86 @@ class TestKernelProjection:
         rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
         late = evolve(gen, rho0, [0.0, 3000.0], tol=1e-11).states[-1]
         m = steady_state_raw(*dense_generator(gen), rho0=rho0.matrix)[0]
-        assert np.max(np.abs(m - late.matrix)) < 1e-10
-        assert np.max(np.abs(steady_state(gen, rho0).rho_ss.matrix - late.matrix)) < 1e-10
+        assert np.max(np.abs(m.toarray() - late.matrix)) < 1e-10
+        assert np.max(np.abs(as_dense(steady_state(gen, rho0).rho_ss) - late.matrix)) < 1e-10
+
+
+def _peak_bytes(fn):
+    """The traced peak of the memory fn allocates, with fn's exception, if any."""
+    tracemalloc.start()
+    try:
+        try:
+            fn()
+            error = None
+        except ConvergenceError as exc:
+            error = exc
+        return tracemalloc.get_traced_memory()[1], error
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsrSteadyStates:
+    """rho0 and the steady state stay CSR from build to reduction."""
+
+    # fig3's largest bench probe: the cap refuses it (its triplet block holds 771 states)
+    CAPPED = SystemConfig(n_atoms=2, g=0.1, n_th=5.0, n_max=256, frame="thermal")
+
+    @pytest.mark.parametrize("cfg, field", [
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=4), -1.0j),
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=8), -1.0j),
+        (SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=82, frame="thermal"), "thermal"),
+        (SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=164, frame="thermal"), "thermal"),
+    ], ids=["driven-4", "driven-8", "thermal-82", "thermal-164"])
+    def test_reductions_equal_the_dense_pipeline(self, cfg, field):
+        # the solution rotated back block by block and reduced on its blocks:
+        # the dense rotation and partial traces, entry for entry
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field=field)
+        B, labels = collective_basis(2)
+        m = steady_state_raw(
+            to_collective_basis(gen.H, B, labels).toarray(),
+            [(to_collective_basis(A, B, labels), rate) for A, rate in gen.jumps],
+            to_collective_basis(rho0.matrix, B, labels))[0]
+        dense = dense_sandwich(B, m.toarray(), B.conj().T)
+        rho = steady_state(gen, rho0).rho_ss
+        assert rho.matrix.has_canonical_format and np.array_equal(rho.matrix.toarray(), dense)
+        assert np.array_equal(from_collective_basis(m, B).toarray(), dense)
+        layout = cfg.layout()
+        assert np.array_equal(atomic_reduction(rho).matrix, dense_partial_trace(dense, layout, (1, 2)))
+        assert np.array_equal(partial_trace(rho, (0,)).matrix, dense_partial_trace(dense, layout, (0,)))
+
+    def test_capped_thermal_state_allocates_no_dim_squared_array(self, monkeypatch):
+        cfg = self.CAPPED
+        dim = cfg.layout().dim
+        assert dim == 1028
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field="thermal")
+        peak, _ = _peak_bytes(lambda: initial_state(cfg, "eg", field="thermal"))
+        assert peak < dim ** 2  # less than one bool dim x dim array
+        monkeypatch.setattr(dynamics, "SPARSE_NULLSPACE_MAX_DIM", dim)
+        rho = steady_state(gen, rho0).rho_ss
+        assert sp.issparse(rho.matrix) and rho.matrix.nnz < dim ** 2 / 100
+        B, labels = collective_basis(2)
+        collective = to_collective_basis(rho.matrix, B, labels)
+
+        def checks_and_reductions():
+            from_collective_basis(collective, B)
+            DensityMatrix.from_matrix(cfg.layout(), rho.matrix)
+            atomic_reduction(rho)
+            field_statistics(partial_trace(rho, keep=(0,)))
+            residual_norm(gen, rho)
+
+        peak, _ = _peak_bytes(checks_and_reductions)
+        # the field state is dense by design: (dim / 4)^2 entries, dim^2 bytes;
+        # one complex dim x dim array would be 16 dim^2
+        assert peak < 4 * dim ** 2
+
+    def test_capped_probe_fails_holding_only_the_dense_hamiltonian(self):
+        cfg = self.CAPPED
+        dim = cfg.layout().dim
+        gen = build_generator(cfg)
+        rho0 = initial_state(cfg, "eg", field="thermal")
+        peak, error = _peak_bytes(lambda: steady_state(gen, rho0))
+        assert isinstance(error, ConvergenceError) and "dimension 771 too large" in str(error)
+        # the rotated H is handed to the solver dense, for the benchmark's tracer
+        assert peak < 16 * dim ** 2 + dim ** 2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,15 +13,17 @@ from drivencavity.hilbert import (
     StateError,
     annihilation,
     coherent_vector,
+    collective_basis,
     fock_vector,
-    _max_asymmetry,
+    from_collective_basis,
+    max_asymmetry,
     min_eigenvalue,
     nonzero_pattern,
     partial_trace,
-    partial_trace_matrix,
+    to_collective_basis,
     trace_distance,
 )
-from reference import dag, displacement
+from reference import dag, dense_partial_trace, dense_sandwich, displacement
 
 rng = np.random.default_rng(7)
 
@@ -117,12 +121,15 @@ class TestPartialTrace:
         t = m.reshape(3, 2, 2, 3, 2, 2)
         direct = np.einsum("iabiac->bc", t)
 
-        step1 = partial_trace_matrix(m, lay, keep=(1, 2))  # drop field first
-        step1 = partial_trace_matrix(step1, HilbertLayout(atom_count=2), keep=(1,))
-        step2 = partial_trace_matrix(m, lay, keep=(0, 2))  # drop atom 1 first
-        step2 = partial_trace_matrix(step2, HilbertLayout(atom_count=1, fock_dim=3), keep=(1,))
+        step1 = dense_partial_trace(m, lay, keep=(1, 2))  # drop field first
+        step1 = dense_partial_trace(step1, HilbertLayout(atom_count=2), keep=(1,))
+        step2 = dense_partial_trace(m, lay, keep=(0, 2))  # drop atom 1 first
+        step2 = dense_partial_trace(step2, HilbertLayout(atom_count=1, fock_dim=3), keep=(1,))
         assert np.max(np.abs(step1 - direct)) < 1e-12
         assert np.max(np.abs(step2 - direct)) < 1e-12
+        rho = DensityMatrix.from_matrix(lay, m)
+        for state in (rho, DensityMatrix.from_matrix(lay, sp.csr_matrix(m))):
+            assert np.max(np.abs(partial_trace(state, keep=(2,)).matrix - direct)) < 1e-12
 
     def test_empty_keep_rejected(self):
         lay = HilbertLayout(atom_count=2)
@@ -280,11 +287,12 @@ class TestPatternChecks:
             assert all(np.array_equal(p, q) for p, q in zip(pattern, np.nonzero(m)))
         herm = float(np.max(np.abs(m - m.conj().T)))
         assert herm > 0.0  # round-off asymmetry: the max is compared, not two zeros
-        assert _max_asymmetry(m, pattern) == herm
         lo = _dense_min_eigenvalue(m)
-        assert min_eigenvalue(m) == lo
-        rho = DensityMatrix.from_matrix(HilbertLayout(atom_count=2, fock_dim=3), m)
-        assert rho.min_eigenvalue == lo
+        for held in (m, sp.csr_matrix(m)):
+            assert max_asymmetry(held) == herm
+            assert min_eigenvalue(held) == lo
+            rho = DensityMatrix.from_matrix(HilbertLayout(atom_count=2, fock_dim=3), held)
+            assert rho.min_eigenvalue == lo
 
     def test_entry_without_partner_is_rejected(self):
         m = _sparse_state("permuted-blocks")
@@ -308,3 +316,69 @@ def test_trace_distance_orthogonal_pure_states():
     dn = DensityMatrix.pure(lay, [0, 1])
     assert np.isclose(trace_distance(up, dn), 1.0)
     assert np.isclose(trace_distance(up, up), 0.0)
+
+
+def _sparse_product_state(r, n_atoms, fock_dim, density):
+    """A random Hermitian positive state on field (x) atoms, nonzero on a random
+    symmetric set of field-level pairs, each a x a block itself partly zero,
+    with a round-off asymmetry of 1e-14 on its off-diagonal entries."""
+    a = 2 ** n_atoms
+    d = fock_dim * a
+    pick = r.random((fock_dim, fock_dim)) < density
+    pick |= pick.T
+    np.fill_diagonal(pick, r.random(fock_dim) < 0.7)
+    pick[0, 0] = True
+    m = np.zeros((d, d), dtype=complex)
+    for i, j in zip(*np.nonzero(np.triu(pick))):
+        block = r.normal(size=(a, a)) + 1j * r.normal(size=(a, a))
+        block[r.random((a, a)) < 0.3] = 0.0
+        m[i * a:(i + 1) * a, j * a:(j + 1) * a] = block
+    m = m + m.conj().T
+    m = m + np.diag(np.abs(m).sum(axis=1) + (np.abs(m).sum(axis=1) > 0))  # diagonally dominant
+    noise = 1e-14 * (m != 0) * r.normal(size=(d, d))
+    np.fill_diagonal(noise, 0.0)
+    m = m + noise
+    return m / np.trace(m).real
+
+
+class TestCsrStates:
+    """A CSR state is checked, rotated and reduced with the values of the dense
+    formulas, entry for entry, on both sides of numpy's pairwise-sum block (8)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 3), fock_dim=st.sampled_from([2, 3, 7, 8, 9, 17, 20]),
+           density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_equal_the_dense_formulas(self, n_atoms, fock_dim, density, seed):
+        r = np.random.default_rng(seed)
+        m = _sparse_product_state(r, n_atoms, fock_dim, density)
+        layout = HilbertLayout(atom_count=n_atoms, fock_dim=fock_dim)
+        held = DensityMatrix.from_matrix(layout, sp.csr_matrix(m))
+        reference = DensityMatrix.from_matrix(layout, m)
+        assert sp.issparse(held.matrix) and np.array_equal(held.matrix.toarray(), m)
+        assert max_asymmetry(held.matrix) == max_asymmetry(m)
+        assert held.min_eigenvalue == reference.min_eigenvalue
+        for size in range(1, layout.n_factors + 1):
+            for keep in itertools.combinations(range(layout.n_factors), size):
+                expected = dense_partial_trace(m, layout, keep)
+                assert np.array_equal(partial_trace(held, keep).matrix, expected), keep
+                assert np.array_equal(partial_trace(reference, keep).matrix, expected), keep
+        B, labels = collective_basis(n_atoms)
+        collective = to_collective_basis(sp.csr_matrix(m), B, labels)
+        back = from_collective_basis(collective, B)
+        assert back.has_canonical_format and back.data.all()
+        assert np.array_equal(back.toarray(), dense_sandwich(B, collective.toarray(), B.conj().T))
+
+    def test_is_held_as_a_read_only_canonical_copy(self):
+        m = sp.csr_matrix((np.array([0.5, 0.0, 0.5], dtype=complex), [0, 1, 2], [0, 1, 2, 3, 3]),
+                          shape=(4, 4))  # a stored zero at (1, 1)
+        rho = DensityMatrix.from_matrix(HilbertLayout(atom_count=1, fock_dim=2), m)
+        assert rho.matrix is not m and rho.matrix.has_canonical_format
+        assert rho.matrix.nnz == 2
+        with pytest.raises(ValueError):
+            rho.matrix.data[0] = 1.0
+
+    def test_rejects_an_entry_without_partner(self):
+        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        m[0, 3] = 1e-6
+        with pytest.raises(StateError, match="not Hermitian: max asymmetry 1.000e-06"):
+            DensityMatrix.from_matrix(HilbertLayout(atom_count=1, fock_dim=2), sp.csr_matrix(m))

@@ -10,6 +10,7 @@ from drivencavity.hilbert import (
     HilbertLayout,
     LayoutError,
     StateError,
+    coherent_vector,
     fock_vector,
 )
 from drivencavity.model import (
@@ -27,12 +28,13 @@ from drivencavity.model import (
     build_generator,
     derived_params,
     initial_state,
-    thermal_field_matrix,
+    thermal_populations,
 )
 from reference import (
     SIGMA_PLUS,
     SIGMA_Z,
     apply_generator,
+    as_dense,
     collective_lowering,
     dag,
     dense_generator,
@@ -408,15 +410,14 @@ class TestInitialState:
 
     def test_thermal_field_occupancy(self):
         n_th, n_max = 1.5, 60
-        m = thermal_field_matrix(n_th, n_max)
-        n_mean = np.sum(np.arange(n_max + 1) * np.diag(m).real)
+        n_mean = np.sum(np.arange(n_max + 1) * thermal_populations(n_th, n_max))
         assert abs(n_mean - n_th) < 1e-6
 
     def test_coherent_field_photon_number(self):
         cfg = SystemConfig(n_atoms=1, g=0.1, n_max=30)
         rho = initial_state(cfg, "g", field=1.5 + 0.0j)
         lay = cfg.layout()
-        assert abs(np.trace(number_operator(lay) @ rho.matrix) - 1.5**2) < 1e-8
+        assert abs(np.trace(number_operator(lay) @ as_dense(rho)) - 1.5**2) < 1e-8
 
     @pytest.mark.parametrize("cfg", [
         SystemConfig(n_atoms=2, g=0.1, n_th=0.5, n_max=3, frame="thermal"),
@@ -430,8 +431,31 @@ class TestInitialState:
         with pytest.raises(StateError, match="eigenvalue"):
             initial_state(cfg, "eg", field=field)
 
+    @pytest.mark.parametrize("cfg, atoms, field", [
+        (SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=40, frame="thermal"), "eg", "thermal"),
+        (SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, n_max=8), "gg", -1.0j),
+        (SystemConfig(n_atoms=3, g=0.1, epsilon=1.0, n_max=5, frame="lab-rotating"),
+         [1.0, 1j, 0.0, 0.0, 0.5, 0.0, 0.0, 0.3], 2),
+    ], ids=["thermal", "coherent", "fock-superposition"])
+    def test_product_state_is_csr_of_the_kronecker_products(self, cfg, atoms, field):
+        # each stored entry is the product np.kron forms there, and only those
+        rho = initial_state(cfg, atoms, field=field)
+        av = atomic_vector(atoms) if isinstance(atoms, str) else np.asarray(atoms, dtype=complex)
+        av = av / np.linalg.norm(av)
+        if field == "thermal":
+            rho_f = np.diag(thermal_populations(cfg.n_th, cfg.n_max)).astype(complex)
+        elif isinstance(field, int):
+            rho_f = np.diag(np.eye(cfg.n_max + 1)[field]).astype(complex)
+        else:
+            fv = coherent_vector(field, cfg.n_max + 1)
+            rho_f = np.outer(fv, fv.conj())
+        expected = np.kron(rho_f, np.outer(av, av.conj()))
+        assert sp.issparse(rho.matrix) and rho.matrix.has_canonical_format
+        assert rho.matrix.nnz == np.count_nonzero(expected)
+        assert np.array_equal(rho.matrix.toarray(), expected)
+
     def test_superposition_normalized(self):
         cfg = SystemConfig(n_atoms=1, g=0.1, n_max=2)
         rho = initial_state(cfg, [1.0, 1.0])  # (|e> + |g>)/sqrt(2)
         assert isinstance(rho, DensityMatrix)
-        assert np.isclose(np.trace(rho.matrix), 1.0)
+        assert np.isclose(np.trace(as_dense(rho)), 1.0)

@@ -11,6 +11,7 @@ from drivencavity.model import ConfigError, SystemConfig, initial_state
 from drivencavity.scenarios import (
     OutputTable,
     ScenarioConfigError,
+    TruncationError,
     atoms_pattern,
     choose_truncation,
     load_config,
@@ -191,6 +192,25 @@ class TestChooseTruncation:
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=5.0, frame="thermal")
         n = self.chosen_n_max(cfg, tol=1e-4)
         assert n >= 30
+
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(n_atoms=2, g=0.1, epsilon=1.0, frame="displaced"),
+        SystemConfig(n_atoms=2, g=0.1, n_th=3.0, frame="thermal"),
+    ], ids=["from-4", "thermal-start"])
+    def test_failure_names_the_largest_n_max_probed(self, cfg, monkeypatch):
+        # observables that never settle: probing doubles n_max while it is at most 256
+        probed = []
+
+        def solve(c):
+            probed.append(c.n_max)
+            return None
+
+        monkeypatch.setattr(scenarios, "_probe_observables",
+                            lambda c, rho: (np.array([float(c.n_max)]), None))
+        with pytest.raises(TruncationError) as failure:
+            choose_truncation(cfg, solve)
+        assert 256 < probed[-1] <= 512 and probed == sorted(probed)
+        assert str(failure.value) == f"observables not converged in n_max up to {probed[-1]}"
 
     def test_monotone_in_tolerance(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, frame="thermal")

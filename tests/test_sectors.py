@@ -31,6 +31,7 @@ from drivencavity.scenarios import empty_cavity_field, scenario_steady_state
 from reference import (
     SIGMA_MINUS,
     SIGMA_Z,
+    as_dense,
     collective_lowering,
     collective_raising,
     collective_sz,
@@ -89,7 +90,7 @@ def dense_projection(gen, rho0):
                                    for M in (L, L.conj().T))
     assert k == k_left
     R, Lam = R[:, :k], Lam[:, :k]
-    x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ rho0.matrix.ravel())
+    x = R @ np.linalg.solve(Lam.conj().T @ R, Lam.conj().T @ as_dense(rho0).ravel())
     d = gen.layout.dim
     return x.reshape(d, d), k, float(np.min(np.abs(np.diag(T)[k:])))
 
@@ -144,7 +145,7 @@ class TestCollectiveBasis:
         x, kernel_dim, gap = dense_projection(gen, rho0)
         assert kernel_dim == 14 and gap > 1e-3
         res = steady_state(gen, rho0, residual_tol=1e-12)
-        assert np.max(np.abs(res.rho_ss.matrix - x)) < 1e-10
+        assert np.max(np.abs(as_dense(res.rho_ss) - x)) < 1e-10
 
 
 @st.composite
@@ -182,10 +183,10 @@ class TestSteadyStateProperty:
         rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
         dense, _, gap = dense_projection(gen, rho0)
         assert gap > 1e-4  # the kernel is unambiguous
-        m = steady_state(gen, rho0).rho_ss.matrix
+        m = as_dense(steady_state(gen, rho0).rho_ss)
         assert np.max(np.abs(m - dense)) < 1e-9
         try:
-            reference = product_basis_steady_state(gen, rho0)[0].matrix
+            reference = as_dense(product_basis_steady_state(gen, rho0)[0])
         except ConvergenceError:
             # the product basis's kernel search fails on some undriven N = 3 starts
             # (test_product_basis_kernel_search_fails_on_undriven_three_atoms)
@@ -210,11 +211,11 @@ class TestSteadyStateProperty:
         rho0 = initial_state(cfg, atoms)
         dense, _, gap = dense_projection(gen, rho0)
         assert gap > 1e-4
-        m = steady_state(gen, rho0).rho_ss.matrix
+        m = as_dense(steady_state(gen, rho0).rho_ss)
         product, route = product_basis_steady_state(gen, rho0)
         assert route == "kernel-projection"
         assert np.max(np.abs(m - dense)) < 1e-9
-        assert np.max(np.abs(product.matrix - dense)) < 1e-9
+        assert np.max(np.abs(as_dense(product) - dense)) < 1e-9
         assert product.min_eigenvalue > -1e-9
 
     @pytest.mark.parametrize("cfg, atoms", [
@@ -236,11 +237,11 @@ class TestSteadyStateProperty:
         rho0 = initial_state(cfg, atoms, field=empty_cavity_field(cfg))
         dense, _, gap = dense_projection(gen, rho0)
         assert gap > 1e-7
-        m = steady_state(gen, rho0).rho_ss.matrix
+        m = as_dense(steady_state(gen, rho0).rho_ss)
         product, route = product_basis_steady_state(gen, rho0)
         assert route == "kernel-projection"
-        assert np.max(np.abs(product.matrix - m)) < 1e-10
-        assert np.max(np.abs(product.matrix - dense)) < 1e-9
+        assert np.max(np.abs(as_dense(product) - m)) < 1e-10
+        assert np.max(np.abs(as_dense(product) - dense)) < 1e-9
         assert np.max(np.abs(m - dense)) < 1e-9
 
     @pytest.mark.xfail(raises=ConvergenceError, strict=True,
@@ -330,7 +331,7 @@ class TestCoherenceBlockGap:
         # every block decision stands: rho0 projected onto ker L along range L
         x, kernel_dim, gap = dense_projection(gen, rho0)
         assert kernel_dim == res.kernel_dim == 2 and gap > 1e-4
-        assert np.max(np.abs(res.rho_ss.matrix - x)) < 1e-10
+        assert np.max(np.abs(as_dense(res.rho_ss) - x)) < 1e-10
 
 
 def _solve(cfg, atoms, field="vacuum", **kw):
@@ -370,7 +371,7 @@ class TestTwoAtomSteadyState:
         rho = _solve(cfg, amps)[2].rho_ss
         nf = cfg.n_max + 1
         proj = np.kron(np.eye(nf), np.outer(SINGLET, SINGLET.conj()))
-        assert abs(np.trace(proj @ rho.matrix).real - w) < 1e-9
+        assert abs(np.trace(proj @ as_dense(rho)).real - w) < 1e-9
 
     def test_pure_singlet_is_dark(self):
         # the drive only couples through the collective raising operator, which
@@ -388,7 +389,7 @@ class TestTwoAtomSteadyState:
         assert res.method == "nullspace"
         projected, route = product_basis_steady_state(gen, rho0)
         assert route == "kernel-projection"
-        assert np.max(np.abs(res.rho_ss.matrix - projected.matrix)) < 1e-12
+        assert np.max(np.abs(as_dense(res.rho_ss) - as_dense(projected))) < 1e-12
         assert trace_distance(res.rho_ss, rho0) < 1e-12
 
     def test_dark_coherence_is_projected(self):
@@ -397,8 +398,8 @@ class TestTwoAtomSteadyState:
         cfg = SystemConfig(n_atoms=2, g=0.1, epsilon=0.0, n_max=3)
         gen, rho0, res = _solve(cfg, (SINGLET + np.array([0.0, 0.0, 0.0, 1.0])) / math.sqrt(2.0))
         assert res.method == "kernel-projection"
-        assert np.max(np.abs(res.rho_ss.matrix
-                             - product_basis_steady_state(gen, rho0)[0].matrix)) < 1e-12
+        assert np.max(np.abs(as_dense(res.rho_ss)
+                             - as_dense(product_basis_steady_state(gen, rho0)[0]))) < 1e-12
         assert trace_distance(res.rho_ss, rho0) < 1e-12
 
     @pytest.mark.parametrize("term", ["jump", "sigma-z"])
@@ -410,14 +411,14 @@ class TestTwoAtomSteadyState:
         rho0 = initial_state(cfg, "eg")
         res = steady_state(gen, rho0, residual_tol=1e-10)
         direct = product_basis_steady_state(gen, rho0, residual_tol=1e-10)[0]
-        assert np.max(np.abs(res.rho_ss.matrix - direct.matrix)) < 1e-10
+        assert np.max(np.abs(as_dense(res.rho_ss) - as_dense(direct))) < 1e-10
 
     def test_blocks_below_cap_solve_where_the_full_space_fails(self, monkeypatch):
         # the triplet block has 3 (n_max + 1) states, the product basis 4 (n_max + 1)
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, n_max=12, frame="thermal")
         expected = scenario_steady_state(cfg, "eg")
         monkeypatch.setattr(dynamics, "SPARSE_NULLSPACE_MAX_DIM", 3 * (cfg.n_max + 1))
-        assert np.max(np.abs(scenario_steady_state(cfg, "eg").matrix - expected.matrix)) < 1e-14
+        assert np.max(np.abs(as_dense(scenario_steady_state(cfg, "eg")) - as_dense(expected))) < 1e-14
         gen = build_generator(cfg)
         with pytest.raises(ConvergenceError, match="too large"):
             steady_state_raw(*dense_generator(gen),
@@ -427,4 +428,4 @@ class TestTwoAtomSteadyState:
         cfg = SystemConfig(n_atoms=2, g=0.05, epsilon=2.0, frame="effective-atomic")
         rho = _solve(cfg, "eg")[2].rho_ss
         assert rho.layout.factors == (2, 2)
-        assert np.isclose(np.trace(rho.matrix).real, 1.0)
+        assert np.isclose(np.trace(as_dense(rho)).real, 1.0)

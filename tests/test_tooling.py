@@ -33,21 +33,36 @@ def test_bench_tracer_targets_resolve(tracer):
         assert callable(obj), f"{module}.{name}"
 
 
-def test_traced_fig3_point_checks_every_coherence_gap(tracer):
-    # the hooks read arguments and results: a crash there fails a traced run
+def _traced_fig3_point(tracer, n_th):
+    """(table, per-layer metrics) of one traced e-g fig3 point at n_th."""
     scfg = load_config(None, ["scenario=fig3-thermal", "g=0.1", "initial_list=e-g",
-                              "sweep_param=n_th", "sweep_values=0.5", "timestamp=false"])
+                              "sweep_param=n_th", f"sweep_values={n_th}", "timestamp=false"])
     t = tracer.Tracer()
     t.install()
     try:
         table = t.run_op(0, "fig3", run_scenario, scfg)
     finally:
         t.uninstall()
+    return table, tracer.per_layer_metrics(t, passes=1, wall_s=0.0)
+
+
+def test_traced_fig3_point_checks_every_coherence_gap(tracer):
+    # the hooks read arguments and results: a crash there fails a traced run
+    table, metrics = _traced_fig3_point(tracer, 0.5)
     assert not table.failures
-    metrics = tracer.per_layer_metrics(t, passes=1, wall_s=0.0)
     assert metrics["dynamics.steady_state_raw.calls"] > 0
     assert metrics["sectors.coherence_block_gap.calls"] > 0
     assert metrics["sectors.coherence_block_gap.unchecked"] == 0
+
+
+def test_traced_fig3_point_refused_at_the_cap(tracer):
+    # the steady_state_raw hook also reads a call that raises: n_th 5 is refused
+    # at n_max 256, after the probes below it were solved
+    table, metrics = _traced_fig3_point(tracer, 5.0)
+    assert [msg for _, msg in table.failures] == [
+        "dimension 771 too large for the null-space route"]
+    assert metrics["dynamics.steady_state_raw.route.nullspace"] > 0
+    assert metrics["dynamics.steady_state_raw.max_dim"] == 1028
 
 
 def test_traced_three_atom_steady_point_goes_through_the_collective_basis(tracer):
