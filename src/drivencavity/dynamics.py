@@ -2,14 +2,16 @@
 
 A generator keeps its H and jumps as CSR (`model.Generator`); RK, the
 steady-state solver and `residual_norm` read those, and spectral
-propagation densifies them.  The Lindblad formula is applied in two ways
+propagation densifies them.  The Lindblad formula is applied in three ways
 here.  `liouvillian_matrix_raw` builds the sparse superoperator once per
 call for the Runge-Kutta right-hand side, the null-space LU and the kernel
 projection; `residual_norm` applies the generator to a state with
-sparse-times-dense products and no superoperator.
-Spectral propagation restricts L to the initial state's invariant subspace
-and writes it in orthonormal Hermitian coordinates, where it is real;
-`propagate` takes that route while the subspace is small, and RK otherwise.
+sparse-times-dense products and no superoperator; spectral propagation
+restricts the generator to the initial state's invariant subspace and
+assembles its real matrix in orthonormal Hermitian coordinates directly
+from the k x k restricted operators (`_HermitianBasis`), with no k^2 x k^2
+superoperator.  `propagate` takes that route while the subspace is small,
+and RK otherwise.
 At zero detunings (delta = Delta = 0, as in fig1) a diagonal phase gauge D
 makes iH real, each jump real up to one phase and rho0 real, so complex
 conjugation in that gauge commutes with L and the state stays real symmetric:
@@ -62,7 +64,7 @@ from .hilbert import (DensityMatrix, LayoutError, TOL_POS, collective_basis, den
 from .model import Generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
-SPECTRAL_MAX_SUPPORT = 64           # largest invariant-support dim k for evolve_spectral (k^2 x k^2 eig)
+SPECTRAL_MAX_SUPPORT = 64           # largest support k of evolve_spectral; its eig is k(k+1)/2 or k^2
 _KERNEL_REL_TOL = 1e-10             # relative size of a kernel eigenvalue; 1 / max condition
 _SUPPORT_REL_TOL = 1e-12            # rank cut-off of the invariant-subspace Krylov closure
 _DENSE_KERNEL_MAX = 64              # up to this many rows a kernel is found densely
@@ -244,23 +246,59 @@ def _invariant_support(H, dissipators, rho0) -> np.ndarray:
     return basis
 
 
-def _hermitian_coordinates(k: int) -> sp.csr_matrix:
-    """Unitary T with vec(X) = T x for Hermitian k x k X and real x (row-major vec).
-
-    Columns: E_ii, then (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for
-    i < j.  A Lindblad generator maps Hermitian matrices to Hermitian
-    matrices, so T^dag L T is real.
+class _HermitianBasis:
+    """The first n of the k^2 orthonormal Hermitian basis matrices E_c of
+    k x k matrices: E_ii, then (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2)
+    for i < j.  Each is w E_ij + conj(w) E_ji at one (i, j), i <= j, with
+    w = 1/2, 1/sqrt(2) or i/sqrt(2): vec(E_c) is column c of the unitary T with
+    vec(X) = T x for Hermitian X and real x (row-major vec), and the maps
+    below are T's products, read on those at most two entries.
     """
-    iu, ju = np.triu_indices(k, 1)
-    diag = np.arange(k) * (k + 1)
-    upper, lower = iu * k + ju, ju * k + iu
-    m = iu.size
-    h = 1.0 / np.sqrt(2.0)
-    sym, antisym = k + np.arange(m), k + m + np.arange(m)
-    rows = np.concatenate([diag, upper, lower, upper, lower])
-    cols = np.concatenate([np.arange(k), sym, sym, antisym, antisym])
-    vals = np.concatenate([np.ones(k), np.full(2 * m, h), np.full(m, 1j * h), np.full(m, -1j * h)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
+
+    def __init__(self, k: int, n: int):
+        iu, ju = np.triu_indices(k, 1)
+        h = 1.0 / np.sqrt(2.0)
+        self.k = k
+        self.i = np.concatenate([np.arange(k), iu, iu])[:n]
+        self.j = np.concatenate([np.arange(k), ju, ju])[:n]
+        m = iu.size
+        self.w = np.concatenate([np.full(k, 0.5), np.full(m, h), np.full(m, 1j * h)])[:n]
+
+    def coordinates(self, X) -> np.ndarray:
+        """x_c = Re <E_c, X> of X, or of each matrix of a stack: Re(T^dag vec X)."""
+        i, j, w = self.i, self.j, self.w
+        return (w.conj() * X[..., i, j] + w * X[..., j, i]).real
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """sum_c x_c E_c for real x: T x as a k x k matrix."""
+        Z = np.zeros((self.k, self.k), dtype=complex)
+        np.add.at(Z, (self.i, self.j), self.w * x)
+        return Z + Z.conj().T
+
+    def generator(self, H, dissipators) -> np.ndarray:
+        """Re(T^dag L T) for the Lindblad L of the k x k arrays H and jumps:
+        column c holds the coordinates of L(E_c).
+
+        With P = -iH - sum r A^dag A, L(X) = P X + X P^dag + sum 2r A X A^dag,
+        so for E = w E_ij + conj(w) E_ji, L(E) = F + F^dag with
+        F = w P[:, i] e_j^T + conj(w) P[:, j] e_i^T + sum 2r w A[:, i] A[:, j]^dag.
+        F is formed for k columns at a time, k^3 entries: no array of k^4 or
+        n k^2 entries is made.
+        """
+        k, i, j, w = self.k, self.i, self.j, self.w
+        P = -1j * H - sum(rate * (A.conj().T @ A) for A, rate in dissipators)
+        L = np.empty((i.size, i.size))
+        for lo in range(0, i.size, k):
+            ic, jc, wc = i[lo:lo + k], j[lo:lo + k], w[lo:lo + k]
+            s = np.arange(ic.size)
+            F = np.zeros((ic.size, k, k), dtype=complex)
+            F[s, :, jc] = wc[:, None] * P[:, ic].T
+            F[s, :, ic] += wc.conj()[:, None] * P[:, jc].T
+            for A, rate in dissipators:
+                left, right = A[:, ic].T, A[:, jc].conj().T
+                F += (2.0 * rate * wc)[:, None, None] * left[:, :, None] * right[:, None, :]
+            L[:, lo:lo + k] = self.coordinates(F + F.conj().transpose(0, 2, 1)).T
+        return L
 
 
 def _real_basis(gen: Generator, rho0: np.ndarray, V: np.ndarray):
@@ -323,14 +361,18 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     The state never leaves the smallest subspace S that holds range(rho0) and
     is mapped into itself by H and every jump A and A^dag
     (`_invariant_support`); for all-excited atoms S is the symmetric
-    multiplet times the field.  On S the superoperator is written in
-    orthonormal Hermitian coordinates (`_hermitian_coordinates`), where it is
-    a real k^2 x k^2 matrix, k = dim(S); one real eig of it buys the state at
-    any later time for the cost of a matrix-vector product, so time grids
-    spanning many decades (far beyond what step-by-step integration can
-    afford) come essentially for free.  Where `_real_basis` finds a basis of
-    S on which the state stays real symmetric, only the k(k+1)/2 diagonal
-    and symmetric coordinates are kept, and the eig is that size.  The
+    multiplet times the field.  On S the generator is a real matrix in
+    orthonormal Hermitian coordinates, k^2 of them for k = dim(S); one real
+    eig of it buys the state at any later time for the cost of a
+    matrix-vector product, so time grids spanning many decades (far beyond
+    what step-by-step integration can afford) come essentially for free.
+    Where `_real_basis` finds a basis of S on which the state stays real
+    symmetric, only the k(k+1)/2 diagonal and symmetric coordinates are
+    kept, and the eig is that size.  `_HermitianBasis` assembles that matrix
+    on the kept coordinates from the k x k restricted operators, and maps
+    rho0 to coordinates and x(t) back to V X V^dag, each coordinate read on
+    at most two matrix entries: no k^2 x k^2 superoperator is built, and
+    what the route holds at once is a few arrays of the eig's size.  The
     coordinates x(t) are real up to round-off; an imaginary part above 1e-6
     of max |x(t)| means the eigenbasis is too ill-conditioned and raises
     EvolutionError.  The 1-norm condition estimate of the eigenvector
@@ -358,17 +400,17 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
     else:  # X(t) is real symmetric: its diagonal and symmetric coordinates
         V, n = real, k * (k + 1) // 2
     Vd = V.conj().T
-    T = _hermitian_coordinates(k)[:, :n]
-    Td = T.conj().T
-    L = liouvillian_matrix_raw(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators]).toarray()
-    L = np.ascontiguousarray((Td @ (T.T @ L.T).T).real)  # Re(T^dag L T); frees the complex L
+    basis = _HermitianBasis(k, n)
+    L = basis.generator(Vd @ H @ V, [(Vd @ A @ V, r) for A, r in dissipators])
     vals, vecs = np.linalg.eig(L)
+    del L  # L, then the LU, are freed once used: the states share memory with vecs only
     # clip tiny positive real parts (numerical noise) so nothing grows
     vals = np.where(vals.real > 0, 1j * vals.imag, vals)
     lu = la.lu_factor(vecs)
     gecon, = la.get_lapack_funcs(("gecon",), (lu[0],))
     rcond, _ = gecon(lu[0], np.linalg.norm(vecs, 1))
-    coeff = la.lu_solve(lu, (Td @ (Vd @ m0 @ V).ravel()).real)
+    coeff = la.lu_solve(lu, basis.coordinates(Vd @ m0 @ V))
+    del lu
 
     stats = IntegratorStats(support_dim=k, coordinates=n,
                             eigvec_cond=1.0 / rcond if rcond > 0 else np.inf)
@@ -377,7 +419,7 @@ def evolve_spectral(gen: Generator, rho0: DensityMatrix, t_grid) -> Trajectory:
         x = vecs @ (np.exp(vals * t) * coeff)
         asym = float(np.max(np.abs(x.imag)) / np.max(np.abs(x)))
         stats.max_herm_asym = max(stats.max_herm_asym, asym)
-        m = V @ (T @ x.real).reshape(k, k) @ Vd
+        m = V @ basis.matrix(x.real) @ Vd
         m = 0.5 * (m + m.conj().T)
         drift = abs(np.trace(m).real - 1.0)
         stats.max_trace_drift = max(stats.max_trace_drift, drift)
@@ -451,8 +493,8 @@ def liouvillian_matrix_raw(H, dissipators, pairs=None) -> sp.csr_matrix:
     the pairs each row reaches ascending (`_kron_on`: sorted, or block by
     block), each term is built on those rows and columns only and summed in
     the same order, so L equals the whole L sliced to `pairs`, entry for
-    entry.  The whole L takes `sp.kron`, which is faster there, above all
-    on the dense operators `evolve_spectral` passes.
+    entry.  The whole L, which RK integrates with, takes `sp.kron`, which is
+    faster there.
     """
     H = sp.csr_matrix(H, dtype=complex)
     kron = sp.kron if pairs is None else _kron_on(pairs, H.shape[0])
@@ -653,7 +695,9 @@ def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray, cap=None):
     entries, plus a chain through the columns of each row of each A.  A pair
     of components (a, b) stands for every (i, j) with i in a and j in b; the H
     and A^dag A terms never leave it.  kron(A, conj A) links (a, b) to
-    (a', b') when A links a to a' and b to b'.  In that quotient graph:
+    (a', b') when A links a to a' and b to b'; a jump whose links are
+    another's reversed (the thermal frame's a and a^dag) adds the same weak
+    edges, so each undirected relation is built once.  In that quotient graph:
     `pairs` are the sorted vec indices i d + j of the component pairs
     connected to the ones rho0's entries lie in; `blocks` are L's weakly
     connected blocks on them, one per reached component, as ascending index
@@ -683,7 +727,12 @@ def _reachable_blocks(H, jumps, rows: np.ndarray, cols: np.ndarray, cap=None):
     if cap is not None and d > cap:  # else largest <= d is within the cap
         _check_cap(_cap_bound(comp[rows[rows == cols]], size, links), cap)
     src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    relations = set()
     for a, b in links:
+        key = (a * m + b).tobytes()  # sorted by np.unique
+        if key in relations:
+            continue
+        relations.update((key, np.sort(b * m + a).tobytes()))
         src.append((a[:, None] * m + a).ravel())
         dst.append((b[:, None] * m + b).ravel())
     label = _labels(np.concatenate(src), np.concatenate(dst), m * m)

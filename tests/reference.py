@@ -3,6 +3,8 @@
 Operators are built factor by factor with identities (`embed`), and the
 Lindblad formula is applied with dense products (`apply_generator`): an
 assembly independent of the package's sparse construction from factors.
+`hermitian_coordinates` is the unitary T whose entries the package's
+spectral route reads without forming it.
 The dense formulas the package's block-wise and diagonal ones must equal
 entry for entry live here too: `dense_sandwich`, `dense_partial_trace`,
 `dense_field_statistics`.
@@ -11,6 +13,7 @@ entry for entry live here too: `dense_sandwich`, `dense_partial_trace`,
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from drivencavity.hilbert import HilbertLayout, annihilation, to_array
@@ -71,6 +74,25 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
 def dense_generator(gen):
     """The generator's H and (jump, rate) pairs as dense arrays."""
     return gen.H.toarray(), [(A.toarray(), rate) for A, rate in gen.jumps]
+
+
+def hermitian_coordinates(k: int) -> sp.csr_matrix:
+    """Unitary T with vec(X) = T x for Hermitian k x k X and real x (row-major vec).
+
+    Columns: E_ii, then (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for
+    i < j.  A Lindblad generator maps Hermitian matrices to Hermitian
+    matrices, so T^dag L T is real.
+    """
+    iu, ju = np.triu_indices(k, 1)
+    diag = np.arange(k) * (k + 1)
+    upper, lower = iu * k + ju, ju * k + iu
+    m = iu.size
+    h = 1.0 / np.sqrt(2.0)
+    sym, antisym = k + np.arange(m), k + m + np.arange(m)
+    rows = np.concatenate([diag, upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(k), sym, sym, antisym, antisym])
+    vals = np.concatenate([np.ones(k), np.full(2 * m, h), np.full(m, 1j * h), np.full(m, -1j * h)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
 
 
 def apply_generator(gen, rho) -> np.ndarray:

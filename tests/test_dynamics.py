@@ -40,12 +40,13 @@ from drivencavity.dynamics import (
     ConvergenceError,
     DegenerateSteadyStateError,
     EvolutionError,
-    _hermitian_coordinates,
+    _HermitianBasis,
     _invariant_support,
     _normalize_kernel_vector,
     _real_basis,
     _cap_bound,
     _inverse_norm_estimate,
+    _labels,
     _reachable_blocks,
     _trace_constrained,
     _unique_fixed_point,
@@ -59,7 +60,7 @@ from drivencavity.dynamics import (
     steady_state_raw,
 )
 from reference import (apply_generator, as_dense, dense_generator, dense_partial_trace,
-                       dense_sandwich, field_annihilation, number_operator)
+                       dense_sandwich, field_annihilation, hermitian_coordinates, number_operator)
 
 rng = np.random.default_rng(23)
 
@@ -396,6 +397,27 @@ class TestPropagate:
         propagate(build_generator(cfg), rho0, t_grid, tol=scfg.integrator_tol)
 
 
+def test_spectral_route_holds_less_than_one_superoperator(monkeypatch):
+    # fig1's N = 3 start: k = 28, 406 coordinates.  The real generator is
+    # assembled on them without L: not one complex k^2 x k^2 array is held
+    scfg = load_config(None, ("scenario=fig1-purity",))
+    cfg = scfg.system(n_atoms=3, n_max=6, frame="displaced")
+    gen = build_generator(cfg)
+    rho0 = initial_state(cfg, "eee", field=empty_cavity_field(cfg))
+    t_grid = np.concatenate(([0.0], log_grid(scfg.t_lo, scfg.t_hi, scfg.points_per_decade)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral route built a superoperator")
+
+    monkeypatch.setattr(dynamics, "liouvillian_matrix_raw", refuse)
+    evolve_spectral(gen, rho0, t_grid[:2])
+    trajectories = []
+    peak, _ = _peak_bytes(lambda: trajectories.append(evolve_spectral(gen, rho0, t_grid)))
+    k = trajectories[0].stats.support_dim
+    assert (k, trajectories[0].stats.coordinates) == (28, 406)
+    assert peak < 16 * k**4
+
+
 FRAME_CONFIGS = [
     SystemConfig(n_atoms=2, g=0.3, epsilon=0.6, delta=0.2, delta_atom=0.1, n_max=3,
                  frame="lab-rotating"),
@@ -617,21 +639,84 @@ class TestReachablePairs:
         assert pairs.size == unknowns
         assert largest == 3 * (cfg.n_max + 1)  # the triplet block
 
+    @pytest.mark.parametrize("atoms", ["eg", "gg"])
+    def test_reversed_jumps_share_their_quotient_edges(self, atoms, monkeypatch):
+        # the thermal frame's a and a^dag link the components each the other's
+        # way round: the quotient graph built once for both has the weak
+        # components of the graph built for each
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=3.0, n_max=116, frame="thermal")
+        H, jumps, rho0 = _collective_problem(cfg, atoms)
+        jumps = [(A, r) for A, r in jumps if r != 0]
+        assert len(jumps) == 2
+        graphs = []
+        monkeypatch.setattr(dynamics, "_labels",
+                            lambda *graph: graphs.append(graph) or _labels(*graph))
+        _reachable_blocks(H, jumps, *np.nonzero(rho0))
+        assert len(graphs) == 2  # the d states' components, then the quotient graph
+        comp = _labels(*graphs[0])
+        src, dst, nodes = graphs[1]
+        m = comp.max() + 1
+        every_src, every_dst = [], []
+        for A, _ in jumps:
+            A = A.tocoo()
+            a, b = np.divmod(np.unique(comp[A.row] * m + comp[A.col]), m)
+            every_src.append((a[:, None] * m + a).ravel())
+            every_dst.append((b[:, None] * m + b).ravel())
+        every_src, every_dst = np.concatenate(every_src), np.concatenate(every_dst)
+        assert 2 * src.size == every_src.size
+        built, every = _labels(src, dst, nodes), _labels(every_src, every_dst, nodes)
+        # the same partition of the m^2 component pairs
+        joint = np.unique(built * nodes + every)
+        assert joint.size == np.unique(built).size == np.unique(every).size
 
-class TestHermitianCoordinates:
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_unitary_onto_hermitian_matrices(self, k):
-        T = _hermitian_coordinates(k).toarray()
-        assert T.shape == (k * k, k * k)
-        assert np.max(np.abs(T.conj().T @ T - np.eye(k * k))) < 1e-15
-        x = (T @ rng.normal(size=k * k)).reshape(k, k)
-        assert np.max(np.abs(x - x.conj().T)) < 1e-15
 
+class TestHermitianBasis:
+    """The spectral route's real generator, assembled on its kept coordinates,
+    and its coordinate maps, against the unitary T of `reference`."""
+
+    @pytest.mark.parametrize("n", ["k(k+1)/2", "k^2"])
     @pytest.mark.parametrize("cfg", FRAME_CONFIGS, ids=lambda cfg: cfg.frame)
-    def test_liouvillian_is_real(self, cfg):
-        L = liouvillian_matrix_raw(*dense_generator(build_generator(cfg))).toarray()
-        T = _hermitian_coordinates(cfg.layout().dim).toarray()
-        assert np.max(np.abs((T.conj().T @ L @ T).imag)) <= 1e-14 * np.max(np.abs(L))
+    def test_generator_is_the_projected_liouvillian(self, cfg, n):
+        H, jumps = dense_generator(build_generator(cfg))
+        k = H.shape[0]
+        n = k * (k + 1) // 2 if n == "k(k+1)/2" else k * k
+        T = hermitian_coordinates(k)[:, :n].toarray()
+        L = liouvillian_matrix_raw(H, jumps).toarray()
+        projected = T.conj().T @ L @ T
+        scale = np.max(np.abs(L))
+        assert np.max(np.abs(projected.imag)) <= 1e-14 * scale
+        assert np.max(np.abs(_HermitianBasis(k, n).generator(H, jumps) - projected.real)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", [2, 6])   # at k = 1, L = 0
+    def test_generator_of_complex_operators(self, k):
+        # the restricted operators V^dag A V are complex where the frames' are real
+        def complex_matrix():
+            return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+        H = complex_matrix()
+        H = H + H.conj().T
+        jumps = [(complex_matrix(), 0.4), (complex_matrix(), 1.3)]
+        T = hermitian_coordinates(k).toarray()
+        L = liouvillian_matrix_raw(H, jumps).toarray()
+        got = _HermitianBasis(k, k * k).generator(H, jumps)
+        assert np.max(np.abs(got - (T.conj().T @ L @ T).real)) <= 1e-14 * np.max(np.abs(L))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_coordinate_maps_round_trip(self, k):
+        T = hermitian_coordinates(k).toarray()
+        assert np.max(np.abs(T.conj().T @ T - np.eye(k * k))) < 1e-15
+        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        X = a + a.conj().T
+        basis = _HermitianBasis(k, k * k)
+        x = basis.coordinates(X)
+        assert np.max(np.abs(x - (T.conj().T @ X.ravel()).real)) < 1e-14 * np.max(np.abs(X))
+        assert np.max(np.abs(basis.matrix(x) - X)) < 1e-14 * np.max(np.abs(X))
+        y = rng.normal(size=k * k)
+        assert np.array_equal(basis.matrix(y), (T @ y).reshape(k, k))
+        # a real symmetric X lies in the span of the first k(k+1)/2
+        reduced = _HermitianBasis(k, k * (k + 1) // 2)
+        assert np.max(np.abs(reduced.matrix(reduced.coordinates(X.real)) - X.real)) \
+            < 1e-14 * np.max(np.abs(X))
 
 
 class TestSteadyState:
