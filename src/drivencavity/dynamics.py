@@ -4,9 +4,10 @@ A generator keeps its H and jumps as CSR (`model.Generator`); RK, the
 steady-state solver and `residual_norm` read those, and spectral
 propagation densifies them.  The Lindblad formula is applied in three ways
 here.  `liouvillian_matrix_raw` builds the sparse superoperator once per
-call for the Runge-Kutta right-hand side, the null-space LU and the kernel
-projection; `residual_norm` applies the generator to a state with
-sparse-times-dense products and no superoperator; spectral propagation
+call, one `hilbert.kron_sum` of its terms, on all d^2 vec indices for the
+Runge-Kutta right-hand side and on the reachable pairs for the null-space
+LU and the kernel projection; `residual_norm` applies the generator to a
+state with sparse-times-dense products and no superoperator; spectral propagation
 restricts the generator to the initial state's invariant subspace and
 assembles its real matrix in orthonormal Hermitian coordinates directly
 from the k x k restricted operators (`_HermitianBasis`), with no k^2 x k^2
@@ -35,9 +36,9 @@ them (a conserved singlet, a weak U(1) charge difference; found without
 symmetry labels) and the largest Hilbert block, which the cap bounds; where
 the whole space exceeds the cap, a block above it is already found on the
 jump links between the components, before the quotient graph is built.  L
-is built on those pairs only, block after block, so each block is a run of
-its CSR rows.  Every block has one certificate: one sparse LU (`_factor`,
-SuperLU's symmetric mode) and ||A||_1 times Higham's estimate of ||A^-1||_1
+is built on those pairs only (`kron_sum` with `rows`), block after block,
+so each block is a run of its CSR rows.  Every block has one certificate:
+one sparse LU (`_factor`, SuperLU's symmetric mode) and ||A||_1 times Higham's estimate of ||A^-1||_1
 on it (LAPACK gecon's estimator, about 5 solves) below 1 / _KERNEL_REL_TOL.
 A block with diagonal entries factors its trace-constrained Liouvillian M,
 the trace row spliced into its CSR arrays, and passes with a unique fixed
@@ -59,8 +60,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .hilbert import (DensityMatrix, LayoutError, TOL_POS, collective_basis, dense_if_full,
-                      from_collective_basis, to_array, to_collective_basis)
+from .hilbert import (DensityMatrix, LayoutError, TOL_POS, _ragged, collective_basis,
+                      dense_if_full, from_collective_basis, kron_sum, to_array,
+                      to_collective_basis)
 from .model import Generator
 
 SPARSE_NULLSPACE_MAX_DIM = 650      # sparse LU of the trace-constrained system
@@ -449,62 +451,25 @@ def propagate(gen: Generator, rho0: DensityMatrix, t_grid, tol: float) -> Trajec
         return evolve(gen, rho0, t_grid, tol=tol)
 
 
-def _ragged(counts: np.ndarray):
-    """(owner, offset) of each of sum(counts) items, counts[k] of them owned by k."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-
-
-def _kron_on(pairs: np.ndarray, d: int):
-    """kron(X, Y) restricted to the rows and columns `pairs`, vec indices
-    i d + j that hold every pair their rows reach, for d x d sparse X and Y.
-
-    Row (i, j) holds X[i, k] Y[j, l] at column (k, l), in ascending (k, l):
-    each entry is the one product that `sp.kron` stores there.  `pairs` may
-    come in any order in which the pairs one row reaches keep their sorted
-    order, so that each row's columns ascend: sorted, or grouped by the
-    blocks of L, each block ascending.
-    """
-    i, j = np.divmod(pairs, d)
-    position = np.empty(d * d, dtype=np.int32)  # of each vec index in pairs
-    position[pairs] = np.arange(pairs.size)
-
-    def kron(X, Y):
-        X, Y = X.tocsr(), Y.tocsr()
-        X.sort_indices()
-        Y.sort_indices()
-        nx, ny = np.diff(X.indptr)[i], np.diff(Y.indptr)[j]
-        row, t = _ragged(nx * ny)
-        dx, dy = np.divmod(t, ny[row])
-        px, py = X.indptr[i][row] + dx, Y.indptr[j][row] + dy
-        cols = position[X.indices[px] * d + Y.indices[py]]
-        indptr = np.concatenate(([0], np.cumsum(nx * ny)))
-        return sp.csr_matrix((X.data[px] * Y.data[py], cols, indptr), shape=(pairs.size,) * 2)
-
-    return kron
-
-
-def liouvillian_matrix_raw(H, dissipators, pairs=None) -> sp.csr_matrix:
+def liouvillian_matrix_raw(H, dissipators, rows=None) -> sp.csr_matrix:
     """Sparse superoperator acting on row-major vec(X): vec(A X B) = kron(A, B^T) vec(X).
 
     dX/dt = -i[H, X] + sum_k rate_k (2 A_k X A_k^dag - A_k^dag A_k X - X A_k^dag A_k).
-    H and the jumps may be dense or sparse.  With `pairs`, vec indices
-    i d + j that hold every pair their rows reach, in an order that keeps
-    the pairs each row reaches ascending (`_kron_on`: sorted, or block by
-    block), each term is built on those rows and columns only and summed in
-    the same order, so L equals the whole L sliced to `pairs`, entry for
-    entry.  The whole L, which RK integrates with, takes `sp.kron`, which is
-    faster there.
+    H and the jumps may be dense or sparse.  One `kron_sum` of the terms
+    (-i, H, 1), (i, 1, H^T) and, per jump, (2 rate, A, conj A),
+    (-rate, A^dag A, 1), (-rate, 1, (A^dag A)^T), on all d^2 vec indices or
+    on `rows`, vec indices i d + j in any order: each entry sums its terms
+    in that order, so L on `rows` is the whole L sliced to them, entry for
+    entry.
     """
     H = sp.csr_matrix(H, dtype=complex)
-    kron = sp.kron if pairs is None else _kron_on(pairs, H.shape[0])
     eye = sp.identity(H.shape[0], format="csr", dtype=complex)
-    L = -1j * (kron(H, eye) - kron(eye, H.T))
+    terms = [(-1j, H, eye), (1j, eye, H.T)]
     for A, rate in dissipators:
         A = sp.csr_matrix(A, dtype=complex)
         AdA = A.conj().T @ A
-        L = L + rate * (2.0 * kron(A, A.conj()) - kron(AdA, eye) - kron(eye, AdA.T))
-    return L.tocsr()
+        terms += [(2.0 * rate, A, A.conj()), (-rate, AdA, eye), (-rate, eye, AdA.T)]
+    return kron_sum(terms, H.shape[0], rows)
 
 
 def _normalize_kernel_vector(x: np.ndarray, pairs: np.ndarray, dim: int):

@@ -7,7 +7,9 @@ then atoms 1..N.  An operator is a plain matrix: a Lindblad generator
 dense complex array.  A state is held in the form it is made in: a product
 initial state and a steady state as canonical CSR, a propagated state and a
 reduced (pair, field or atom-only) state as an array.  `to_collective_basis`
-and `from_collective_basis` rotate a matrix block by block, as CSR.
+and `from_collective_basis` rotate a matrix block by block, as CSR.  Every
+sparse sum of Kronecker products, a generator's operator, a product state
+or a Liouvillian, is built by one assembler, `kron_sum`.
 
 In the collective (Dicke) basis of the atoms (`collective_basis`) every
 operator built from S_+/-, S_z is block diagonal (Shammah et al., PRA 98,
@@ -92,6 +94,64 @@ def _as_matrix(entries, dim: int):
     else:
         m.flags.writeable = False
     return m
+
+
+def _ragged(counts: np.ndarray):
+    """(owner, offset) of each of sum(counts) items, counts[k] of them owned by k."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+def _row_entries(m):
+    """(indptr, indices, values) of m row by row, complex: a sparse m's stored
+    entries, an array's nonzero ones."""
+    if sp.issparse(m):
+        m = m.tocsr()
+        return m.indptr, m.indices, m.data.astype(complex, copy=False)
+    rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
+    return np.searchsorted(rows, np.arange(m.shape[0] + 1)), cols, m[rows, cols].astype(complex)
+
+
+def kron_sum(terms, n_right: int, rows=None) -> sp.csr_matrix:
+    """sum of c kron(X, Y) over the terms (c, X, Y), as canonical CSR.
+
+    X and Y are square, Y of size n_right: a sparse matrix gives its stored
+    entries, an array its nonzero ones (`_row_entries`); a term of
+    coefficient 0 is left out.  With `rows`, vec indices i n_right + j in any
+    order, the result is the sum restricted to those rows and columns, in
+    that order: entry (a, b) at (rows[a], rows[b]).  Each entry X[i, k]
+    Y[j, l] c is gathered from the rows of X and Y, and the products that
+    share an entry are summed left to right in term order; zero sums are not
+    stored.  So the restricted sum is the whole sum sliced, entry for entry.
+    """
+    n = terms[0][1].shape[0] * n_right
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    position = np.full(n, -1, dtype=np.int32)  # of each vec index in rows, -1 outside
+    position[rows] = np.arange(rows.size)
+    i, j = np.divmod(rows, n_right)
+    keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for c, X, Y in terms:
+        if c == 0:
+            continue
+        (xp, xc, xv), (yp, yc, yv) = _row_entries(X), _row_entries(Y)
+        nx, ny = np.diff(xp)[i], np.diff(yp)[j]
+        row, t = _ragged(nx * ny)
+        dx, dy = np.divmod(t, ny[row])
+        px, py = xp[i][row] + dx, yp[j][row] + dy
+        col = position[xc[px] * n_right + yc[py]]
+        kept = col >= 0
+        keys.append(row[kept] * rows.size + col[kept])
+        vals.append(xv[px[kept]] * yv[py[kept]] * complex(c))
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if first.size:
+        key, val = key[first], np.add.reduceat(val, first)
+    live = val != 0
+    r, col = np.divmod(key[live], rows.size)
+    return sp.csr_matrix((val[live], col, np.searchsorted(r, np.arange(rows.size + 1))),
+                         shape=(rows.size,) * 2)
 
 
 def annihilation(n_max: int) -> np.ndarray:

@@ -19,8 +19,11 @@ from .hilbert import (
     HilbertLayout,
     LayoutError,
     TOL_HERM,
+    _as_matrix,
+    annihilation,
     coherent_vector,
     fock_vector,
+    kron_sum,
     max_asymmetry,
 )
 
@@ -105,26 +108,17 @@ def derived_params(cfg: SystemConfig) -> DerivedParams:
 class Generator:
     """One Liouvillian: a Hamiltonian plus (jump operator, rate) pairs on `layout`.
 
-    Stored once, as canonical CSR matrices: `H` and `jumps`, with sorted
-    indices, no duplicates and no stored zeros, so `H` is the
-    `scipy.sparse.csr_matrix` of `H.toarray()` entry for entry.  The
-    operators may be given as sparse matrices or as arrays.
+    Stored once, as read-only canonical CSR matrices (`hilbert._as_matrix`):
+    `H` and `jumps`, with sorted indices, no duplicates and no stored zeros,
+    so `H` is the `scipy.sparse.csr_matrix` of `H.toarray()` entry for entry.
+    The operators may be given as sparse matrices or as arrays.
     """
 
     def __init__(self, H, jumps, layout: HilbertLayout):
         self.layout = layout
 
         def canonical(op):
-            m = op if isinstance(op, sp.csr_matrix) and op.dtype == complex else sp.csr_matrix(
-                op, dtype=complex)
-            if m.shape != (layout.dim,) * 2:
-                raise LayoutError(f"operator shape {m.shape} does not match layout "
-                                  f"dimension {layout.dim}")
-            if not (m.has_canonical_format and m.data.all()):
-                m = m.copy()
-                m.sum_duplicates()
-                m.eliminate_zeros()
-            return m
+            return _as_matrix(op if sp.issparse(op) else sp.csr_matrix(op), layout.dim)
 
         self.H = canonical(H)
         self.jumps = tuple((canonical(jump), rate) for jump, rate in jumps)
@@ -135,27 +129,18 @@ class Generator:
                 raise ValueError(f"dissipator rate must be nonnegative, got {rate}")
 
 
-# A factor is (rows, cols, values) of a sparse matrix on the field's n_max + 1
-# levels or on the 2^N atom states; a term c F (x) S of an operator is
-# (c, F, S).  A layout without a field takes the 1 x 1 identity for F.
-def _eye(d: int):
-    return np.arange(d), np.arange(d), np.ones(d, dtype=complex)
-
-
+# A factor is an array on the field's n_max + 1 levels or on the 2^N atom
+# states, nothing of the product space's size; a term c F (x) S of an
+# operator is (c, F, S), whose adjoint takes the views F.conj().T and
+# S.conj().T.  A layout without a field takes the 1 x 1 identity for F.
 def _field_eye(layout: HilbertLayout):
-    return _eye(layout.fock_dim if layout.has_field else 1)
-
-
-def _ladder(n_max: int):
-    """a: a|n> = sqrt(n)|n-1>."""
-    n = np.arange(1, n_max + 1)
-    return n - 1, n, np.sqrt(n).astype(complex)
+    return np.eye(layout.fock_dim if layout.has_field else 1, dtype=complex)
 
 
 def _number(n_max: int):
     """a^dag a, each entry conj(sqrt n) sqrt n."""
-    _, n, s = _ladder(n_max)
-    return n, n, s.conj() * s
+    s = np.sqrt(np.arange(n_max + 1)).astype(complex)
+    return np.diag(s.conj() * s)
 
 
 def _raising(n_atoms: int):
@@ -163,49 +148,15 @@ def _raising(n_atoms: int):
     x = np.arange(2**n_atoms)
     bits = 1 << np.arange(n_atoms)
     g, bit = np.nonzero(x[:, None] & bits)   # atom `bit` of state g is in |g>
-    return x[g] ^ bits[bit], x[g], np.full(g.size, 1.0 / math.sqrt(n_atoms), dtype=complex)
+    m = np.zeros((x.size, x.size), dtype=complex)
+    m[x[g] ^ bits[bit], x[g]] = 1.0 / math.sqrt(n_atoms)
+    return m
 
 
 def _sz(n_atoms: int):
     """S_z = sum_j sigma_z^j (no 1/sqrt(N)): N minus twice the ground atoms."""
-    x = np.arange(2**n_atoms)
-    ground = np.array([bin(c).count("1") for c in x])
-    return x, x, (n_atoms - 2 * ground).astype(complex)
-
-
-def _dag(factor):
-    rows, cols, vals = factor
-    return cols, rows, vals.conj()
-
-
-def _assemble(layout: HilbertLayout, terms, plus_hc=()) -> sp.csr_matrix:
-    """sum of c F (x) S over `terms`, then each of `plus_hc` followed by its
-    adjoint, as one canonical CSR construction.
-
-    Each entry is F[i, k] S[j, l] times c, the product the dense Kronecker
-    construction makes, and the terms that share an entry are summed in that
-    order.  Terms of coefficient 0 are left out, and so are zero sums.
-    """
-    a, d = 2**layout.atom_count, layout.dim
-    keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for hc, (c, F, S) in [(False, t) for t in terms] + [(True, t) for t in plus_hc]:
-        if c == 0:
-            continue
-        r = (F[0][:, None] * a + S[0]).ravel()
-        k = (F[1][:, None] * a + S[1]).ravel()
-        v = (F[2][:, None] * S[2]).ravel() * complex(c)
-        keys += [r * d + k, k * d + r] if hc else [r * d + k]
-        vals += [v, v.conj()] if hc else [v]
-    key, val = np.concatenate(keys), np.concatenate(vals)
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], val[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    if first.size:
-        key, val = key[first], np.add.reduceat(val, first)
-    live = val != 0
-    rows, cols = np.divmod(key[live], d)
-    return sp.csr_matrix((val[live], cols, np.searchsorted(rows, np.arange(d + 1))),
-                         shape=(d, d))
+    ground = np.array([bin(c).count("1") for c in range(2**n_atoms)])
+    return np.diag((n_atoms - 2 * ground).astype(complex))
 
 
 def build_generator(cfg: SystemConfig) -> Generator:
@@ -217,27 +168,31 @@ def build_generator(cfg: SystemConfig) -> Generator:
     (a, kappa); thermal has the jumps (a, n_th + 1) and (a^dag, n_th).
     effective-atomic, the field adiabatically eliminated at delta = 0:
     H = (Delta/2) S_z + Omega S_+ + h.c., jump (S_-, g^2 N / kappa).
-    The field factors a and a^dag a and the collective S_+ and S_z are sparse
-    on their own spaces; nothing dense is made on the product space.
+    The field factors a and a^dag a and the collective S_+ and S_z are arrays
+    on their own spaces, and each operator is one `kron_sum` of its terms,
+    each h.c. term (c, F, S) followed by (conj c, F^dag, S^dag): nothing dense
+    is made on the product space.
     """
     layout = cfg.layout()
     n = cfg.n_atoms
-    eye_f, eye_a, raising = _field_eye(layout), _eye(2**n), _raising(n)
+    eye_f, eye_a, raising = _field_eye(layout), np.eye(2**n, dtype=complex), _raising(n)
     sz = (0.5 * cfg.delta_atom, eye_f, _sz(n))
 
     def op(terms, plus_hc=()):
-        return _assemble(layout, terms, plus_hc)
+        hc = [t for c, F, S in plus_hc
+              for t in ((c, F, S), (complex(c).conjugate(), F.conj().T, S.conj().T))]
+        return kron_sum(list(terms) + hc, 2**n)
 
     if cfg.frame == "effective-atomic":
         params = derived_params(cfg)
         return Generator(op([sz], [(params.omega_drive, eye_f, raising)]),
-                         [(op([(1.0, eye_f, _dag(raising))]), params.gamma_eff)], layout)
-    a = _ladder(cfg.n_max)
+                         [(op([(1.0, eye_f, raising.conj().T)]), params.gamma_eff)], layout)
+    a = annihilation(cfg.n_max)
     half = (cfg.g * math.sqrt(n), a, raising)
     jump = op([(1.0, a, eye_a)])
     if cfg.frame == "thermal":
         return Generator(op([sz], [half]), [(jump, cfg.n_th + 1.0),
-                                            (op([(1.0, _dag(a), eye_a)]), cfg.n_th)], layout)
+                                            (op([(1.0, a.conj().T, eye_a)]), cfg.n_th)], layout)
     if cfg.frame == "lab-rotating":
         drive = (cfg.epsilon, a, eye_a)
     else:
@@ -272,7 +227,7 @@ def initial_state(cfg: SystemConfig, atoms, field="vacuum") -> DensityMatrix:
     coherent amplitude, or an explicit vector/matrix.  Ignored for the
     atoms-only frame, whose state is an array.  With a field the state is
     the Kronecker product of the field's and the atoms' nonzero entries as
-    CSR (`_kron_csr`): each entry the product `np.kron` forms there, and no
+    CSR (`kron_sum`): each entry the product `np.kron` forms there, and no
     dim^2 array is made.
     """
     layout = cfg.layout()
@@ -286,46 +241,17 @@ def initial_state(cfg: SystemConfig, atoms, field="vacuum") -> DensityMatrix:
 
     dim_f = cfg.n_max + 1
     if isinstance(field, str) and field == "thermal":
-        n = np.arange(dim_f)
-        field_entries = n, n, thermal_populations(cfg.n_th, cfg.n_max).astype(complex)
+        rho_f = sp.diags(thermal_populations(cfg.n_th, cfg.n_max).astype(complex))
     else:
         if isinstance(field, str) and field == "vacuum":
-            fv = fock_vector(dim_f, 0)
-            rho_f = np.outer(fv, fv.conj())
+            fm = fock_vector(dim_f, 0)
         elif isinstance(field, (int, np.integer)):
-            fv = fock_vector(dim_f, int(field))
-            rho_f = np.outer(fv, fv.conj())
+            fm = fock_vector(dim_f, int(field))
         elif isinstance(field, (float, complex)):
-            fv = coherent_vector(complex(field), dim_f)
-            rho_f = np.outer(fv, fv.conj())
+            fm = coherent_vector(complex(field), dim_f)
         else:
             fm = np.asarray(field, dtype=complex)
             if fm.ndim == 1:
                 fm = fm / np.linalg.norm(fm)
-                rho_f = np.outer(fm, fm.conj())
-            else:
-                rho_f = fm
-        field_entries = _nonzero_entries(rho_f)
-    return DensityMatrix.from_matrix(
-        layout, _kron_csr(field_entries, _nonzero_entries(rho_at), dim_f, rho_at.shape[0]))
-
-
-def _nonzero_entries(m: np.ndarray):
-    """(rows, cols, values) of the nonzero entries of the array m."""
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
-
-
-def _kron_csr(F, S, nf: int, a: int) -> sp.csr_matrix:
-    """kron of an nf x nf and an a x a matrix, each given by its nonzero
-    entries (rows, cols, values), as canonical CSR: each entry F[i, k] S[j, l],
-    the product `np.kron` forms there."""
-    (fr, fc, fv), (sr, sc, sv) = F, S
-    d = nf * a
-    key = ((fr[:, None] * a + sr) * d + fc[:, None] * a + sc).ravel()
-    val = (fv[:, None] * sv).ravel()
-    order = np.argsort(key)
-    key, val = key[order], val[order]
-    live = val != 0  # a product may underflow
-    rows, cols = np.divmod(key[live], d)
-    return sp.csr_matrix((val[live], cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))
+        rho_f = np.outer(fm, fm.conj()) if fm.ndim == 1 else fm
+    return DensityMatrix.from_matrix(layout, kron_sum([(1.0, rho_f, rho_at)], rho_at.shape[0]))

@@ -343,13 +343,16 @@ def choose_truncation(cfg: SystemConfig, solve, tol: float = 1e-6):
 
     Probing starts at n_max 4, or in the thermal frame where the thermal
     occupancy tail drops below 10 tol, and doubles n_max while it is at most
-    256, so the largest n_max probed is at most 512.  TruncationError names
-    the largest one probed.
+    256, so the largest n_max probed is at most 512.  A thermal start above
+    256 raises TruncationError naming it, before any solve; otherwise
+    TruncationError names the largest n_max probed.
     """
     n = 4
     if cfg.frame == "thermal":
         n = 2 if cfg.n_th <= 0 else max(
             2, math.ceil(math.log(10.0 * tol) / math.log(cfg.n_th / (cfg.n_th + 1.0))))
+        if n > 256:
+            raise TruncationError(f"thermal tail needs n_max {n} to start, above 256")
 
     def probe(n_max):
         c = replace(cfg, n_max=n_max)

@@ -4,7 +4,9 @@ Operators are built factor by factor with identities (`embed`), and the
 Lindblad formula is applied with dense products (`apply_generator`): an
 assembly independent of the package's sparse construction from factors.
 `hermitian_coordinates` is the unitary T whose entries the package's
-spectral route reads without forming it.
+spectral route reads without forming it.  `kron_sum_oracle` and
+`liouvillian_oracle` build Kronecker sums with `scipy.sparse.kron`, the
+oracle of the package's one gather-and-reduce assembler.
 The dense formulas the package's block-wise and diagonal ones must equal
 entry for entry live here too: `dense_sandwich`, `dense_partial_trace`,
 `dense_field_statistics`.
@@ -93,6 +95,26 @@ def hermitian_coordinates(k: int) -> sp.csr_matrix:
     cols = np.concatenate([np.arange(k), sym, sym, antisym, antisym])
     vals = np.concatenate([np.ones(k), np.full(2 * m, h), np.full(m, 1j * h), np.full(m, -1j * h)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
+
+
+def kron_sum_oracle(terms) -> sp.csr_matrix:
+    """sum of c kron(X, Y) over the terms (c, X, Y), by `scipy.sparse.kron`."""
+    return sum(complex(c) * sp.kron(sp.csr_matrix(X, dtype=complex),
+                                    sp.csr_matrix(Y, dtype=complex), format="csr")
+               for c, X, Y in terms).tocsr()
+
+
+def liouvillian_oracle(H, jumps) -> sp.csr_matrix:
+    """The Lindblad superoperator on row-major vec, term by term with
+    `scipy.sparse.kron` and pairwise sparse sums."""
+    H = sp.csr_matrix(H, dtype=complex)
+    eye = sp.identity(H.shape[0], format="csr", dtype=complex)
+    L = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
+    for A, rate in jumps:
+        A = sp.csr_matrix(A, dtype=complex)
+        AdA = A.conj().T @ A
+        L = L + rate * (2.0 * sp.kron(A, A.conj()) - sp.kron(AdA, eye) - sp.kron(eye, AdA.T))
+    return L.tocsr()
 
 
 def apply_generator(gen, rho) -> np.ndarray:

@@ -60,7 +60,8 @@ from drivencavity.dynamics import (
     steady_state_raw,
 )
 from reference import (apply_generator, as_dense, dense_generator, dense_partial_trace,
-                       dense_sandwich, field_annihilation, hermitian_coordinates, number_operator)
+                       dense_sandwich, field_annihilation, hermitian_coordinates,
+                       liouvillian_oracle, number_operator)
 
 rng = np.random.default_rng(23)
 
@@ -485,15 +486,13 @@ def _starts(n):
 def _whole_space_blocks(H, jumps, rho0):
     """The oracle of `_reachable_blocks`, from the whole Liouvillian.
 
-    pairs and blocks: the weak components of L (every jump included, zeros
-    eliminated: `sp.kron`'s block path stores some, which would link pairs)
-    that vec(rho0) touches.  largest: the largest component of
+    pairs and blocks: the weak components of L (every jump included) that
+    vec(rho0) touches.  largest: the largest component of
     pattern(H + sum A), over the jumps of non-zero rate, that rho0's rows touch.
     """
     d = H.shape[0]
     rows, cols = np.nonzero(rho0)
     full = liouvillian_matrix_raw(H, jumps)
-    full.eliminate_zeros()
     labels = connected_components(abs(full), directed=True, connection="weak")[1]
     touched = [np.flatnonzero(labels == c) for c in np.unique(labels[rows * d + cols])]
     pairs = np.sort(np.concatenate(touched))
@@ -517,9 +516,15 @@ def _assert_blocks_exact(H, jumps, rho0):
 
 def _assert_restriction_exact(H, jumps, rho0):
     """L on the sorted pairs, and on the pairs block by block (the order the
-    solver builds it in), is the whole L sliced to them, entry for entry."""
+    solver builds it in), is the whole L sliced to them, entry for entry; the
+    whole L is the `scipy.sparse.kron` oracle's within 4 ulps per term of
+    the largest term, sum |c| max|X| max|Y|."""
     pairs, blocks, _ = _assert_blocks_exact(H, jumps, rho0)
-    full = liouvillian_matrix_raw(H, jumps)  # sp.kron on the whole space
+    full = liouvillian_matrix_raw(H, jumps)
+    scale = 2 * abs(H).max() + sum(rate * 2 * (abs(A).max() ** 2 + abs(A.conj().T @ A).max())
+                                   for A, rate in jumps)
+    tol = 4 * (2 + 3 * len(jumps)) * np.finfo(float).eps * scale
+    assert abs(full - liouvillian_oracle(H, jumps)).max() <= tol
     ordered = pairs[np.concatenate(blocks)]
     for vec in (pairs, ordered):
         restricted = liouvillian_matrix_raw(H, jumps, vec)

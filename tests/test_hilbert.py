@@ -16,14 +16,16 @@ from drivencavity.hilbert import (
     collective_basis,
     fock_vector,
     from_collective_basis,
+    kron_sum,
     max_asymmetry,
     min_eigenvalue,
     nonzero_pattern,
     partial_trace,
+    to_array,
     to_collective_basis,
     trace_distance,
 )
-from reference import dag, dense_partial_trace, dense_sandwich, displacement
+from reference import dag, dense_partial_trace, dense_sandwich, displacement, kron_sum_oracle
 
 rng = np.random.default_rng(7)
 
@@ -187,6 +189,49 @@ def _permuted_direct_sum(r, blocks, n_zero):
         start += b.shape[0]
     perm = r.permutation(dim)
     return m[np.ix_(perm, perm)]
+
+
+@st.composite
+def kron_terms(draw):
+    """(terms, n_right, rows): up to four terms (c, X, Y), X n_x x n_x and Y
+    n_y x n_y complex, CSR with stored zeros or dense, c possibly 0; rows a
+    random subset of the vec indices in random order."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor(n):
+        i, j = np.nonzero(r.random((n, n)) < 0.6)
+        vals = r.normal(size=i.size) + 1j * r.normal(size=i.size)
+        vals[r.random(i.size) < 0.3] = 0.0  # stored zeros
+        m = sp.csr_matrix((vals, (i, j)), shape=(n, n))
+        return m.toarray() if r.random() < 0.3 else m
+
+    coeffs = draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 2j, 0.3 - 1.1j]),
+                           min_size=1, max_size=4))
+    terms = [(c, factor(nx), factor(ny)) for c in coeffs]
+    rows = r.permutation(nx * ny)[:draw(st.integers(1, nx * ny))]
+    return terms, ny, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(kron_terms())
+def test_kron_sum_restricts_exactly_and_matches_sp_kron(problem):
+    terms, ny, rows = problem
+    whole = kron_sum(terms, ny)
+    restricted = kron_sum(terms, ny, rows)
+    for m in (whole, restricted):  # canonical: sorted, no duplicates, no stored zeros
+        assert m.has_canonical_format and m.data.all()
+    sliced = whole[rows][:, rows]
+    sliced.sort_indices()
+    for got, want in zip((restricted.indptr, restricted.indices, restricted.data),
+                         (sliced.indptr, sliced.indices, sliced.data)):
+        assert np.array_equal(got, want)
+    # two complex products and at most three additions per entry on each side:
+    # within 8 ulps of the largest product's scale
+    scale = sum(abs(c) * np.abs(to_array(X)).max() * np.abs(to_array(Y)).max()
+                for c, X, Y in terms)
+    err = np.abs(whole.toarray() - kron_sum_oracle(terms).toarray()).max()
+    assert err <= 8 * np.finfo(float).eps * scale
 
 
 class TestMinEigenvalue:

@@ -12,6 +12,7 @@ from drivencavity.hilbert import (
     StateError,
     coherent_vector,
     fock_vector,
+    kron_sum,
 )
 from drivencavity.model import (
     ConfigError,
@@ -19,8 +20,6 @@ from drivencavity.model import (
     PHYSICAL_KEYS,
     Generator,
     SystemConfig,
-    _assemble,
-    _dag,
     _field_eye,
     _raising,
     _sz,
@@ -119,7 +118,7 @@ class TestDerivedParams:
 
 def _collective(layout, factor):
     """1_field (x) factor, the generator's collective operator from its factor, dense."""
-    return _assemble(layout, [(1.0, _field_eye(layout), factor)]).toarray()
+    return kron_sum([(1.0, _field_eye(layout), factor)], 2**layout.atom_count).toarray()
 
 
 class TestCollectiveOperators:
@@ -143,7 +142,7 @@ class TestCollectiveOperators:
         lay = HilbertLayout(atom_count=2)
         singlet = (atomic_vector("eg") - atomic_vector("ge")) / math.sqrt(2)
         assert np.max(np.abs(_collective(lay, _raising(2)) @ singlet)) < 1e-14
-        assert np.max(np.abs(_collective(lay, _dag(_raising(2))) @ singlet)) < 1e-14
+        assert np.max(np.abs(_collective(lay, _raising(2).conj().T) @ singlet)) < 1e-14
 
     def test_sz_eigenvalues(self):
         lay = HilbertLayout(atom_count=2)
@@ -152,7 +151,7 @@ class TestCollectiveOperators:
 
     def test_lowering_is_adjoint(self):
         lay = HilbertLayout(atom_count=3, fock_dim=2)
-        assert np.allclose(_collective(lay, _dag(_raising(3))),
+        assert np.allclose(_collective(lay, _raising(3).conj().T),
                            _collective(lay, _raising(3)).conj().T)
 
 

@@ -212,6 +212,17 @@ class TestChooseTruncation:
         assert 256 < probed[-1] <= 512 and probed == sorted(probed)
         assert str(failure.value) == f"observables not converged in n_max up to {probed[-1]}"
 
+    @pytest.mark.parametrize("n_th, start", [(100.0, 1158), (1000.0, 11519)])
+    def test_hot_thermal_start_refused_before_any_solve(self, n_th, start):
+        # the thermal tail's start is bounded like the doubling: above 256 no
+        # probe runs, so no dense operator of that size is made
+        probed = []
+        cfg = SystemConfig(n_atoms=2, g=0.1, n_th=n_th, frame="thermal")
+        with pytest.raises(TruncationError) as failure:
+            choose_truncation(cfg, probed.append)
+        assert probed == []
+        assert str(failure.value) == f"thermal tail needs n_max {start} to start, above 256"
+
     def test_monotone_in_tolerance(self):
         cfg = SystemConfig(n_atoms=2, g=0.1, n_th=1.0, frame="thermal")
         loose = self.chosen_n_max(cfg, tol=1e-3)
@@ -445,6 +456,23 @@ class TestCli:
         rows = [line for line in lines if not line.startswith("#")][1:]
         assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.1
         assert "2 sweep point(s) failed" in capsys.readouterr().err
+
+    def test_hot_thermal_point_fails_without_a_solve(self, tmp_path, monkeypatch):
+        # n_th 1000 starts the truncation at n_max 11 519, whose dense rotated H
+        # would not fit in memory: the point fails, and nothing above 512 is solved
+        solve = scenarios.scenario_steady_state
+
+        def spy(c, *args, **kw):
+            assert c.n_max <= 512, f"n_max {c.n_max} requested"  # checked before it is built
+            return solve(c, *args, **kw)
+
+        monkeypatch.setattr(scenarios, "scenario_steady_state", spy)
+        out = tmp_path / "fig3.csv"
+        code = cli.main(["fig3-thermal", "--set", "nth_list=1000", "--set", "initial_list=e-g",
+                         "--out", str(out), "--no-timestamp"])
+        assert code == 1
+        failed = [line for line in out.read_text().splitlines() if line.startswith("# FAILED")]
+        assert len(failed) == 1 and "n_max 11519" in failed[0]
 
     def test_failed_report_costs_one_point(self, tmp_path, capsys, monkeypatch):
         # the second point's correlation report raises: its row is lost, the

@@ -80,6 +80,25 @@ def test_traced_three_atom_steady_point_goes_through_the_collective_basis(tracer
     assert metrics["sectors.two_atom_steady_state.calls"] > 0
 
 
+def test_traced_rk_point_builds_the_whole_liouvillian(tracer, monkeypatch):
+    # with no spectral support allowed, custom evolve takes the Runge-Kutta
+    # route, whose whole-space L a traced bench run also builds
+    monkeypatch.setattr(dynamics, "SPECTRAL_MAX_SUPPORT", 0)
+    scfg = load_config(None, ["scenario=custom", "custom_mode=evolve", "n_atoms=2", "g=0.1",
+                              "epsilon=1", "n_max=3", "t_lo=0.1", "t_hi=1",
+                              "points_per_decade=2", "initial_atoms=e-g", "timestamp=false"])
+    t = tracer.Tracer()
+    t.install()
+    try:
+        table = t.run_op(0, "custom", run_scenario, scfg)
+    finally:
+        t.uninstall()
+    assert not table.failures
+    metrics = tracer.per_layer_metrics(t, passes=1, wall_s=0.0)
+    assert metrics["dynamics.liouvillian_matrix_raw.calls"] > 0
+    assert metrics["dynamics.evolve.rhs_evals"] > 0
+
+
 def test_sectors_binds_what_the_benchmark_reads():
     # bench/tracer.py wraps two of these and the benchmark's own tests check
     # the third; each is a dynamics function, and scenarios solves through the alias
